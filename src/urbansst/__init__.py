@@ -5,7 +5,7 @@ plus a deterministic closed-loop scenario simulator."""
 from .cost import CostWeights, motion_cost, state_cost_components, trajectory_cost, weighted_state_cost
 from .dki import DkiConfig, plan_dki, seed_lane_branch, seed_previous_branch
 from .geometry import OrientedBox, Point2, Polygon, box_corners, obb_overlap, point_in_polygon, polygons_overlap
-from .objects import FieldParams, ObjectPrediction, WorldModel, clearance_cost, clearance_cost_xy
+from .objects import FieldParams, ObjectPrediction, WorldModel, clearance_cost_xy
 from .road import (
     GoalRegion,
     Lane,
@@ -15,8 +15,6 @@ from .road import (
     RoutePath,
     build_penalty_grid,
     compute_goal_region,
-    in_goal,
-    lookup_penalty,
     nearest_lane_center,
 )
 from .sim import (
@@ -39,10 +37,8 @@ from .sst import (
     extract_best_trajectory,
     is_state_valid,
     plan,
-    planner_metric,
     sample_input,
     sample_state,
-    select_node,
 )
 from .vehicle import (
     ControlInput,

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,16 +52,19 @@ def _apply_overrides(data: dict, overrides) -> dict:
             value = raw
         parts = key.split(".")
         node = data
-        for part in parts[:-1]:
-            if part.isdigit() and isinstance(node, list):
-                node = node[int(part)]
+        try:
+            for part in parts[:-1]:
+                if part.isdigit() and isinstance(node, list):
+                    node = node[int(part)]
+                else:
+                    node = node.setdefault(part, {})
+            last = parts[-1]
+            if last.isdigit() and isinstance(node, list):
+                node[int(last)] = value
             else:
-                node = node.setdefault(part, {})
-        last = parts[-1]
-        if last.isdigit() and isinstance(node, list):
-            node[int(last)] = value
-        else:
-            node[last] = value
+                node[last] = value
+        except (AttributeError, IndexError, TypeError) as exc:
+            raise ScenarioError(f"--set {key}: no such field") from exc
     return data
 
 
@@ -105,7 +109,6 @@ def cmd_plan(args) -> int:
     m = sc.sampling_margin
     cfg = sc.planner
     if budget is not None:
-        from dataclasses import replace
         if budget[0] == "iters":
             cfg = replace(cfg, iteration_budget=budget[1], query_time=None)
         else:

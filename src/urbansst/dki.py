@@ -21,7 +21,7 @@ import numpy as np
 from .cost import CostWeights
 from .objects import WorldModel
 from .road import GoalRegion, PenaltyGrid, RoadNetwork
-from .sst import PlannerConfig, PlannerTree, PlanResult, sample_input
+from .sst import PlannerConfig, PlannerTree, PlanResult, norm_state, sample_input, state_distance
 from .vehicle import (
     Trajectory,
     VehicleParams,
@@ -102,10 +102,8 @@ def seed_lane_branch(
             # The corridor is already held by a cheaper node (typically the
             # previous-solution branch); continue the march from that
             # representative instead of abandoning the branch.
-            state = VehicleState(best_end[0], best_end[1], best_end[2], best_end[3])
-            witness = tree._nearest_witness(tree._norm_state(state))
-            node = witness.rep if witness is not None else None
-            if node is None or not node.active or id(node) in visited:
+            node = tree.representative_near(VehicleState(*best_end))
+            if node is None or id(node) in visited:
                 break
         else:
             added += 1
@@ -152,16 +150,14 @@ def seed_previous_branch(tree: PlannerTree, prev: Trajectory, dki: DkiConfig) ->
     """
     if prev is None or len(prev.samples) < 2:
         return 0
-    root_norm = tree.root.norm
-    best_d = math.inf
-    best_next = None
-    for state, next_idx in _interpolated_states(prev, tree.config.t_step):
-        d = tree._dist_n(tree._norm_state(state), root_norm)
-        if d < best_d:
-            best_d = d
-            best_next = next_idx
-    if best_d > dki.d_reuse:
+    states = _interpolated_states(prev, tree.config.t_step)
+    cfg = tree.config
+    norms = np.transpose([norm_state(s, cfg) for s, _ in states])
+    d = state_distance(norms, norm_state(tree.root.state, cfg))
+    i = int(np.argmin(d))
+    if d[i] > dki.d_reuse:
         return 0
+    best_next = states[i][1]
     tip = tree.root
     added = 0
     for j in range(max(1, best_next), len(prev.samples)):

@@ -15,7 +15,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .vehicle import VehicleState, normalize_angle
+from .vehicle import normalize_angle
 
 
 class ObjectPrediction:
@@ -110,10 +110,6 @@ class WorldModel:
         )
 
 
-def predicted_pose_at(obj: ObjectPrediction, t: float):
-    return obj.pose_at(t)
-
-
 def clearance_cost_xy(x: float, y: float, t: float, world: WorldModel) -> float:
     total = 0.0
     for obj, fp in zip(world.objects, world.fields):
@@ -123,8 +119,3 @@ def clearance_cost_xy(x: float, y: float, t: float, world: WorldModel) -> float:
         f = dx * dx / fp.sigma_x + dy * dy / fp.sigma_y
         total += fp.amplitude * math.exp(-f)
     return total
-
-
-def clearance_cost(s: VehicleState, t: float, world: WorldModel) -> float:
-    """Summed repulsive field of all objects at the state's position and time."""
-    return clearance_cost_xy(s.x, s.y, t, world)

@@ -183,10 +183,6 @@ def build_penalty_grid(
     return PenaltyGrid((x_min, y_min), resolution, cells.reshape(n_rows, n_cols), p_max, p_invalid)
 
 
-def lookup_penalty(grid: PenaltyGrid, x: float, y: float) -> float:
-    return grid.lookup(x, y)
-
-
 class RoutePath:
     """Arc-length parameterization of the route's concatenated centerlines."""
 
@@ -340,8 +336,3 @@ def compute_goal_region(
         if added:
             lane_ids.append(lane.id)
     return GoalRegion(lane_ids, (s_goal - goal_threshold, s_goal + goal_threshold), polygons)
-
-
-def in_goal(region: GoalRegion, s: VehicleState) -> bool:
-    """Membership test on position only; heading and speed are unconstrained."""
-    return region.contains_xy(s.x, s.y)

@@ -29,6 +29,7 @@ from .road import (
     RoadNetwork,
     RouteExhaustedError,
     build_penalty_grid,
+    compute_goal_region,
     nearest_lane_center,
 )
 from .sst import InvalidStartError, PlannerConfig, PlanResult, plan
@@ -74,14 +75,16 @@ class Scenario:
             raise ScenarioError("sim.metrics_mode: must be 'pooled' or 'per_trajectory'")
 
 
-def _section(data: dict, key: str) -> dict:
+def _section(data: dict, key: str, prefix: str = "") -> dict:
     sec = data.get(key, {})
     if not isinstance(sec, dict):
-        raise ScenarioError(f"{key}: expected an object")
+        raise ScenarioError(f"{prefix}{key}: expected an object")
     return sec
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError("scenario: expected an object")
     try:
         road_sec = data.get("road")
         if not isinstance(road_sec, dict):
@@ -105,14 +108,14 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"road: {exc}") from exc
 
         ego = _section(data, "ego")
-        st = ego.get("state", {})
+        st = _section(ego, "state", "ego.")
         ego_state = VehicleState(
             float(st.get("x", 0.0)),
             float(st.get("y", 0.0)),
             float(st.get("theta", 0.0)),
             float(st.get("v", 0.0)),
         )
-        pd = ego.get("params", {})
+        pd = _section(ego, "params", "ego.")
         try:
             ego_params = VehicleParams(
                 wheelbase=float(pd.get("wheelbase", 2.7)),
@@ -128,10 +131,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         objects = []
         fields = []
         for i, od in enumerate(data.get("objects", [])):
+            if not isinstance(od, dict):
+                raise ScenarioError(f"objects[{i}]: expected an object")
             try:
                 otype = od.get("type", "vehicle")
                 fl, fw = FOOTPRINT_DEFAULTS.get(otype, FOOTPRINT_DEFAULTS["vehicle"])
-                fp = od.get("footprint", {})
+                fp = _section(od, "footprint", f"objects[{i}].")
                 objects.append(
                     ObjectPrediction(
                         obj_id=str(od.get("id", f"object{i}")),
@@ -140,7 +145,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                         poses=od["poses"],
                     )
                 )
-                fd = od.get("field", {})
+                fd = _section(od, "field", f"objects[{i}].")
                 fields.append(
                     FieldParams(
                         amplitude=float(fd.get("amplitude", 100.0)),
@@ -165,10 +170,13 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"weights: {exc}") from exc
 
         pl = _section(data, "planner")
+        budget = pl.get("iteration_budget")
+        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
+            raise ScenarioError(f"planner.iteration_budget: expected an integer, got {budget!r}")
         try:
             planner = PlannerConfig(
-                iteration_budget=pl.get("iteration_budget"),
-                query_time=pl.get("query_time"),
+                iteration_budget=budget,
+                query_time=None if pl.get("query_time") is None else float(pl["query_time"]),
                 d_near=float(pl.get("d_near", 0.2)),
                 d_prune=float(pl.get("d_prune", 0.1)),
                 t_prop=float(pl.get("t_prop", 0.4)),
@@ -409,8 +417,6 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
     """
     if mode not in ("base", "dki"):
         raise ValueError("mode must be 'base' or 'dki'")
-    from .road import compute_goal_region  # local to avoid cycle at import time
-
     log = SimLog(scenario=sc.name, mode=mode, seed=seed)
     grid = build_scenario_grid(sc)
     route = sc.road.route_path

@@ -35,6 +35,11 @@ from .vehicle import (
 
 _TWO_PI = 2.0 * math.pi
 
+# Row blocks of PlannerTree's witness table.
+_WIT = slice(0, 4)
+_REP = slice(4, 8)
+_COST = 8
+
 
 class InvalidStartError(ValueError):
     """The query's start state fails validity checking."""
@@ -73,15 +78,30 @@ class PlannerConfig:
         return replace(self, x_bounds=tuple(x_bounds), y_bounds=tuple(y_bounds))
 
 
-def planner_metric(a: VehicleState, b: VehicleState, config: PlannerConfig) -> float:
-    """Normalized, wrap-aware distance between two states."""
-    dx = (a.x - b.x) / config.metric_xy_scale
-    dy = (a.y - b.y) / config.metric_xy_scale
-    dth = abs(normalize_angle(a.theta) - normalize_angle(b.theta)) / _TWO_PI
-    if dth > 0.5:
-        dth = 1.0 - dth
-    dv = (a.v - b.v) / (config.v_bounds[1] - config.v_bounds[0])
-    return math.sqrt(dx * dx + dy * dy + dth * dth + dv * dv)
+def norm_state(s: VehicleState, config: PlannerConfig) -> tuple:
+    """State in the planner's normalized space; heading maps onto [0, 1)."""
+    inv_xy = 1.0 / config.metric_xy_scale
+    v_lo, v_hi = config.v_bounds
+    return (
+        (s.x - config.x_bounds[0]) * inv_xy,
+        (s.y - config.y_bounds[0]) * inv_xy,
+        (normalize_angle(s.theta) + math.pi) / _TWO_PI,
+        (s.v - v_lo) * (1.0 / (v_hi - v_lo)),
+    )
+
+
+def state_distance(a, b):
+    """Wrap-aware Euclidean distance between normalized states a and b.
+
+    Both are indexed by component (x, y, heading, v). A component may be an
+    array holding that component of many states; the result is then an array.
+    """
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    dth = np.abs(a[2] - b[2])
+    dth = np.minimum(dth, 1.0 - dth)
+    dv = a[3] - b[3]
+    return np.sqrt(dx * dx + dy * dy + dth * dth + dv * dv)
 
 
 def sample_state(config: PlannerConfig, rng: np.random.Generator) -> VehicleState:
@@ -127,21 +147,13 @@ def is_state_valid(
     return True
 
 
-class _Witness:
-    __slots__ = ("norm", "rep")
-
-    def __init__(self, norm, rep) -> None:
-        self.norm = norm
-        self.rep = rep
-
-
 class TreeNode:
     __slots__ = (
         "state", "t", "input", "parent", "children",
-        "cost", "state_cost_w", "active", "norm", "slot",
+        "cost", "state_cost_w", "active",
     )
 
-    def __init__(self, state, t, u, parent, cost, state_cost_w, norm) -> None:
+    def __init__(self, state, t, u, parent, cost, state_cost_w) -> None:
         self.state = state
         self.t = t
         self.input = u
@@ -150,8 +162,6 @@ class TreeNode:
         self.cost = cost
         self.state_cost_w = state_cost_w
         self.active = True
-        self.norm = norm
-        self.slot = -1
 
 
 @dataclass
@@ -168,6 +178,11 @@ class PlanResult:
 
 class PlannerTree:
     """Single-query search tree with active/witness bookkeeping.
+
+    A node becomes active only by founding a witness or by replacing a
+    witness's representative, which deactivates the old one at once, so the
+    active nodes are exactly the witness representatives and one append-only
+    table indexed by witness serves both selection and pruning.
 
     Not shared between queries; one instance per call to plan().
     """
@@ -198,120 +213,57 @@ class PlannerTree:
         self.best_cost = math.inf
         self.best_trajectory: Optional[Trajectory] = None
         self.cost_history: list = []
-
-        self._inv_x = 1.0 / config.metric_xy_scale
-        self._inv_y = 1.0 / config.metric_xy_scale
-        self._inv_v = 1.0 / (config.v_bounds[1] - config.v_bounds[0])
         self._n_sub = substep_count(config.t_prop, config.t_step)
 
-        # Uniform-cell bucket indices over the normalized state space. The
-        # heading dimension wraps, so its cell count is fixed per cell size.
-        self._near_cells: dict = {}
-        self._near_kth = max(1, int(math.ceil(1.0 / config.d_near - 1e-9)))
-        self._wit_cells: dict = {}
-        self._wit_kth = max(1, int(math.ceil(1.0 / config.d_prune - 1e-9)))
-        self.n_witnesses = 0
-
-        # Flat arrays over active nodes for exact nearest-node fallback.
-        cap = 1024
-        self._arr = np.empty((cap, 4))
-        self._slot_nodes: list = []
+        # Column i: witness i's norm, its representative's norm and cost
+        # (rows _WIT, _REP, _COST); self._reps[i] is the representative.
+        self._table = np.empty((9, 1024))
+        self._reps: list = []
 
         if not is_state_valid(start, start_time, grid, world, config, params):
             raise InvalidStartError("start state is invalid")
         scw = self._state_cost_w(start.x, start.y, start.v, start_time)
-        self.root = TreeNode(start, start_time, None, None, 0.0, scw, self._norm_state(start))
-        self._add_active(self.root)
+        self.root = TreeNode(start, start_time, None, None, 0.0, scw)
+        self._add_witness(self.root, norm_state(start, config))
         self.n_nodes = 1
-        w = _Witness(self.root.norm, self.root)
-        self._wit_cells.setdefault(self._wit_key(self.root.norm), []).append(w)
-        self.n_witnesses = 1
         if goal.contains_xy(start.x, start.y):
             self._record_solution(self.root)
 
-    # -- normalized-space helpers ------------------------------------------
+    @property
+    def n_witnesses(self) -> int:
+        return len(self._reps)
 
-    def _norm_state(self, s: VehicleState):
-        return (
-            (s.x - self.config.x_bounds[0]) * self._inv_x,
-            (s.y - self.config.y_bounds[0]) * self._inv_y,
-            (normalize_angle(s.theta) + math.pi) / _TWO_PI,
-            (s.v - self.config.v_bounds[0]) * self._inv_v,
-        )
+    # -- witness table ------------------------------------------------------
 
-    @staticmethod
-    def _dist_n(a, b) -> float:
-        dx = a[0] - b[0]
-        dy = a[1] - b[1]
-        dth = abs(a[2] - b[2])
-        if dth > 0.5:
-            dth = 1.0 - dth
-        dv = a[3] - b[3]
-        return math.sqrt(dx * dx + dy * dy + dth * dth + dv * dv)
+    def _add_witness(self, node: TreeNode, norm) -> None:
+        i = len(self._reps)
+        if i == self._table.shape[1]:
+            self._table = np.concatenate((self._table, np.empty_like(self._table)), axis=1)
+        self._table[:, i] = (*norm, *norm, node.cost)
+        self._reps.append(node)
 
-    def _near_key(self, n):
-        cell = self.config.d_near
-        it = int(n[2] / cell)
-        if it >= self._near_kth:
-            it = self._near_kth - 1
-        return (math.floor(n[0] / cell), math.floor(n[1] / cell), it, math.floor(n[3] / cell))
+    def _nearest_witness(self, n) -> Optional[int]:
+        """Index of the nearest witness if it lies within d_prune of n."""
+        d = state_distance(self._table[_WIT, : len(self._reps)], n)
+        i = int(np.argmin(d))
+        return i if d[i] <= self.config.d_prune else None
 
-    def _wit_key(self, n):
-        cell = self.config.d_prune
-        it = int(n[2] / cell)
-        if it >= self._wit_kth:
-            it = self._wit_kth - 1
-        return (math.floor(n[0] / cell), math.floor(n[1] / cell), it, math.floor(n[3] / cell))
-
-    def _add_active(self, node: TreeNode) -> None:
-        self._near_cells.setdefault(self._near_key(node.norm), []).append(node)
-        slot = len(self._slot_nodes)
-        if slot >= len(self._arr):
-            grown = np.empty((2 * len(self._arr), 4))
-            grown[: len(self._arr)] = self._arr
-            self._arr = grown
-        self._arr[slot] = node.norm
-        self._slot_nodes.append(node)
-        node.slot = slot
-
-    def _deactivate(self, node: TreeNode) -> None:
-        node.active = False
-        self._near_cells[self._near_key(node.norm)].remove(node)
-        self._arr[node.slot] = (1e9, 1e9, 0.0, 1e9)
+    def representative_near(self, s: VehicleState) -> Optional[TreeNode]:
+        """Active node that holds the witness within d_prune of s, if any."""
+        i = self._nearest_witness(norm_state(s, self.config))
+        return None if i is None else self._reps[i]
 
     # -- spec operations ----------------------------------------------------
 
     def select(self, x_rand: VehicleState) -> TreeNode:
         """Lowest-cost active node within d_near of the sample, else the nearest."""
-        n = self._norm_state(x_rand)
-        d_near = self.config.d_near
-        ix, iy, it, iv = self._near_key(n)
-        kth = self._near_kth
-        best = None
-        best_cost = math.inf
-        for ax in (ix - 1, ix, ix + 1):
-            for ay in (iy - 1, iy, iy + 1):
-                for at in ((it - 1) % kth, it, (it + 1) % kth):
-                    for av in (iv - 1, iv, iv + 1):
-                        bucket = self._near_cells.get((ax, ay, at, av))
-                        if not bucket:
-                            continue
-                        for node in bucket:
-                            if self._dist_n(node.norm, n) <= d_near and node.cost < best_cost:
-                                best = node
-                                best_cost = node.cost
-        if best is not None:
-            return best
-        # No active node in range: exact nearest via the flat arrays.
-        m = len(self._slot_nodes)
-        arr = self._arr[:m]
-        dx = arr[:, 0] - n[0]
-        dy = arr[:, 1] - n[1]
-        dth = np.abs(arr[:, 2] - n[2])
-        dth = np.minimum(dth, 1.0 - dth)
-        dv = arr[:, 3] - n[3]
-        i = int(np.argmin(dx * dx + dy * dy + dth * dth + dv * dv))
-        return self._slot_nodes[i]
+        table = self._table[:, : len(self._reps)]
+        d = state_distance(table[_REP], norm_state(x_rand, self.config))
+        costs = np.where(d <= self.config.d_near, table[_COST], math.inf)
+        i = int(np.argmin(costs))
+        if costs[i] == math.inf:
+            i = int(np.argmin(d))
+        return self._reps[i]
 
     def _state_cost_w(self, x: float, y: float, v: float, t: float) -> float:
         w = self.weights
@@ -378,28 +330,6 @@ class PlannerTree:
                         return None
         return (x, y, th, v)
 
-    def _nearest_witness(self, n):
-        ix, iy, it, iv = self._wit_key(n)
-        kth = self._wit_kth
-        d_prune = self.config.d_prune
-        best = None
-        best_d = math.inf
-        for ax in (ix - 1, ix, ix + 1):
-            for ay in (iy - 1, iy, iy + 1):
-                for at in ((it - 1) % kth, it, (it + 1) % kth):
-                    for av in (iv - 1, iv, iv + 1):
-                        bucket = self._wit_cells.get((ax, ay, at, av))
-                        if not bucket:
-                            continue
-                        for w in bucket:
-                            d = self._dist_n(w.norm, n)
-                            if d < best_d:
-                                best = w
-                                best_d = d
-        if best is not None and best_d <= d_prune:
-            return best
-        return None
-
     def try_insert(self, parent: TreeNode, endpoint, u: ControlInput) -> Optional[TreeNode]:
         """Witness-gated insertion of a propagation endpoint."""
         x, y, th, v = endpoint
@@ -412,21 +342,21 @@ class PlannerTree:
         )
         cost = parent.cost + edge
         state = VehicleState(x, y, th, v)
-        norm = self._norm_state(state)
-        witness = self._nearest_witness(norm)
-        if witness is not None and cost >= witness.rep.cost:
+        norm = norm_state(state, self.config)
+        i = self._nearest_witness(norm)
+        if i is not None and cost >= self._table[_COST, i]:
             return None
-        node = TreeNode(state, t_new, u, parent, cost, scw, norm)
+        node = TreeNode(state, t_new, u, parent, cost, scw)
         parent.children.append(node)
         self.n_nodes += 1
-        self._add_active(node)
-        if witness is None:
-            self._wit_cells.setdefault(self._wit_key(norm), []).append(_Witness(norm, node))
-            self.n_witnesses += 1
+        if i is None:
+            self._add_witness(node, norm)
         else:
-            old = witness.rep
-            witness.rep = node
-            self._deactivate(old)
+            old = self._reps[i]
+            self._reps[i] = node
+            self._table[_REP, i] = norm
+            self._table[_COST, i] = cost
+            old.active = False
             self._prune_inactive_chain(old)
         if cost < self.best_cost and self.goal.contains_xy(x, y):
             self._record_solution(node)
@@ -503,12 +433,6 @@ def _chain_trajectory(node: TreeNode) -> Trajectory:
         node = node.parent
     samples.reverse()
     return Trajectory(samples)
-
-
-def select_node(tree: PlannerTree, x_rand: VehicleState, d_near: Optional[float] = None) -> TreeNode:
-    if d_near is not None and d_near != tree.config.d_near:
-        raise ValueError("selection radius must match the tree's configured d_near")
-    return tree.select(x_rand)
 
 
 def extract_best_trajectory(tree: PlannerTree, goal: GoalRegion) -> Trajectory:

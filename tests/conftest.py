@@ -1,5 +1,6 @@
 """Shared fixtures: a straight two-lane road and planner components."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,17 @@ def weights():
 @pytest.fixture()
 def ego_start():
     return VehicleState(0.0, 0.0, 0.0, 5.0)
+
+
+def wrap_dist(a, b):
+    """Scalar oracle of the planner metric between two normalized states."""
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    dth = abs(a[2] - b[2])
+    if dth > 0.5:
+        dth = 1.0 - dth
+    dv = a[3] - b[3]
+    return math.sqrt(dx * dx + dy * dy + dth * dth + dv * dv)
 
 
 def make_planner_config(budget=2000, **kw):

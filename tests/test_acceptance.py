@@ -20,10 +20,10 @@ from urbansst.sim import (
     load_scenario,
     run_closed_loop,
 )
-from urbansst.sst import PlannerTree, is_state_valid, plan, sample_state
+from urbansst.sst import PlannerTree, is_state_valid, norm_state, plan, sample_state
 from urbansst.vehicle import ControlInput, VehicleState, propagate
 
-from conftest import SCENARIO_DIR, make_straight_net
+from conftest import SCENARIO_DIR, make_straight_net, wrap_dist
 
 SEEDS = list(range(10))
 
@@ -190,7 +190,7 @@ class TestAcceptance:
         tree = PlannerTree(ego, 0.0, goal, grid, world,
                            replace(cfg, iteration_budget=10_000), weights, params)
         tree.run()
-        norms = np.array([w.norm for bucket in tree._wit_cells.values() for w in bucket])
+        norms = tree._table[:4, : len(tree._reps)].T
         dx = norms[:, None, 0] - norms[None, :, 0]
         dy = norms[:, None, 1] - norms[None, :, 1]
         dth = np.abs(norms[:, None, 2] - norms[None, :, 2])
@@ -220,19 +220,19 @@ class TestAcceptance:
 
         # 6. select_node brute-force oracle on 10^3 queries
         timed("select")
-        active = [n for n in tree._slot_nodes if n.active]
+        active = [n for n in tree.iter_nodes() if n.active]
         rng = np.random.default_rng(1)
         for _ in range(1000):
             x_rand = sample_state(cfg, rng)
-            n = tree._norm_state(x_rand)
+            n = norm_state(x_rand, cfg)
             picked = tree.select(x_rand)
-            dists = np.array([tree._dist_n(node.norm, n) for node in active])
+            dists = np.array([wrap_dist(norm_state(node.state, cfg), n) for node in active])
             in_range = dists <= cfg.d_near
             if in_range.any():
                 best = min(node.cost for node, hit in zip(active, in_range) if hit)
                 assert picked.cost == best
             else:
-                assert tree._dist_n(picked.norm, n) == pytest.approx(dists.min())
+                assert wrap_dist(norm_state(picked.state, cfg), n) == pytest.approx(dists.min())
         done("select")
 
         # 7. clearance spot values

@@ -8,6 +8,7 @@ from urbansst.sim import ScenarioError
 from conftest import SCENARIO_DIR
 
 STRAIGHT = str(SCENARIO_DIR / "scenario_i_straight_road.json")
+OVERTAKE = str(SCENARIO_DIR / "scenario_ii_static_overtake.json")
 
 
 @pytest.fixture()
@@ -78,6 +79,22 @@ class TestPlan:
         ])
         assert rc == 1
         assert "route" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("objects=[[1,2]]", "objects[0]"),
+            ("objects.0=5", "objects[0]"),
+            ("ego.state=[1]", "ego.state"),
+            ('planner.iteration_budget="abc"', "planner.iteration_budget"),
+            ("objects.3.id=x", "objects.3.id"),
+        ],
+    )
+    def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):
+        rc = main(["plan", "--scenario", OVERTAKE, "--set", override, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     def test_set_override_applies(self, tmp_path):
         out = tmp_path / "out"

@@ -6,11 +6,8 @@ from urbansst.objects import (
     FieldParams,
     ObjectPrediction,
     WorldModel,
-    clearance_cost,
     clearance_cost_xy,
-    predicted_pose_at,
 )
-from urbansst.vehicle import VehicleState
 
 
 def make_ped(poses, obj_id="ped"):
@@ -50,10 +47,6 @@ class TestObjectPrediction:
         obj = make_ped([(0.0, 0, 0, a), (1.0, 0, 0, b)])
         _, _, th = obj.pose_at(0.5)
         assert abs(th) == pytest.approx(math.pi, abs=1e-9)
-
-    def test_free_function(self):
-        obj = make_ped([(0.0, 1.0, 2.0, 0.3)])
-        assert predicted_pose_at(obj, 0.0) == obj.pose_at(0.0)
 
 
 class TestWorldModel:
@@ -106,8 +99,3 @@ class TestClearanceCost:
         obj = make_ped([(0.0, 0.0, 0.0, 0.0), (10.0, 10.0, 0.0, 0.0)])
         wm = WorldModel([obj])
         assert clearance_cost_xy(5.0, 0.0, 5.0, wm) == pytest.approx(100.0)
-
-    def test_state_wrapper(self):
-        wm = WorldModel([make_ped([(0, 2, 3, 0)])])
-        s = VehicleState(2.0, 3.0, 1.0, 4.0)
-        assert clearance_cost(s, 0.0, wm) == clearance_cost_xy(2.0, 3.0, 0.0, wm)

@@ -12,8 +12,6 @@ from urbansst.road import (
     RouteExhaustedError,
     build_penalty_grid,
     compute_goal_region,
-    in_goal,
-    lookup_penalty,
     nearest_lane_center,
 )
 from urbansst.vehicle import VehicleState
@@ -82,9 +80,6 @@ class TestPenaltyGrid:
         assert straight_grid.lookup(-1000.0, 0.0) == straight_grid.p_max
         assert straight_grid.lookup(20.0, 1000.0) == straight_grid.p_max
 
-    def test_lookup_free_function(self, straight_grid):
-        assert lookup_penalty(straight_grid, 20.0, 0.1) == straight_grid.lookup(20.0, 0.1)
-
     def test_analytic_oracle_random_cells(self, straight_net):
         # straight two-lane road: distance to nearest center is
         # min(|y|, |y - 3.5|) exactly, and the owning lane has width 3.75
@@ -134,7 +129,8 @@ class TestGoalRegion:
 
     def test_wrong_way_heading_still_in_goal(self, straight_goal):
         # membership is positional only
-        assert in_goal(straight_goal, VehicleState(30.0, 0.0, math.pi, 5.0))
+        s = VehicleState(30.0, 0.0, math.pi, 5.0)
+        assert straight_goal.contains_xy(s.x, s.y)
 
     def test_route_exhausted(self, straight_net):
         with pytest.raises(RouteExhaustedError):

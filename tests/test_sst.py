@@ -11,15 +11,20 @@ from urbansst.sst import (
     TreeNode,
     extract_best_trajectory,
     is_state_valid,
+    norm_state,
     plan,
-    planner_metric,
     sample_input,
     sample_state,
-    select_node,
+    state_distance,
 )
 from urbansst.vehicle import ControlInput, VehicleState, propagate
 
-from conftest import make_planner_config
+from conftest import make_planner_config, wrap_dist
+
+
+def planner_metric(a, b, config):
+    """The metric the planner searches with, applied to two states."""
+    return state_distance(norm_state(a, config), norm_state(b, config))
 
 
 class TestConfig:
@@ -49,7 +54,7 @@ class TestConfig:
 
 
 class TestMetric:
-    CFG = PlannerConfig(iteration_budget=1)
+    CFG = make_planner_config(budget=1)
 
     def test_identity_zero(self):
         s = VehicleState(3.0, -1.0, 0.7, 2.0)
@@ -166,9 +171,9 @@ class TestSelect:
         sample = VehicleState(20.0, 0.0, 0.0, 3.0)
 
         def add(state, cost):
-            node = TreeNode(state, 0.4, None, tree.root, cost, 0.0, tree._norm_state(state))
+            node = TreeNode(state, 0.4, None, tree.root, cost, 0.0)
             tree.root.children.append(node)
-            tree._add_active(node)
+            tree._add_witness(node, norm_state(state, tree.config))
             return node
 
         cheap = add(VehicleState(21.5, 0.0, 0.0, 3.0), 5.0)   # dist 0.15
@@ -184,33 +189,28 @@ class TestSelect:
     def test_brute_force_oracle(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=2000)
         cfg = tree.config
-        active = [n for n in tree._slot_nodes if n.active]
+        active = [n for n in tree.iter_nodes() if n.active]
         assert len(active) > 50
         rng = np.random.default_rng(17)
         for _ in range(1000):
             sample = sample_state(cfg, rng)
-            n = tree._norm_state(sample)
-            dists = np.array([tree._dist_n(node.norm, n) for node in active])
+            n = norm_state(sample, cfg)
+            dists = np.array([wrap_dist(norm_state(node.state, cfg), n) for node in active])
             picked = tree.select(sample)
+            picked_dist = wrap_dist(norm_state(picked.state, cfg), n)
             in_range = dists <= cfg.d_near
             if in_range.any():
                 best_cost = min(node.cost for node, ok in zip(active, in_range) if ok)
-                assert tree._dist_n(picked.norm, n) <= cfg.d_near
+                assert picked_dist <= cfg.d_near
                 assert picked.cost == best_cost
             else:
-                assert tree._dist_n(picked.norm, n) == pytest.approx(dists.min())
-
-    def test_wrapper_radius_check(self, straight_goal, straight_grid, empty_world, weights, params):
-        tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=0)
-        with pytest.raises(ValueError):
-            select_node(tree, VehicleState(1, 0, 0, 5), d_near=0.5)
-        assert select_node(tree, VehicleState(1, 0, 0, 5)) is tree.root
+                assert picked_dist == pytest.approx(dists.min())
 
 
 class TestWitnessSparsity:
     def test_pairwise_separation(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=10_000)
-        norms = np.array([w.norm for bucket in tree._wit_cells.values() for w in bucket])
+        norms = tree._table[:4, : len(tree._reps)].T
         assert len(norms) == tree.n_witnesses
         assert len(norms) > 100
         # chunked pairwise distances with heading wrap
@@ -229,9 +229,19 @@ class TestWitnessSparsity:
 
     def test_active_reps_only(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=5_000)
-        for bucket in tree._wit_cells.values():
-            for w in bucket:
-                assert w.rep.active
+        for rep in tree._reps:
+            assert rep.active
+
+    def test_active_nodes_are_exactly_reps(self, straight_goal, straight_grid, empty_world, weights, params):
+        tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=5_000)
+        active = {id(n) for n in tree.iter_nodes() if n.active}
+        reps = {id(rep) for rep in tree._reps}
+        assert len(reps) == len(tree._reps) == tree.n_witnesses
+        assert active == reps
+        # each table column mirrors its representative
+        for i, rep in enumerate(tree._reps):
+            assert tuple(tree._table[4:8, i]) == norm_state(rep.state, tree.config)
+            assert tree._table[8, i] == rep.cost
 
 
 class TestPlan:
