@@ -196,4 +196,6 @@ def plan_dki(
     if prev is not None:
         seed_previous_branch(tree, prev, dki)
     seed_lane_branch(tree, net, dki)
-    return tree.run(already_elapsed=time.perf_counter() - t0)
+    result = tree.run(already_elapsed=time.perf_counter() - t0)
+    tree.release()
+    return result

@@ -15,6 +15,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from .geometry import obb_overlap
 from .vehicle import normalize_angle
 
 
@@ -110,12 +111,56 @@ class WorldModel:
         )
 
 
-def clearance_cost_xy(x: float, y: float, t: float, world: WorldModel) -> float:
+class PoseMemo:
+    """Every object's predicted pose by exact timestamp, for one ego footprint.
+
+    An entry is a tuple with one (x, y, theta, object, reach2) per object,
+    where reach2 is the squared centre distance beyond which the ego box
+    cannot touch the object: the circumscribed-circle bound of obb_overlap.
+    Keys are the exact floats asked for, so an entry holds exactly what
+    pose_at returns for them.
+    """
+
+    def __init__(self, world: WorldModel, ego_length: float, ego_width: float) -> None:
+        r_ego = 0.5 * math.hypot(ego_length, ego_width)
+        self._reach = [
+            (obj, (r_ego + 0.5 * math.hypot(obj.length, obj.width)) ** 2) for obj in world.objects
+        ]
+        self._memo: dict = {}
+
+    def at(self, t: float) -> tuple:
+        poses = self._memo.get(t)
+        if poses is None:
+            poses = self._memo[t] = tuple((*obj.pose_at(t), obj, r2) for obj, r2 in self._reach)
+        return poses
+
+
+def object_hit(x: float, y: float, theta: float, ego_length: float, ego_width: float, poses):
+    """The first object whose box overlaps the ego box at (x, y, theta), else None.
+
+    poses is one PoseMemo entry. The circle test rejects most pairs here, and
+    only the rest go through the separating-axis test.
+    """
+    for ox, oy, oth, obj, reach2 in poses:
+        dx = ox - x
+        dy = oy - y
+        if dx * dx + dy * dy > reach2:
+            continue
+        if obb_overlap(x, y, theta, ego_length, ego_width, ox, oy, oth, obj.length, obj.width):
+            return obj
+    return None
+
+
+def clearance_cost(x: float, y: float, poses, fields) -> float:
+    """Field of objects posed at (poses[i][0], poses[i][1]) with fields[i]."""
     total = 0.0
-    for obj, fp in zip(world.objects, world.fields):
-        ox, oy, _ = obj.pose_at(t)
-        dx = x - ox
-        dy = y - oy
+    for pose, fp in zip(poses, fields):
+        dx = x - pose[0]
+        dy = y - pose[1]
         f = dx * dx / fp.sigma_x + dy * dy / fp.sigma_y
         total += fp.amplitude * math.exp(-f)
     return total
+
+
+def clearance_cost_xy(x: float, y: float, t: float, world: WorldModel) -> float:
+    return clearance_cost(x, y, [obj.pose_at(t) for obj in world.objects], world.fields)

@@ -20,8 +20,7 @@ import numpy as np
 
 from .cost import CostWeights
 from .dki import DkiConfig, plan_dki
-from .geometry import obb_overlap
-from .objects import FieldParams, ObjectPrediction, WorldModel
+from .objects import FieldParams, ObjectPrediction, PoseMemo, WorldModel, object_hit
 from .road import (
     DEFAULT_GRID_RESOLUTION,
     Lane,
@@ -39,6 +38,7 @@ FOOTPRINT_DEFAULTS = {
     "pedestrian": (0.6, 0.6),
     "vehicle": (4.0, 2.0),
 }
+FIELD_DEFAULTS = {"amplitude": 100.0, "sigma_x": 3.0, "sigma_y": 2.0}
 
 
 class ScenarioError(ValueError):
@@ -71,6 +71,8 @@ class Scenario:
             raise ScenarioError("sim.duration: must be positive")
         if self.replan_rate <= 0.0:
             raise ScenarioError("sim.replan_rate: must be positive")
+        if self.sampling_margin < 0.0:
+            raise ScenarioError("sim.sampling_margin: must not be negative")
         if self.metrics_mode not in ("pooled", "per_trajectory"):
             raise ScenarioError("sim.metrics_mode: must be 'pooled' or 'per_trajectory'")
 
@@ -82,6 +84,45 @@ def _section(data: dict, key: str, prefix: str = "") -> dict:
     return sec
 
 
+def _items(data: dict, key: str, prefix: str = "") -> list:
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise ScenarioError(f"{prefix}{key}: expected a list")
+    return items
+
+
+_REQUIRED = object()
+
+
+def _num(sec: dict, key: str, default, prefix: str = "", kind=float):
+    """sec[key], or default if absent, as a finite number of `kind` (float or int).
+
+    A default of None makes the field optional: an absent or null value
+    gives None. A default of _REQUIRED makes it mandatory.
+    """
+    value = sec.get(key, default)
+    if value is _REQUIRED:
+        raise ScenarioError(f"{prefix}{key}: required")
+    if value is None and default is None:
+        return None
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if not ok:
+        expected = "an integer" if kind is int else "a finite number"
+        raise ScenarioError(f"{prefix}{key}: expected {expected}, got {value!r}")
+    return kind(value)
+
+
+def _build(where: str, cls, **kwargs):
+    """cls(**kwargs), with its validation error named after the section."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected an object")
@@ -90,18 +131,22 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not isinstance(road_sec, dict):
             raise ScenarioError("road: section is required")
         lanes = []
-        for i, ld in enumerate(road_sec.get("lanes", [])):
+        for i, ld in enumerate(_items(road_sec, "lanes", "road.")):
+            where = f"road.lanes[{i}]"
+            if not isinstance(ld, dict):
+                raise ScenarioError(f"{where}: expected an object")
+            width = _num(ld, "width", _REQUIRED, f"{where}.")
             try:
                 lanes.append(
                     Lane(
                         id=str(ld["id"]),
-                        width=float(ld["width"]),
+                        width=width,
                         centerline=ld["centerline"],
                         successors=[str(s) for s in ld.get("successors", [])],
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:
-                raise ScenarioError(f"road.lanes[{i}]: {exc}") from exc
+                raise ScenarioError(f"{where}: {exc}") from exc
         try:
             road = RoadNetwork(lanes, road_sec.get("route", []))
         except ValueError as exc:
@@ -109,99 +154,76 @@ def scenario_from_dict(data: dict) -> Scenario:
 
         ego = _section(data, "ego")
         st = _section(ego, "state", "ego.")
-        ego_state = VehicleState(
-            float(st.get("x", 0.0)),
-            float(st.get("y", 0.0)),
-            float(st.get("theta", 0.0)),
-            float(st.get("v", 0.0)),
-        )
+        ego_state = VehicleState(*(_num(st, k, 0.0, "ego.state.") for k in ("x", "y", "theta", "v")))
         pd = _section(ego, "params", "ego.")
-        try:
-            ego_params = VehicleParams(
-                wheelbase=float(pd.get("wheelbase", 2.7)),
-                length=float(pd.get("length", 4.0)),
-                width=float(pd.get("width", 2.0)),
-                v_bounds=tuple(pd.get("v_bounds", (0.0, 6.0))),
-                a_bounds=tuple(pd.get("a_bounds", (-0.8, 0.8))),
-                delta_bounds=tuple(pd.get("delta_bounds", (-0.4, 0.4))),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"ego.params: {exc}") from exc
+        ego_params = _build(
+            "ego.params", VehicleParams,
+            wheelbase=_num(pd, "wheelbase", 2.7, "ego.params."),
+            length=_num(pd, "length", 4.0, "ego.params."),
+            width=_num(pd, "width", 2.0, "ego.params."),
+            v_bounds=tuple(pd.get("v_bounds", (0.0, 6.0))),
+            a_bounds=tuple(pd.get("a_bounds", (-0.8, 0.8))),
+            delta_bounds=tuple(pd.get("delta_bounds", (-0.4, 0.4))),
+        )
 
         objects = []
         fields = []
-        for i, od in enumerate(data.get("objects", [])):
+        for i, od in enumerate(_items(data, "objects")):
+            where = f"objects[{i}]"
             if not isinstance(od, dict):
-                raise ScenarioError(f"objects[{i}]: expected an object")
+                raise ScenarioError(f"{where}: expected an object")
+            otype = od.get("type", "vehicle")
+            fl, fw = FOOTPRINT_DEFAULTS.get(otype, FOOTPRINT_DEFAULTS["vehicle"])
+            fp = _section(od, "footprint", f"{where}.")
+            length = _num(fp, "length", fl, f"{where}.footprint.")
+            width = _num(fp, "width", fw, f"{where}.footprint.")
+            fd = _section(od, "field", f"{where}.")
+            field_args = {k: _num(fd, k, d, f"{where}.field.") for k, d in FIELD_DEFAULTS.items()}
             try:
-                otype = od.get("type", "vehicle")
-                fl, fw = FOOTPRINT_DEFAULTS.get(otype, FOOTPRINT_DEFAULTS["vehicle"])
-                fp = _section(od, "footprint", f"objects[{i}].")
                 objects.append(
-                    ObjectPrediction(
-                        obj_id=str(od.get("id", f"object{i}")),
-                        length=float(fp.get("length", fl)),
-                        width=float(fp.get("width", fw)),
-                        poses=od["poses"],
-                    )
+                    ObjectPrediction(str(od.get("id", f"object{i}")), length, width, od["poses"])
                 )
-                fd = _section(od, "field", f"objects[{i}].")
-                fields.append(
-                    FieldParams(
-                        amplitude=float(fd.get("amplitude", 100.0)),
-                        sigma_x=float(fd.get("sigma_x", 3.0)),
-                        sigma_y=float(fd.get("sigma_y", 2.0)),
-                    )
-                )
+                fields.append(FieldParams(**field_args))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ScenarioError(f"objects[{i}]: {exc}") from exc
+                raise ScenarioError(f"{where}: {exc}") from exc
         world = WorldModel(objects, fields)
 
         wd = _section(data, "weights")
-        try:
-            weights = CostWeights(
-                path_length=float(wd.get("path_length", 0.05)),
-                desired_velocity=float(wd.get("desired_velocity", 0.5)),
-                penalty_grid=float(wd.get("penalty_grid", 0.2)),
-                target_clearance=float(wd.get("target_clearance", 2.0)),
-                v_desired=float(wd.get("v_desired", 5.0)),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"weights: {exc}") from exc
+        weights = _build(
+            "weights", CostWeights,
+            path_length=_num(wd, "path_length", 0.05, "weights."),
+            desired_velocity=_num(wd, "desired_velocity", 0.5, "weights."),
+            penalty_grid=_num(wd, "penalty_grid", 0.2, "weights."),
+            target_clearance=_num(wd, "target_clearance", 2.0, "weights."),
+            v_desired=_num(wd, "v_desired", 5.0, "weights."),
+        )
 
         pl = _section(data, "planner")
-        budget = pl.get("iteration_budget")
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
-            raise ScenarioError(f"planner.iteration_budget: expected an integer, got {budget!r}")
-        try:
-            planner = PlannerConfig(
-                iteration_budget=budget,
-                query_time=None if pl.get("query_time") is None else float(pl["query_time"]),
-                d_near=float(pl.get("d_near", 0.2)),
-                d_prune=float(pl.get("d_prune", 0.1)),
-                t_prop=float(pl.get("t_prop", 0.4)),
-                t_step=float(pl.get("t_step", 0.04)),
-                sigma_a=float(pl.get("sigma_a", 0.8)),
-                sigma_delta=float(pl.get("sigma_delta", 0.2)),
-                v_bounds=ego_params.v_bounds,
-                metric_xy_scale=float(pl.get("metric_xy_scale", 10.0)),
-                rng_seed=int(pl.get("rng_seed", 0)),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"planner: {exc}") from exc
+        planner = _build(
+            "planner", PlannerConfig,
+            iteration_budget=_num(pl, "iteration_budget", None, "planner.", int),
+            query_time=_num(pl, "query_time", None, "planner."),
+            d_near=_num(pl, "d_near", 0.2, "planner."),
+            d_prune=_num(pl, "d_prune", 0.1, "planner."),
+            t_prop=_num(pl, "t_prop", 0.4, "planner."),
+            t_step=_num(pl, "t_step", 0.04, "planner."),
+            sigma_a=_num(pl, "sigma_a", 0.8, "planner."),
+            sigma_delta=_num(pl, "sigma_delta", 0.2, "planner."),
+            v_bounds=ego_params.v_bounds,
+            metric_xy_scale=_num(pl, "metric_xy_scale", 10.0, "planner."),
+            rng_seed=_num(pl, "rng_seed", 0, "planner.", int),
+        )
         if planner.iteration_budget is None and planner.query_time is None:
             planner = replace(planner, iteration_budget=2000)
 
         dk = _section(data, "dki")
-        try:
-            dki = DkiConfig(
-                d_lookahead=float(dk.get("d_lookahead", 3.0)),
-                d_branch_max=float(dk.get("d_branch_max", 40.0)),
-                n_candidates=int(dk.get("n_candidates", 100)),
-                d_reuse=float(dk.get("d_reuse", 1.0)),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"dki: {exc}") from exc
+        dki = _build(
+            "dki", DkiConfig,
+            d_lookahead=_num(dk, "d_lookahead", 3.0, "dki."),
+            d_branch_max=_num(dk, "d_branch_max", 40.0, "dki."),
+            n_candidates=_num(dk, "n_candidates", 100, "dki.", int),
+            d_reuse=_num(dk, "d_reuse", 1.0, "dki."),
+        )
 
         goal = _section(data, "goal")
         grid = _section(data, "grid")
@@ -215,15 +237,15 @@ def scenario_from_dict(data: dict) -> Scenario:
             weights=weights,
             planner=planner,
             dki=dki,
-            goal_distance=float(goal.get("distance", 30.0)),
-            goal_threshold=float(goal.get("threshold", 2.0)),
-            goal_lateral_band=float(goal.get("lateral_band", 6.0)),
-            duration=float(sim.get("duration", 10.0)),
-            replan_rate=float(sim.get("replan_rate", 2.0)),
-            grid_resolution=float(grid.get("resolution", DEFAULT_GRID_RESOLUTION)),
-            p_max=float(grid.get("p_max", 100.0)),
-            p_invalid=float(grid.get("p_invalid", 99.0)),
-            sampling_margin=float(sim.get("sampling_margin", 15.0)),
+            goal_distance=_num(goal, "distance", 30.0, "goal."),
+            goal_threshold=_num(goal, "threshold", 2.0, "goal."),
+            goal_lateral_band=_num(goal, "lateral_band", 6.0, "goal."),
+            duration=_num(sim, "duration", 10.0, "sim."),
+            replan_rate=_num(sim, "replan_rate", 2.0, "sim."),
+            grid_resolution=_num(grid, "resolution", DEFAULT_GRID_RESOLUTION, "grid."),
+            p_max=_num(grid, "p_max", 100.0, "grid."),
+            p_invalid=_num(grid, "p_invalid", 99.0, "grid."),
+            sampling_margin=_num(sim, "sampling_margin", 15.0, "sim."),
             metrics_mode=str(sim.get("metrics_mode", "pooled")),
         )
     except ScenarioError:
@@ -399,12 +421,12 @@ def rollout_inputs(
 
 
 def _first_collision(states, world: WorldModel, params: VehicleParams):
+    poses = PoseMemo(world, params.length, params.width)
     for i, ts_ in enumerate(states):
         s = ts_.state
-        for obj in world.objects:
-            ox, oy, oth = obj.pose_at(ts_.t)
-            if obb_overlap(s.x, s.y, s.theta, params.length, params.width, ox, oy, oth, obj.length, obj.width):
-                return i, obj
+        obj = object_hit(s.x, s.y, s.theta, params.length, params.width, poses.at(ts_.t))
+        if obj is not None:
+            return i, obj
     return None
 
 

@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .cost import CostWeights
-from .geometry import obb_overlap
-from .objects import WorldModel, clearance_cost_xy
+from .objects import PoseMemo, WorldModel, clearance_cost, object_hit
 from .road import GoalRegion, PenaltyGrid
 from .vehicle import (
     ControlInput,
@@ -95,21 +94,38 @@ def state_distance(a, b):
 
     Both are indexed by component (x, y, heading, v). A component may be an
     array holding that component of many states; the result is then an array.
+    The squares are accumulated in place, which saves temporaries, in the
+    left-to-right order of the plain sum, so the rounding is the same.
     """
-    dx = a[0] - b[0]
+    d2 = a[0] - b[0]
+    d2 *= d2
     dy = a[1] - b[1]
+    dy *= dy
+    d2 += dy
     dth = np.abs(a[2] - b[2])
     dth = np.minimum(dth, 1.0 - dth)
+    dth *= dth
+    d2 += dth
     dv = a[3] - b[3]
-    return np.sqrt(dx * dx + dy * dy + dth * dth + dv * dv)
+    dv *= dv
+    d2 += dv
+    return np.sqrt(d2)
 
 
 def sample_state(config: PlannerConfig, rng: np.random.Generator) -> VehicleState:
+    """Uniform state in the sampling bounds.
+
+    One four-value draw gives bit for bit what four scalar rng.uniform calls
+    give; tolist() keeps the fields Python floats.
+    """
+    ux, uy, uth, uv = rng.random(4).tolist()
+    (x_lo, x_hi), (y_lo, y_hi) = config.x_bounds, config.y_bounds
+    (th_lo, th_hi), (v_lo, v_hi) = config.theta_bounds, config.v_bounds
     return VehicleState(
-        rng.uniform(config.x_bounds[0], config.x_bounds[1]),
-        rng.uniform(config.y_bounds[0], config.y_bounds[1]),
-        rng.uniform(config.theta_bounds[0], config.theta_bounds[1]),
-        rng.uniform(config.v_bounds[0], config.v_bounds[1]),
+        x_lo + (x_hi - x_lo) * ux,
+        y_lo + (y_hi - y_lo) * uy,
+        th_lo + (th_hi - th_lo) * uth,
+        v_lo + (v_hi - v_lo) * uv,
     )
 
 
@@ -140,11 +156,8 @@ def is_state_valid(
         return False
     if grid.lookup(s.x, s.y) >= grid.p_invalid:
         return False
-    for obj in world.objects:
-        ox, oy, oth = obj.pose_at(t)
-        if obb_overlap(s.x, s.y, s.theta, params.length, params.width, ox, oy, oth, obj.length, obj.width):
-            return False
-    return True
+    poses = PoseMemo(world, params.length, params.width).at(t)
+    return object_hit(s.x, s.y, s.theta, params.length, params.width, poses) is None
 
 
 class TreeNode:
@@ -214,6 +227,10 @@ class PlannerTree:
         self.best_trajectory: Optional[Trajectory] = None
         self.cost_history: list = []
         self._n_sub = substep_count(config.t_prop, config.t_step)
+        # Object poses by timestamp, and the substep poses of a propagation
+        # by its start time: every node at one depth shares one entry.
+        self._poses = PoseMemo(world, params.length, params.width)
+        self._steps: dict = {}
 
         # Column i: witness i's norm, its representative's norm and cost
         # (rows _WIT, _REP, _COST); self._reps[i] is the representative.
@@ -245,7 +262,7 @@ class PlannerTree:
     def _nearest_witness(self, n) -> Optional[int]:
         """Index of the nearest witness if it lies within d_prune of n."""
         d = state_distance(self._table[_WIT, : len(self._reps)], n)
-        i = int(np.argmin(d))
+        i = int(d.argmin())
         return i if d[i] <= self.config.d_prune else None
 
     def representative_near(self, s: VehicleState) -> Optional[TreeNode]:
@@ -260,17 +277,26 @@ class PlannerTree:
         table = self._table[:, : len(self._reps)]
         d = state_distance(table[_REP], norm_state(x_rand, self.config))
         costs = np.where(d <= self.config.d_near, table[_COST], math.inf)
-        i = int(np.argmin(costs))
+        i = int(costs.argmin())
         if costs[i] == math.inf:
-            i = int(np.argmin(d))
+            i = int(d.argmin())
         return self._reps[i]
 
     def _state_cost_w(self, x: float, y: float, v: float, t: float) -> float:
         w = self.weights
         c = w.desired_velocity * abs(v - w.v_desired) + w.penalty_grid * self.grid.lookup(x, y)
         if self.world.objects:
-            c += w.target_clearance * clearance_cost_xy(x, y, t, self.world)
+            c += w.target_clearance * clearance_cost(x, y, self._poses.at(t), self.world.fields)
         return c
+
+    def _substep_poses(self, t0: float) -> list:
+        """Object poses at each substep time t0 + k*t_step of a propagation from t0."""
+        steps = self._steps.get(t0)
+        if steps is None:
+            at = self._poses.at
+            ts = self.config.t_step
+            steps = self._steps[t0] = [at(t0 + k * ts) for k in range(1, self._n_sub + 1)]
+        return steps
 
     def propagate_checked(self, node: TreeNode, u: ControlInput):
         """Propagate a constant input from a node, validating every substate.
@@ -295,20 +321,23 @@ class PlannerTree:
         ts = cfg.t_step
         a = u.a
         tan_d = math.tan(u.delta)
-        objs = self.world.objects
         ego_l = p.length
         ego_w = p.width
+        steps = self._substep_poses(node.t) if self.world.objects else None
 
         s = node.state
         x = s.x
         y = s.y
         th = s.theta
         v = s.v
-        t0 = node.t
-        for k in range(1, self._n_sub + 1):
-            x = x + ts * v * math.cos(th)
-            y = y + ts * v * math.sin(th)
-            th = normalize_angle(th + ts * (v / wheelbase) * tan_d)
+        for k in range(self._n_sub):
+            tv = ts * v
+            x = x + tv * math.cos(th)
+            y = y + tv * math.sin(th)
+            # normalize_angle inlined: the same operations, without a call
+            th = math.remainder(th + ts * (v / wheelbase) * tan_d, _TWO_PI)
+            if th <= -math.pi:
+                th += _TWO_PI
             v = v + ts * a
             if v < v_lo:
                 v = v_lo
@@ -322,12 +351,8 @@ class PlannerTree:
                 return None
             if cells[row, col] >= p_invalid:
                 return None
-            if objs:
-                t = t0 + k * ts
-                for obj in objs:
-                    ox, oy, oth = obj.pose_at(t)
-                    if obb_overlap(x, y, th, ego_l, ego_w, ox, oy, oth, obj.length, obj.width):
-                        return None
+            if steps is not None and object_hit(x, y, th, ego_l, ego_w, steps[k]) is not None:
+                return None
         return (x, y, th, v)
 
     def try_insert(self, parent: TreeNode, endpoint, u: ControlInput) -> Optional[TreeNode]:
@@ -425,6 +450,16 @@ class PlannerTree:
             yield node
             stack.extend(node.children)
 
+    def release(self) -> None:
+        """Empty every child list, which leaves no parent-child reference
+        cycle: the finished tree is then freed by reference counting alone,
+        not by the next run of the cyclic garbage collector."""
+        stack = [self.root]
+        while stack:
+            children = stack.pop().children
+            stack.extend(children)
+            children.clear()
+
 
 def _chain_trajectory(node: TreeNode) -> Trajectory:
     samples = []
@@ -459,4 +494,6 @@ def plan(
     rng: Optional[np.random.Generator] = None,
 ) -> PlanResult:
     tree = PlannerTree(start, start_time, goal, grid, world, config, weights, params, rng)
-    return tree.run()
+    result = tree.run()
+    tree.release()
+    return result

@@ -1,10 +1,12 @@
 """Shared fixtures: a straight two-lane road and planner components."""
 
 import math
+import weakref
 from pathlib import Path
 
 import pytest
 
+from urbansst import sst
 from urbansst.cost import CostWeights
 from urbansst.objects import WorldModel
 from urbansst.road import Lane, RoadNetwork, build_penalty_grid, compute_goal_region
@@ -79,3 +81,19 @@ def make_planner_config(budget=2000, **kw):
 @pytest.fixture()
 def straight_goal(straight_net, ego_start):
     return compute_goal_region(straight_net, ego_start, 30.0, 2.0)
+
+
+@pytest.fixture()
+def node_refs(monkeypatch):
+    """Weak references to every tree node the planner creates while the test runs."""
+    refs = []
+
+    class WeakRefNode(sst.TreeNode):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(sst, "TreeNode", WeakRefNode)
+    return refs

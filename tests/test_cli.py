@@ -88,6 +88,12 @@ class TestPlan:
             ("ego.state=[1]", "ego.state"),
             ('planner.iteration_budget="abc"', "planner.iteration_budget"),
             ("objects.3.id=x", "objects.3.id"),
+            ("objects=5", "objects:"),
+            ("road.lanes=7", "road.lanes:"),
+            ('ego.state.x="abc"', "ego.state.x"),
+            ("dki.n_candidates=2.5", "dki.n_candidates"),
+            ("road.lanes.0.width=NaN", "road.lanes[0].width"),
+            ("sim.sampling_margin=-1", "sim.sampling_margin"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):

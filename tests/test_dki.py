@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -127,6 +128,20 @@ class TestPlanDki:
         )
         assert result.solved
         assert result.iterations == 3000
+
+    def test_tree_freed_without_cyclic_gc(self, node_refs, straight_net, straight_goal, straight_grid, empty_world, weights, params, ego_start):
+        cfg = make_planner_config(budget=3000, rng_seed=1)
+        gc.disable()
+        try:
+            result = plan_dki(
+                ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net,
+                None, cfg, DkiConfig(), weights, params,
+            )
+            alive = sum(ref() is not None for ref in node_refs)
+        finally:
+            gc.enable()
+        assert result.solved and len(node_refs) > 100
+        assert alive == 0
 
     def test_paired_seeds_rarely_worse(self, straight_net, straight_goal, straight_grid, empty_world, weights, params, ego_start):
         wins = 0

@@ -1,8 +1,11 @@
+import gc
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from urbansst.geometry import obb_overlap
 from urbansst.objects import ObjectPrediction, WorldModel
 from urbansst.sst import (
     InvalidStartError,
@@ -119,6 +122,18 @@ class TestSampling:
         assert abs(draws[:, 0].mean()) < 3 * cfg.sigma_a / math.sqrt(n)
         assert abs(draws[:, 1].mean()) < 3 * cfg.sigma_delta / math.sqrt(n)
 
+    def test_state_matches_scalar_uniform_oracle(self, params):
+        cfg = make_planner_config()
+        rng = np.random.default_rng(29)
+        ref = np.random.default_rng(29)
+        bounds = (cfg.x_bounds, cfg.y_bounds, cfg.theta_bounds, cfg.v_bounds)
+        for _ in range(1000):
+            s = sample_state(cfg, rng)
+            assert s == VehicleState(*(ref.uniform(lo, hi) for lo, hi in bounds))
+            assert all(type(f) is float for f in (s.x, s.y, s.theta, s.v))
+            # interleaved input draws keep both streams in step
+            assert sample_input(cfg, rng, params) == sample_input(cfg, ref, params)
+
     def test_state_determinism(self):
         cfg = make_planner_config()
         a = [sample_state(cfg, np.random.default_rng(7)) for _ in range(50)]
@@ -152,6 +167,59 @@ class TestValidity:
             [ObjectPrediction("car", 4.0, 2.0, [(0.0, 22.0, 0.0, 0.0), (10.0, 80.0, 0.0, 0.0)])]
         )
         assert is_state_valid(VehicleState(20, 0, 0, 5), 10.0, straight_grid, world_moving, cfg, params)
+
+
+def _crossing_world():
+    """A pedestrian crossing the road, and a car that turns into the ego lane and stops."""
+    return WorldModel([
+        ObjectPrediction("ped", 0.6, 0.6, [(0.0, 14.0, 8.0, -math.pi / 2), (8.0, 14.0, -6.0, -math.pi / 2)]),
+        ObjectPrediction(
+            "car", 4.0, 2.0,
+            [(0.0, 24.0, -8.0, math.pi / 2), (3.0, 24.5, -1.0, 1.4), (5.0, 25.0, 0.0, 0.0)],
+        ),
+    ])
+
+
+class TestPropagationKernel:
+    def test_matches_uncached_oracle(self, straight_goal, straight_grid, weights, params):
+        world = _crossing_world()
+        empty = WorldModel()
+        cfg = make_planner_config(budget=1500, rng_seed=4)
+        tree = PlannerTree(
+            VehicleState(0.0, 0.0, 0.0, 5.0), 0.0, straight_goal, straight_grid, world, cfg, weights, params,
+        )
+        tree.run()
+
+        def oracle(node, u):
+            states = propagate(node.state, u, cfg.t_prop, cfg.t_step, params)
+            for k, s in enumerate(states, start=1):
+                t = node.t + k * cfg.t_step
+                on_road = is_state_valid(s, t, straight_grid, empty, cfg, params)
+                hit = any(
+                    obb_overlap(s.x, s.y, s.theta, params.length, params.width, *obj.pose_at(t), obj.length, obj.width)
+                    for obj in world.objects
+                )
+                assert is_state_valid(s, t, straight_grid, world, cfg, params) == (on_road and not hit)
+                if not on_road:
+                    return None, "road"
+                if hit:
+                    return None, "object"
+            end = states[-1]
+            return (end.x, end.y, end.theta, end.v), "valid"
+
+        # every node at every depth, so that nodes of one depth share memo entries
+        nodes = list(tree.iter_nodes())
+        assert len({node.t for node in nodes}) >= 10
+        rng = np.random.default_rng(23)
+        outcomes = Counter()
+        for node in nodes:
+            for _ in range(8):
+                u = sample_input(cfg, rng, params)
+                expected, why = oracle(node, u)
+                assert tree.propagate_checked(node, u) == expected
+                outcomes[why] += 1
+        assert sum(outcomes.values()) >= 300
+        assert min(outcomes[w] for w in ("road", "object", "valid")) >= 10, outcomes
 
 
 def _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget, seed=0):
@@ -307,6 +375,17 @@ class TestPlan:
         assert r1.n_witnesses == r2.n_witnesses
         if r1.solved:
             assert [s.state for s in r1.trajectory.samples] == [s.state for s in r2.trajectory.samples]
+
+    def test_tree_freed_without_cyclic_gc(self, node_refs, straight_goal, straight_grid, empty_world, weights, params, ego_start):
+        cfg = make_planner_config(budget=3_000, rng_seed=21)
+        gc.disable()
+        try:
+            result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
+            alive = sum(ref() is not None for ref in node_refs)
+        finally:
+            gc.enable()
+        assert result.solved and len(node_refs) > 100
+        assert alive == 0
 
     def test_invalid_start_raises(self, straight_goal, straight_grid, empty_world, weights, params):
         cfg = make_planner_config()
