@@ -13,65 +13,26 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from .dki import plan_dki
-from .road import RouteExhaustedError, compute_goal_region
+from .road import RouteExhaustedError
 from .sim import (
-    Scenario,
     ScenarioError,
     build_scenario_grid,
     compute_metrics,
     load_scenario,
-    metrics_to_dict,
+    plan_query,
     run_closed_loop,
-    scenario_from_dict,
     simlog_to_csv,
     simlog_to_dict,
 )
-from .sst import plan
 
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
-
-
-def _apply_overrides(data: dict, overrides) -> dict:
-    for item in overrides or []:
-        if "=" not in item:
-            raise ScenarioError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        parts = key.split(".")
-        node = data
-        try:
-            for part in parts[:-1]:
-                if part.isdigit() and isinstance(node, list):
-                    node = node[int(part)]
-                else:
-                    node = node.setdefault(part, {})
-            last = parts[-1]
-            if last.isdigit() and isinstance(node, list):
-                node[int(last)] = value
-            else:
-                node[last] = value
-        except (AttributeError, IndexError, TypeError) as exc:
-            raise ScenarioError(f"--set {key}: no such field") from exc
-    return data
-
-
-def _load(args) -> Scenario:
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return scenario_from_dict(_apply_overrides(data, getattr(args, "set", None)))
 
 
 def _parse_budget(spec):
@@ -98,33 +59,10 @@ def _parse_seeds(spec: str):
 
 
 def cmd_plan(args) -> int:
-    sc = _load(args)
-    budget = _parse_budget(args.budget)
-    grid = build_scenario_grid(sc)
-    goal = compute_goal_region(
-        sc.road, sc.ego_state, sc.goal_distance, sc.goal_threshold,
-        lateral_band=sc.goal_lateral_band,
+    sc = load_scenario(args.scenario, args.set)
+    result = plan_query(
+        sc, args.mode, build_scenario_grid(sc), sc.ego_state, 0.0, (args.seed, 0), _parse_budget(args.budget)
     )
-    bx0, by0, bx1, by1 = goal.bbox
-    m = sc.sampling_margin
-    cfg = sc.planner
-    if budget is not None:
-        if budget[0] == "iters":
-            cfg = replace(cfg, iteration_budget=budget[1], query_time=None)
-        else:
-            cfg = replace(cfg, iteration_budget=None, query_time=budget[1])
-    cfg = cfg.with_bounds(
-        (min(sc.ego_state.x, bx0) - m, max(sc.ego_state.x, bx1) + m),
-        (min(sc.ego_state.y, by0) - m, max(sc.ego_state.y, by1) + m),
-    )
-    rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0)))
-    if args.mode == "dki":
-        result = plan_dki(
-            sc.ego_state, 0.0, goal, grid, sc.world, sc.road, None,
-            cfg, sc.dki, sc.weights, sc.ego_params, rng,
-        )
-    else:
-        result = plan(sc.ego_state, 0.0, goal, grid, sc.world, cfg, sc.weights, sc.ego_params, rng)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,7 +87,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sc = _load(args)
+    sc = load_scenario(args.scenario, args.set)
     log = run_closed_loop(sc, args.mode, args.seed, budget=_parse_budget(args.budget))
     metrics = compute_metrics(log, sc) if log.ticks else None
     out = Path(args.out)
@@ -157,18 +95,16 @@ def cmd_simulate(args) -> int:
     _atomic_write(out / "simlog.json", json.dumps(simlog_to_dict(log), indent=2) + "\n")
     _atomic_write(out / "simlog.csv", simlog_to_csv(log))
     if metrics is not None:
-        _atomic_write(out / "metrics.json", json.dumps(metrics_to_dict(metrics), indent=2) + "\n")
+        _atomic_write(out / "metrics.json", json.dumps(asdict(metrics), indent=2) + "\n")
     return 3 if log.termination == "collision" else 0
 
 
 def _run_cell(job):
     path, mode, seed, budget, overrides = job
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        sc = scenario_from_dict(_apply_overrides(data, overrides))
+        sc = load_scenario(path, overrides)
         log = run_closed_loop(sc, mode, seed, budget=budget)
-        metrics = metrics_to_dict(compute_metrics(log, sc)) if log.ticks else None
+        metrics = asdict(compute_metrics(log, sc)) if log.ticks else None
         return (sc.name, mode, seed, metrics, log.termination, None)
     except Exception as exc:  # recorded per cell, matrix continues
         return (Path(path).stem, mode, seed, None, "", f"{type(exc).__name__}: {exc}")
@@ -279,7 +215,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ScenarioError, RouteExhaustedError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ScenarioError, RouteExhaustedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

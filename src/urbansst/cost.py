@@ -2,7 +2,9 @@
 
 Path length is an intrinsic per-edge cost; desired-velocity deviation,
 penalty-grid and target-clearance terms are state costs integrated over
-time with the trapezoid rule between edge endpoints.
+time with the trapezoid rule between edge endpoints. state_cost and
+edge_cost are the only definitions of the two formulas: the planner and
+trajectory_cost both go through them, in the same floating-point order.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .objects import WorldModel, clearance_cost_xy
 from .road import PenaltyGrid
-from .vehicle import TimedState, Trajectory, VehicleState
+from .vehicle import TimedState, Trajectory
 
 
 @dataclass(frozen=True)
@@ -28,21 +30,16 @@ class CostWeights:
             raise ValueError("cost weights must be non-negative")
 
 
-def state_cost_components(
-    s: VehicleState, t: float, grid: PenaltyGrid, world: WorldModel, w: CostWeights
-):
-    """Unweighted (desired-velocity, penalty-grid, target-clearance) components."""
-    c_dv = abs(s.v - w.v_desired)
-    c_pg = grid.lookup(s.x, s.y)
-    c_tc = clearance_cost_xy(s.x, s.y, t, world)
-    return c_dv, c_pg, c_tc
+def state_cost(w: CostWeights, v: float, penalty: float, clearance: float) -> float:
+    """Weighted cost of one state at speed v, with its penalty-grid value and
+    its target-clearance field value."""
+    return w.desired_velocity * abs(v - w.v_desired) + w.penalty_grid * penalty + w.target_clearance * clearance
 
 
-def weighted_state_cost(
-    s: VehicleState, t: float, grid: PenaltyGrid, world: WorldModel, w: CostWeights
-) -> float:
-    c_dv, c_pg, c_tc = state_cost_components(s, t, grid, world, w)
-    return w.desired_velocity * c_dv + w.penalty_grid * c_pg + w.target_clearance * c_tc
+def edge_cost(w: CostWeights, x0: float, y0: float, c0: float, x1: float, y1: float, c1: float, dt: float) -> float:
+    """Cost of an edge from (x0, y0) with state cost c0 to (x1, y1) with state
+    cost c1, dt seconds later: path length plus the trapezoid state-cost integral."""
+    return w.path_length * math.hypot(x1 - x0, y1 - y0) + dt * (c0 + c1) / 2.0
 
 
 def motion_cost(
@@ -51,10 +48,11 @@ def motion_cost(
     dt = s_next.t - s_n.t
     if dt <= 0.0:
         raise ValueError("motion cost requires strictly increasing timestamps")
-    dist = math.hypot(s_next.state.x - s_n.state.x, s_next.state.y - s_n.state.y)
-    c0 = weighted_state_cost(s_n.state, s_n.t, grid, world, w)
-    c1 = weighted_state_cost(s_next.state, s_next.t, grid, world, w)
-    return w.path_length * dist + dt * (c0 + c1) / 2.0
+    a = s_n.state
+    b = s_next.state
+    c0 = state_cost(w, a.v, grid.lookup(a.x, a.y), clearance_cost_xy(a.x, a.y, s_n.t, world))
+    c1 = state_cost(w, b.v, grid.lookup(b.x, b.y), clearance_cost_xy(b.x, b.y, s_next.t, world))
+    return edge_cost(w, a.x, a.y, c0, b.x, b.y, c1, dt)
 
 
 def trajectory_cost(traj: Trajectory, grid: PenaltyGrid, world: WorldModel, w: CostWeights) -> float:

@@ -152,8 +152,9 @@ def seed_previous_branch(tree: PlannerTree, prev: Trajectory, dki: DkiConfig) ->
         return 0
     states = _interpolated_states(prev, tree.config.t_step)
     cfg = tree.config
-    norms = np.transpose([norm_state(s, cfg) for s, _ in states])
-    d = state_distance(norms, norm_state(tree.root.state, cfg))
+    params = tree.params
+    norms = np.transpose([norm_state(s, cfg, params) for s, _ in states])
+    d = state_distance(norms, norm_state(tree.root.state, cfg, params))
     i = int(np.argmin(d))
     if d[i] > dki.d_reuse:
         return 0

@@ -1,14 +1,14 @@
 """Planar geometry primitives for collision checking.
 
-Points, simple polygons and oriented boxes, plus point-in-polygon
-(ray casting, boundary counts as inside) and polygon overlap tests.
-Everything here is immutable and safe to share between planner instances.
+Points and simple polygons with a point-in-polygon test (ray casting,
+boundary counts as inside), and the separating-axis overlap test of two
+oriented boxes. Everything here is immutable and safe to share between
+planner instances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
@@ -44,36 +44,6 @@ class Polygon:
         return f"Polygon({list(self.vertices)!r})"
 
 
-@dataclass(frozen=True)
-class OrientedBox:
-    center: Point2
-    heading: float
-    length: float
-    width: float
-
-    def __post_init__(self) -> None:
-        if self.length <= 0.0 or self.width <= 0.0:
-            raise ValueError("box length and width must be positive")
-
-
-def box_corners(cx: float, cy: float, heading: float, length: float, width: float):
-    """Corner coordinates of an oriented box, counter-clockwise."""
-    c = math.cos(heading)
-    s = math.sin(heading)
-    hl = 0.5 * length
-    hw = 0.5 * width
-    return [
-        (cx + c * hl - s * hw, cy + s * hl + c * hw),
-        (cx - c * hl - s * hw, cy - s * hl + c * hw),
-        (cx - c * hl + s * hw, cy - s * hl - c * hw),
-        (cx + c * hl + s * hw, cy + s * hl - c * hw),
-    ]
-
-
-def box_to_polygon(box: OrientedBox) -> Polygon:
-    return Polygon(box_corners(box.center.x, box.center.y, box.heading, box.length, box.width))
-
-
 _EPS = 1e-12
 
 
@@ -104,54 +74,6 @@ def point_in_polygon(p: Point2, poly: Polygon) -> bool:
                 inside = not inside
         ax, ay = bx, by
     return inside
-
-
-def _orient(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def segments_intersect(a1, a2, b1, b2) -> bool:
-    """True iff closed segments a1-a2 and b1-b2 share at least one point."""
-    d1 = _orient(b1[0], b1[1], b2[0], b2[1], a1[0], a1[1])
-    d2 = _orient(b1[0], b1[1], b2[0], b2[1], a2[0], a2[1])
-    d3 = _orient(a1[0], a1[1], a2[0], a2[1], b1[0], b1[1])
-    d4 = _orient(a1[0], a1[1], a2[0], a2[1], b2[0], b2[1])
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-    if d1 == 0 and _on_segment(a1[0], a1[1], b1[0], b1[1], b2[0], b2[1]):
-        return True
-    if d2 == 0 and _on_segment(a2[0], a2[1], b1[0], b1[1], b2[0], b2[1]):
-        return True
-    if d3 == 0 and _on_segment(b1[0], b1[1], a1[0], a1[1], a2[0], a2[1]):
-        return True
-    if d4 == 0 and _on_segment(b2[0], b2[1], a1[0], a1[1], a2[0], a2[1]):
-        return True
-    return False
-
-
-def polygons_overlap(a: Polygon, b: Polygon) -> bool:
-    """True iff the two simple polygons share any point.
-
-    Vertex containment alone misses cross-shaped configurations, so edge
-    pairs are tested explicitly as well.
-    """
-    for v in a.vertices:
-        if point_in_polygon(v, b):
-            return True
-    for v in b.vertices:
-        if point_in_polygon(v, a):
-            return True
-    na = len(a.vertices)
-    nb = len(b.vertices)
-    for i in range(na):
-        p1 = a.vertices[i]
-        p2 = a.vertices[(i + 1) % na]
-        for j in range(nb):
-            q1 = b.vertices[j]
-            q2 = b.vertices[(j + 1) % nb]
-            if segments_intersect(p1, p2, q1, q2):
-                return True
-    return False
 
 
 def obb_overlap(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,23 +74,17 @@ class ObjectPrediction:
         )
 
 
+@dataclass(frozen=True)
 class FieldParams:
     """Repulsive field shape of one object: amplitude and axis spreads."""
 
-    def __init__(self, amplitude: float = 100.0, sigma_x: float = 3.0, sigma_y: float = 2.0) -> None:
-        if amplitude < 0.0 or sigma_x <= 0.0 or sigma_y <= 0.0:
-            raise ValueError("field amplitude must be >= 0 and sigmas > 0")
-        self.amplitude = float(amplitude)
-        self.sigma_x = float(sigma_x)
-        self.sigma_y = float(sigma_y)
+    amplitude: float = 100.0
+    sigma_x: float = 3.0
+    sigma_y: float = 2.0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldParams)
-            and self.amplitude == other.amplitude
-            and self.sigma_x == other.sigma_x
-            and self.sigma_y == other.sigma_y
-        )
+    def __post_init__(self) -> None:
+        if self.amplitude < 0.0 or self.sigma_x <= 0.0 or self.sigma_y <= 0.0:
+            raise ValueError("field amplitude must be >= 0 and sigmas > 0")
 
 
 class WorldModel:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -38,7 +37,6 @@ FOOTPRINT_DEFAULTS = {
     "pedestrian": (0.6, 0.6),
     "vehicle": (4.0, 2.0),
 }
-FIELD_DEFAULTS = {"amplitude": 100.0, "sigma_x": 3.0, "sigma_y": 2.0}
 
 
 class ScenarioError(ValueError):
@@ -77,6 +75,23 @@ class Scenario:
             raise ScenarioError("sim.metrics_mode: must be 'pooled' or 'per_trajectory'")
 
 
+# Scenario fields that the goal, grid and sim sections set: field -> (section, key)
+_SECTION_FIELDS = {
+    "goal_distance": ("goal", "distance"),
+    "goal_threshold": ("goal", "threshold"),
+    "goal_lateral_band": ("goal", "lateral_band"),
+    "grid_resolution": ("grid", "resolution"),
+    "p_max": ("grid", "p_max"),
+    "p_invalid": ("grid", "p_invalid"),
+    "duration": ("sim", "duration"),
+    "replan_rate": ("sim", "replan_rate"),
+    "sampling_margin": ("sim", "sampling_margin"),
+    "metrics_mode": ("sim", "metrics_mode"),
+}
+# PlannerConfig fields that each query sets, never a scenario file.
+_PER_QUERY = ("x_bounds", "y_bounds")
+
+
 def _section(data: dict, key: str, prefix: str = "") -> dict:
     sec = data.get(key, {})
     if not isinstance(sec, dict):
@@ -94,25 +109,47 @@ def _items(data: dict, key: str, prefix: str = "") -> list:
 _REQUIRED = object()
 
 
-def _num(sec: dict, key: str, default, prefix: str = "", kind=float):
-    """sec[key], or default if absent, as a finite number of `kind` (float or int).
-
-    A default of None makes the field optional: an absent or null value
-    gives None. A default of _REQUIRED makes it mandatory.
-    """
-    value = sec.get(key, default)
-    if value is _REQUIRED:
-        raise ScenarioError(f"{prefix}{key}: required")
-    if value is None and default is None:
-        return None
+def _check(value, kind, where: str):
+    """value as a finite number of `kind` (float or int); booleans are not numbers."""
     if kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     if not ok:
         expected = "an integer" if kind is int else "a finite number"
-        raise ScenarioError(f"{prefix}{key}: expected {expected}, got {value!r}")
+        raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
     return kind(value)
+
+
+def _num(sec: dict, key: str, default, prefix: str = ""):
+    """sec[key], or default if absent, as a finite float; a default of
+    _REQUIRED makes the field mandatory."""
+    value = sec.get(key, default)
+    if value is _REQUIRED:
+        raise ScenarioError(f"{prefix}{key}: required")
+    return _check(value, float, prefix + key)
+
+
+def _numbers(value, n: int, where: str) -> tuple:
+    """value as a tuple of n finite floats."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise ScenarioError(f"{where}: expected {n} finite numbers, got {value!r}")
+    return tuple(_check(v, float, where) for v in value)
+
+
+def _read(value, kind, where: str):
+    """value as a field of declared type `kind`: a finite float or int, a
+    pair of finite floats for a tuple, a string, or None where it is Optional."""
+    args = get_args(kind)
+    if type(None) in args:
+        if value is None:
+            return None
+        kind = args[0]
+    if kind is tuple:
+        return _numbers(value, 2, where)
+    if kind is str:
+        return str(value)
+    return _check(value, kind, where)
 
 
 def _build(where: str, cls, **kwargs):
@@ -121,6 +158,18 @@ def _build(where: str, cls, **kwargs):
         return cls(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _config(where: str, cls, sec: dict):
+    """A config dataclass from its section: each field that the section
+    holds is read by its declared type, the others keep the class defaults."""
+    hints = get_type_hints(cls)
+    kwargs = {
+        f.name: _read(sec[f.name], hints[f.name], f"{where}.{f.name}")
+        for f in fields(cls)
+        if f.name in sec and f.name not in _PER_QUERY
+    }
+    return _build(where, cls, **kwargs)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -136,12 +185,16 @@ def scenario_from_dict(data: dict) -> Scenario:
             if not isinstance(ld, dict):
                 raise ScenarioError(f"{where}: expected an object")
             width = _num(ld, "width", _REQUIRED, f"{where}.")
+            centerline = [
+                _numbers(p, 2, f"{where}.centerline[{j}]")
+                for j, p in enumerate(_items(ld, "centerline", f"{where}."))
+            ]
             try:
                 lanes.append(
                     Lane(
                         id=str(ld["id"]),
                         width=width,
-                        centerline=ld["centerline"],
+                        centerline=centerline,
                         successors=[str(s) for s in ld.get("successors", [])],
                     )
                 )
@@ -155,19 +208,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         ego = _section(data, "ego")
         st = _section(ego, "state", "ego.")
         ego_state = VehicleState(*(_num(st, k, 0.0, "ego.state.") for k in ("x", "y", "theta", "v")))
-        pd = _section(ego, "params", "ego.")
-        ego_params = _build(
-            "ego.params", VehicleParams,
-            wheelbase=_num(pd, "wheelbase", 2.7, "ego.params."),
-            length=_num(pd, "length", 4.0, "ego.params."),
-            width=_num(pd, "width", 2.0, "ego.params."),
-            v_bounds=tuple(pd.get("v_bounds", (0.0, 6.0))),
-            a_bounds=tuple(pd.get("a_bounds", (-0.8, 0.8))),
-            delta_bounds=tuple(pd.get("delta_bounds", (-0.4, 0.4))),
-        )
+        ego_params = _config("ego.params", VehicleParams, _section(ego, "params", "ego."))
 
         objects = []
-        fields = []
+        field_params = []
         for i, od in enumerate(_items(data, "objects")):
             where = f"objects[{i}]"
             if not isinstance(od, dict):
@@ -177,57 +221,31 @@ def scenario_from_dict(data: dict) -> Scenario:
             fp = _section(od, "footprint", f"{where}.")
             length = _num(fp, "length", fl, f"{where}.footprint.")
             width = _num(fp, "width", fw, f"{where}.footprint.")
+            poses = [
+                _numbers(p, 4, f"{where}.poses[{j}]")
+                for j, p in enumerate(_items(od, "poses", f"{where}."))
+            ]
             fd = _section(od, "field", f"{where}.")
-            field_args = {k: _num(fd, k, d, f"{where}.field.") for k, d in FIELD_DEFAULTS.items()}
+            field_params.append(_config(f"{where}.field", FieldParams, fd))
             try:
-                objects.append(
-                    ObjectPrediction(str(od.get("id", f"object{i}")), length, width, od["poses"])
-                )
-                fields.append(FieldParams(**field_args))
-            except (KeyError, TypeError, ValueError) as exc:
+                objects.append(ObjectPrediction(str(od.get("id", f"object{i}")), length, width, poses))
+            except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
-        world = WorldModel(objects, fields)
+        world = WorldModel(objects, field_params)
 
-        wd = _section(data, "weights")
-        weights = _build(
-            "weights", CostWeights,
-            path_length=_num(wd, "path_length", 0.05, "weights."),
-            desired_velocity=_num(wd, "desired_velocity", 0.5, "weights."),
-            penalty_grid=_num(wd, "penalty_grid", 0.2, "weights."),
-            target_clearance=_num(wd, "target_clearance", 2.0, "weights."),
-            v_desired=_num(wd, "v_desired", 5.0, "weights."),
-        )
-
-        pl = _section(data, "planner")
-        planner = _build(
-            "planner", PlannerConfig,
-            iteration_budget=_num(pl, "iteration_budget", None, "planner.", int),
-            query_time=_num(pl, "query_time", None, "planner."),
-            d_near=_num(pl, "d_near", 0.2, "planner."),
-            d_prune=_num(pl, "d_prune", 0.1, "planner."),
-            t_prop=_num(pl, "t_prop", 0.4, "planner."),
-            t_step=_num(pl, "t_step", 0.04, "planner."),
-            sigma_a=_num(pl, "sigma_a", 0.8, "planner."),
-            sigma_delta=_num(pl, "sigma_delta", 0.2, "planner."),
-            v_bounds=ego_params.v_bounds,
-            metric_xy_scale=_num(pl, "metric_xy_scale", 10.0, "planner."),
-            rng_seed=_num(pl, "rng_seed", 0, "planner.", int),
-        )
+        weights = _config("weights", CostWeights, _section(data, "weights"))
+        planner = _config("planner", PlannerConfig, _section(data, "planner"))
         if planner.iteration_budget is None and planner.query_time is None:
             planner = replace(planner, iteration_budget=2000)
+        dki = _config("dki", DkiConfig, _section(data, "dki"))
 
-        dk = _section(data, "dki")
-        dki = _build(
-            "dki", DkiConfig,
-            d_lookahead=_num(dk, "d_lookahead", 3.0, "dki."),
-            d_branch_max=_num(dk, "d_branch_max", 40.0, "dki."),
-            n_candidates=_num(dk, "n_candidates", 100, "dki.", int),
-            d_reuse=_num(dk, "d_reuse", 1.0, "dki."),
-        )
-
-        goal = _section(data, "goal")
-        grid = _section(data, "grid")
-        sim = _section(data, "sim")
+        sections = {key: _section(data, key) for key in ("goal", "grid", "sim")}
+        hints = get_type_hints(Scenario)
+        flat = {
+            name: _read(sections[sec][key], hints[name], f"{sec}.{key}")
+            for name, (sec, key) in _SECTION_FIELDS.items()
+            if key in sections[sec]
+        }
         return Scenario(
             name=str(data.get("name", "scenario")),
             road=road,
@@ -237,16 +255,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             weights=weights,
             planner=planner,
             dki=dki,
-            goal_distance=_num(goal, "distance", 30.0, "goal."),
-            goal_threshold=_num(goal, "threshold", 2.0, "goal."),
-            goal_lateral_band=_num(goal, "lateral_band", 6.0, "goal."),
-            duration=_num(sim, "duration", 10.0, "sim."),
-            replan_rate=_num(sim, "replan_rate", 2.0, "sim."),
-            grid_resolution=_num(grid, "resolution", DEFAULT_GRID_RESOLUTION, "grid."),
-            p_max=_num(grid, "p_max", 100.0, "grid."),
-            p_invalid=_num(grid, "p_invalid", 99.0, "grid."),
-            sampling_margin=_num(sim, "sampling_margin", 15.0, "sim."),
-            metrics_mode=str(sim.get("metrics_mode", "pooled")),
+            **flat,
         )
     except ScenarioError:
         raise
@@ -254,16 +263,48 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(str(exc)) from exc
 
 
-def load_scenario(path) -> Scenario:
+def _apply_overrides(data: dict, overrides) -> dict:
+    for item in overrides:
+        if "=" not in item:
+            raise ScenarioError(f"--set expects key=value, got {item!r}")
+        key, raw = item.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        parts = key.split(".")
+        node = data
+        try:
+            for part in parts[:-1]:
+                if part.isdigit() and isinstance(node, list):
+                    node = node[int(part)]
+                else:
+                    node = node.setdefault(part, {})
+            last = parts[-1]
+            if last.isdigit() and isinstance(node, list):
+                node[int(last)] = value
+            else:
+                node[last] = value
+        except (AttributeError, IndexError, TypeError) as exc:
+            raise ScenarioError(f"--set {key}: no such field") from exc
+    return data
+
+
+def load_scenario(path, overrides=()) -> Scenario:
+    """The scenario in the JSON file at path, after the dotted-path
+    overrides ("road.lanes.0.width=3.5", values in JSON) are applied."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(_apply_overrides(data, overrides))
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
+    sections = {"goal": {}, "grid": {}, "sim": {}}
+    for name, (sec, key) in _SECTION_FIELDS.items():
+        sections[sec][key] = getattr(sc, name)
     return {
         "name": sc.name,
         "road": {
@@ -279,75 +320,22 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "route": list(sc.road.route),
         },
         "ego": {
-            "state": {
-                "x": sc.ego_state.x,
-                "y": sc.ego_state.y,
-                "theta": sc.ego_state.theta,
-                "v": sc.ego_state.v,
-            },
-            "params": {
-                "wheelbase": sc.ego_params.wheelbase,
-                "length": sc.ego_params.length,
-                "width": sc.ego_params.width,
-                "v_bounds": list(sc.ego_params.v_bounds),
-                "a_bounds": list(sc.ego_params.a_bounds),
-                "delta_bounds": list(sc.ego_params.delta_bounds),
-            },
+            "state": asdict(sc.ego_state),
+            "params": asdict(sc.ego_params),
         },
         "objects": [
             {
                 "id": obj.id,
                 "footprint": {"length": obj.length, "width": obj.width},
                 "poses": [list(p) for p in obj.poses],
-                "field": {
-                    "amplitude": fp.amplitude,
-                    "sigma_x": fp.sigma_x,
-                    "sigma_y": fp.sigma_y,
-                },
+                "field": asdict(fp),
             }
             for obj, fp in zip(sc.world.objects, sc.world.fields)
         ],
-        "weights": {
-            "path_length": sc.weights.path_length,
-            "desired_velocity": sc.weights.desired_velocity,
-            "penalty_grid": sc.weights.penalty_grid,
-            "target_clearance": sc.weights.target_clearance,
-            "v_desired": sc.weights.v_desired,
-        },
-        "planner": {
-            "iteration_budget": sc.planner.iteration_budget,
-            "query_time": sc.planner.query_time,
-            "d_near": sc.planner.d_near,
-            "d_prune": sc.planner.d_prune,
-            "t_prop": sc.planner.t_prop,
-            "t_step": sc.planner.t_step,
-            "sigma_a": sc.planner.sigma_a,
-            "sigma_delta": sc.planner.sigma_delta,
-            "metric_xy_scale": sc.planner.metric_xy_scale,
-            "rng_seed": sc.planner.rng_seed,
-        },
-        "dki": {
-            "d_lookahead": sc.dki.d_lookahead,
-            "d_branch_max": sc.dki.d_branch_max,
-            "n_candidates": sc.dki.n_candidates,
-            "d_reuse": sc.dki.d_reuse,
-        },
-        "goal": {
-            "distance": sc.goal_distance,
-            "threshold": sc.goal_threshold,
-            "lateral_band": sc.goal_lateral_band,
-        },
-        "grid": {
-            "resolution": sc.grid_resolution,
-            "p_max": sc.p_max,
-            "p_invalid": sc.p_invalid,
-        },
-        "sim": {
-            "duration": sc.duration,
-            "replan_rate": sc.replan_rate,
-            "sampling_margin": sc.sampling_margin,
-            "metrics_mode": sc.metrics_mode,
-        },
+        "weights": asdict(sc.weights),
+        "planner": {k: v for k, v in asdict(sc.planner).items() if k not in _PER_QUERY},
+        "dki": asdict(sc.dki),
+        **sections,
     }
 
 
@@ -430,6 +418,48 @@ def _first_collision(states, world: WorldModel, params: VehicleParams):
     return None
 
 
+def plan_query(
+    sc: Scenario, mode: str, grid: PenaltyGrid, ego: VehicleState, t: float, rng_key,
+    budget=None, prev: Optional[Trajectory] = None, s_hint: Optional[float] = None,
+) -> PlanResult:
+    """One planning query of the scenario from ego at time t.
+
+    This is the one query setup: the budget override (("iters", n) or
+    ("time", seconds)), the goal region ahead of ego (s_hint is its route
+    arc-length, if known), the sampling bounds around ego and the goal, an
+    rng seeded by rng_key and the base or dki planner; dki seeds from prev,
+    the previous solution. plan, plan_dki and compute_goal_region are this
+    module's globals at call time, so that a profiler or a query timer can
+    replace them here. Raises RouteExhaustedError when the goal lies past the
+    route's end and InvalidStartError when ego is not a valid state.
+    """
+    cfg = sc.planner
+    if budget is not None:
+        kind, value = budget
+        if kind == "iters":
+            cfg = replace(cfg, iteration_budget=int(value), query_time=None)
+        elif kind == "time":
+            cfg = replace(cfg, iteration_budget=None, query_time=float(value))
+        else:
+            raise ValueError("budget must be ('iters', n) or ('time', seconds)")
+    goal = compute_goal_region(
+        sc.road, ego, sc.goal_distance, sc.goal_threshold,
+        s_hint=s_hint, lateral_band=sc.goal_lateral_band,
+    )
+    bx0, by0, bx1, by1 = goal.bbox
+    m = sc.sampling_margin
+    cfg = cfg.with_bounds(
+        (min(ego.x, bx0) - m, max(ego.x, bx1) + m),
+        (min(ego.y, by0) - m, max(ego.y, by1) + m),
+    )
+    rng = np.random.default_rng(np.random.SeedSequence(rng_key))
+    if mode == "dki":
+        return plan_dki(
+            ego, t, goal, grid, sc.world, sc.road, prev, cfg, sc.dki, sc.weights, sc.ego_params, rng,
+        )
+    return plan(ego, t, goal, grid, sc.world, cfg, sc.weights, sc.ego_params, rng)
+
+
 def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
     """Replan at the configured rate and execute the plan open-loop.
 
@@ -443,16 +473,8 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
     grid = build_scenario_grid(sc)
     route = sc.road.route_path
     params = sc.ego_params
+    ts = sc.planner.t_step
     dt_tick = 1.0 / sc.replan_rate
-    base_cfg = sc.planner
-    if budget is not None:
-        kind, value = budget
-        if kind == "iters":
-            base_cfg = replace(base_cfg, iteration_budget=int(value), query_time=None)
-        elif kind == "time":
-            base_cfg = replace(base_cfg, iteration_budget=None, query_time=float(value))
-        else:
-            raise ValueError("budget must be ('iters', n) or ('time', seconds)")
 
     ego = sc.ego_state
     s_prev, _ = route.project(ego.x, ego.y)
@@ -467,28 +489,10 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
             log.termination = "collision"
             break
         try:
-            goal = compute_goal_region(
-                sc.road, ego, sc.goal_distance, sc.goal_threshold,
-                s_hint=s_prev, lateral_band=sc.goal_lateral_band,
-            )
+            result = plan_query(sc, mode, grid, ego, t, (seed, k), budget, prev_traj, s_prev)
         except RouteExhaustedError:
             log.termination = "route_exhausted"
             break
-        bx0, by0, bx1, by1 = goal.bbox
-        m = sc.sampling_margin
-        cfg = base_cfg.with_bounds(
-            (min(ego.x, bx0) - m, max(ego.x, bx1) + m),
-            (min(ego.y, by0) - m, max(ego.y, by1) + m),
-        )
-        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        try:
-            if mode == "dki":
-                result = plan_dki(
-                    ego, t, goal, grid, sc.world, sc.road, prev_traj,
-                    cfg, sc.dki, sc.weights, params, rng,
-                )
-            else:
-                result = plan(ego, t, goal, grid, sc.world, cfg, sc.weights, params, rng)
         except InvalidStartError:
             result = PlanResult(False, None, math.inf, 0, 0.0, 0, 0)
 
@@ -496,14 +500,14 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
             fallback = False
             traj = result.trajectory
             exec_states = rollout_inputs(
-                ego, t, dt_tick, lambda tau: _plan_input_at(traj, tau), cfg.t_step, params
+                ego, t, dt_tick, lambda tau: _plan_input_at(traj, tau), ts, params
             )
             first_u = _plan_input_at(traj, t)
             prev_traj = traj
         else:
             fallback = True
             brake = ControlInput(params.a_bounds[0], 0.0)
-            exec_states = rollout_inputs(ego, t, dt_tick, lambda tau: brake, cfg.t_step, params)
+            exec_states = rollout_inputs(ego, t, dt_tick, lambda tau: brake, ts, params)
             first_u = brake
 
         hit = _first_collision(exec_states, sc.world, params)
@@ -601,20 +605,6 @@ def compute_metrics(log: SimLog, sc: Scenario) -> MetricsReport:
         n_solved=sum(1 for t in log.ticks if t.solved),
         n_fallback=sum(1 for t in log.ticks if t.fallback),
     )
-
-
-def metrics_to_dict(m: MetricsReport) -> dict:
-    return {
-        "mean_abs_acceleration": m.mean_abs_acceleration,
-        "mean_speed_deviation": m.mean_speed_deviation,
-        "mean_lane_deviation": m.mean_lane_deviation,
-        "min_target_distance": m.min_target_distance,
-        "collision_count": m.collision_count,
-        "progress_distance": m.progress_distance,
-        "n_ticks": m.n_ticks,
-        "n_solved": m.n_solved,
-        "n_fallback": m.n_fallback,
-    }
 
 
 def _trajectory_to_dict(traj: Optional[Trajectory]) -> Optional[list]:

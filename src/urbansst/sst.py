@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import CostWeights
+from .cost import CostWeights, edge_cost, state_cost
 from .objects import PoseMemo, WorldModel, clearance_cost, object_hit
 from .road import GoalRegion, PenaltyGrid
 from .vehicle import (
@@ -54,10 +54,10 @@ class PlannerConfig:
     t_step: float = 0.04
     sigma_a: float = 0.8
     sigma_delta: float = 0.2
+    # Sampling bounds of one query, set by with_bounds; speed bounds are the
+    # vehicle's (VehicleParams.v_bounds), heading spans the full circle.
     x_bounds: Optional[tuple] = None
     y_bounds: Optional[tuple] = None
-    theta_bounds: tuple = (-math.pi, math.pi)
-    v_bounds: tuple = (0.0, 6.0)
     # Characteristic length normalizing x/y in the planner metric. Dividing
     # by the sampling extents instead would shrink a full propagation step
     # below d_prune and freeze the tree at its root.
@@ -77,10 +77,10 @@ class PlannerConfig:
         return replace(self, x_bounds=tuple(x_bounds), y_bounds=tuple(y_bounds))
 
 
-def norm_state(s: VehicleState, config: PlannerConfig) -> tuple:
+def norm_state(s: VehicleState, config: PlannerConfig, params: VehicleParams) -> tuple:
     """State in the planner's normalized space; heading maps onto [0, 1)."""
     inv_xy = 1.0 / config.metric_xy_scale
-    v_lo, v_hi = config.v_bounds
+    v_lo, v_hi = params.v_bounds
     return (
         (s.x - config.x_bounds[0]) * inv_xy,
         (s.y - config.y_bounds[0]) * inv_xy,
@@ -112,19 +112,19 @@ def state_distance(a, b):
     return np.sqrt(d2)
 
 
-def sample_state(config: PlannerConfig, rng: np.random.Generator) -> VehicleState:
-    """Uniform state in the sampling bounds.
+def sample_state(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams) -> VehicleState:
+    """Uniform state in the sampling bounds, any heading, the vehicle's speed range.
 
     One four-value draw gives bit for bit what four scalar rng.uniform calls
     give; tolist() keeps the fields Python floats.
     """
     ux, uy, uth, uv = rng.random(4).tolist()
     (x_lo, x_hi), (y_lo, y_hi) = config.x_bounds, config.y_bounds
-    (th_lo, th_hi), (v_lo, v_hi) = config.theta_bounds, config.v_bounds
+    v_lo, v_hi = params.v_bounds
     return VehicleState(
         x_lo + (x_hi - x_lo) * ux,
         y_lo + (y_hi - y_lo) * uy,
-        th_lo + (th_hi - th_lo) * uth,
+        -math.pi + _TWO_PI * uth,
         v_lo + (v_hi - v_lo) * uv,
     )
 
@@ -152,7 +152,7 @@ def is_state_valid(
         return False
     if not (config.y_bounds[0] <= s.y <= config.y_bounds[1]):
         return False
-    if not (config.v_bounds[0] - 1e-9 <= s.v <= config.v_bounds[1] + 1e-9):
+    if not (params.v_bounds[0] - 1e-9 <= s.v <= params.v_bounds[1] + 1e-9):
         return False
     if grid.lookup(s.x, s.y) >= grid.p_invalid:
         return False
@@ -241,7 +241,7 @@ class PlannerTree:
             raise InvalidStartError("start state is invalid")
         scw = self._state_cost_w(start.x, start.y, start.v, start_time)
         self.root = TreeNode(start, start_time, None, None, 0.0, scw)
-        self._add_witness(self.root, norm_state(start, config))
+        self._add_witness(self.root, norm_state(start, config, params))
         self.n_nodes = 1
         if goal.contains_xy(start.x, start.y):
             self._record_solution(self.root)
@@ -267,7 +267,7 @@ class PlannerTree:
 
     def representative_near(self, s: VehicleState) -> Optional[TreeNode]:
         """Active node that holds the witness within d_prune of s, if any."""
-        i = self._nearest_witness(norm_state(s, self.config))
+        i = self._nearest_witness(norm_state(s, self.config, self.params))
         return None if i is None else self._reps[i]
 
     # -- spec operations ----------------------------------------------------
@@ -275,7 +275,7 @@ class PlannerTree:
     def select(self, x_rand: VehicleState) -> TreeNode:
         """Lowest-cost active node within d_near of the sample, else the nearest."""
         table = self._table[:, : len(self._reps)]
-        d = state_distance(table[_REP], norm_state(x_rand, self.config))
+        d = state_distance(table[_REP], norm_state(x_rand, self.config, self.params))
         costs = np.where(d <= self.config.d_near, table[_COST], math.inf)
         i = int(costs.argmin())
         if costs[i] == math.inf:
@@ -283,11 +283,9 @@ class PlannerTree:
         return self._reps[i]
 
     def _state_cost_w(self, x: float, y: float, v: float, t: float) -> float:
-        w = self.weights
-        c = w.desired_velocity * abs(v - w.v_desired) + w.penalty_grid * self.grid.lookup(x, y)
-        if self.world.objects:
-            c += w.target_clearance * clearance_cost(x, y, self._poses.at(t), self.world.fields)
-        return c
+        world = self.world
+        clearance = clearance_cost(x, y, self._poses.at(t), world.fields) if world.objects else 0.0
+        return state_cost(self.weights, v, self.grid.lookup(x, y), clearance)
 
     def _substep_poses(self, t0: float) -> list:
         """Object poses at each substep time t0 + k*t_step of a propagation from t0."""
@@ -310,7 +308,7 @@ class PlannerTree:
         cells = grid.cells
         gx0 = grid.origin.x
         gy0 = grid.origin.y
-        inv_res = 1.0 / grid.resolution
+        res = grid.resolution
         n_cols = grid.n_cols
         n_rows = grid.n_rows
         p_invalid = grid.p_invalid
@@ -345,8 +343,9 @@ class PlannerTree:
                 v = v_hi
             if x < x_lo or x > x_hi or y < y_lo or y > y_hi:
                 return None
-            col = int((x - gx0) * inv_res)
-            row = int((y - gy0) * inv_res)
+            # the cell rule of PenaltyGrid.lookup, inlined
+            col = int((x - gx0) / res)
+            row = int((y - gy0) / res)
             if x < gx0 or y < gy0 or col >= n_cols or row >= n_rows:
                 return None
             if cells[row, col] >= p_invalid:
@@ -360,14 +359,12 @@ class PlannerTree:
         x, y, th, v = endpoint
         t_new = parent.t + self.config.t_prop
         scw = self._state_cost_w(x, y, v, t_new)
-        dist = math.hypot(x - parent.state.x, y - parent.state.y)
-        edge = (
-            self.weights.path_length * dist
-            + self.config.t_prop * (parent.state_cost_w + scw) / 2.0
+        s0 = parent.state
+        cost = parent.cost + edge_cost(
+            self.weights, s0.x, s0.y, parent.state_cost_w, x, y, scw, self.config.t_prop
         )
-        cost = parent.cost + edge
         state = VehicleState(x, y, th, v)
-        norm = norm_state(state, self.config)
+        norm = norm_state(state, self.config, self.params)
         i = self._nearest_witness(norm)
         if i is not None and cost >= self._table[_COST, i]:
             return None
@@ -409,7 +406,7 @@ class PlannerTree:
 
     def run_iteration(self) -> None:
         self.iterations_used += 1
-        x_rand = sample_state(self.config, self.rng)
+        x_rand = sample_state(self.config, self.rng, self.params)
         node = self.select(x_rand)
         u = sample_input(self.config, self.rng, self.params)
         endpoint = self.propagate_checked(node, u)
@@ -468,18 +465,6 @@ def _chain_trajectory(node: TreeNode) -> Trajectory:
         node = node.parent
     samples.reverse()
     return Trajectory(samples)
-
-
-def extract_best_trajectory(tree: PlannerTree, goal: GoalRegion) -> Trajectory:
-    """Root chain of the minimum-cost in-goal node still present in the tree."""
-    best = None
-    for node in tree.iter_nodes():
-        if goal.contains_xy(node.state.x, node.state.y):
-            if best is None or node.cost < best.cost:
-                best = node
-    if best is None:
-        raise ValueError("tree has no node inside the goal region")
-    return _chain_trajectory(best)
 
 
 def plan(

@@ -223,16 +223,16 @@ class TestAcceptance:
         active = [n for n in tree.iter_nodes() if n.active]
         rng = np.random.default_rng(1)
         for _ in range(1000):
-            x_rand = sample_state(cfg, rng)
-            n = norm_state(x_rand, cfg)
+            x_rand = sample_state(cfg, rng, params)
+            n = norm_state(x_rand, cfg, params)
             picked = tree.select(x_rand)
-            dists = np.array([wrap_dist(norm_state(node.state, cfg), n) for node in active])
+            dists = np.array([wrap_dist(norm_state(node.state, cfg, params), n) for node in active])
             in_range = dists <= cfg.d_near
             if in_range.any():
                 best = min(node.cost for node, hit in zip(active, in_range) if hit)
                 assert picked.cost == best
             else:
-                assert wrap_dist(norm_state(picked.state, cfg), n) == pytest.approx(dists.min())
+                assert wrap_dist(norm_state(picked.state, cfg, params), n) == pytest.approx(dists.min())
         done("select")
 
         # 7. clearance spot values

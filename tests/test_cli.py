@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from urbansst.cli import _parse_budget, _parse_seeds, main
-from urbansst.sim import ScenarioError
+from urbansst.sim import ScenarioError, load_scenario, run_closed_loop
 
 from conftest import SCENARIO_DIR
 
@@ -94,6 +95,11 @@ class TestPlan:
             ("dki.n_candidates=2.5", "dki.n_candidates"),
             ("road.lanes.0.width=NaN", "road.lanes[0].width"),
             ("sim.sampling_margin=-1", "sim.sampling_margin"),
+            ("objects.0.poses.0.1=NaN", "objects[0].poses[0]"),
+            ("road.lanes.0.centerline.0.0=NaN", "road.lanes[0].centerline[0]"),
+            ("ego.params.v_bounds=5", "ego.params.v_bounds"),
+            ('ego.params.a_bounds=["a",1]', "ego.params.a_bounds"),
+            ("ego.params.v_bounds=[0,NaN]", "ego.params.v_bounds"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):
@@ -101,6 +107,29 @@ class TestPlan:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("mode", ["base", "dki"])
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("scenario_*.json")), ids=lambda p: p.stem)
+    def test_matches_first_closed_loop_tick(self, tmp_path, path, mode):
+        # one query setup: a single query is the first tick of a closed-loop run
+        out = tmp_path / "out"
+        argv = ["plan", "--scenario", str(path), "--mode", mode, "--seed", "3", "--budget", "iters:600"]
+        rc = main(argv + ["--out", str(out)])
+        sc = load_scenario(path)
+        log = run_closed_loop(replace(sc, duration=1.0 / sc.replan_rate), mode, 3, budget=("iters", 600))
+        tick = log.ticks[0]
+        stats = json.loads((out / "tree_stats.json").read_text())
+        assert rc == (0 if tick.solved else 2)
+        assert (stats["solved"], stats["iterations"], stats["n_nodes"]) == (tick.solved, tick.iterations, tick.n_nodes)
+        if tick.solved:
+            assert stats["cost"] == tick.cost
+            rows = (out / "trajectory.csv").read_text().split("\n")[1:-1]
+            want = [
+                [s.t, s.state.x, s.state.y, s.state.theta, s.state.v]
+                + ([s.input.a, s.input.delta] if s.input else [None, None])
+                for s in tick.planned.samples
+            ]
+            assert [[float(v) if v else None for v in row.split(",")] for row in rows] == want
 
     def test_set_override_applies(self, tmp_path):
         out = tmp_path / "out"

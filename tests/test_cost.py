@@ -1,19 +1,37 @@
+from dataclasses import replace
+
 import pytest
 
-from urbansst.cost import (
-    CostWeights,
-    motion_cost,
-    state_cost_components,
-    trajectory_cost,
-    weighted_state_cost,
-)
+from urbansst.cost import CostWeights, motion_cost, trajectory_cost
 from urbansst.objects import ObjectPrediction, WorldModel
+from urbansst.sim import build_scenario_grid, load_scenario, run_closed_loop
 from urbansst.vehicle import TimedState, Trajectory, VehicleState
+
+from conftest import SCENARIO_DIR
 
 
 @pytest.fixture(scope="module")
 def world_one():
     return WorldModel([ObjectPrediction("o", 0.6, 0.6, [(0.0, 20.0, 0.0, 0.0)])])
+
+
+def state_cost_at(s, t, grid, world, w):
+    """Weighted state cost at s: a stationary edge of unit duration costs exactly it."""
+    return motion_cost(TimedState(s, t), TimedState(s, t + 1.0), grid, world, w)
+
+
+def only(term):
+    """Weights that keep one state-cost term at unit weight and zero the rest."""
+    zero = dict(path_length=0.0, desired_velocity=0.0, penalty_grid=0.0, target_clearance=0.0)
+    return CostWeights(**{**zero, term: 1.0})
+
+
+def state_cost_components(s, t, grid, world):
+    """Unweighted (desired-velocity, penalty-grid, target-clearance) components."""
+    return tuple(
+        state_cost_at(s, t, grid, world, only(term))
+        for term in ("desired_velocity", "penalty_grid", "target_clearance")
+    )
 
 
 class TestWeights:
@@ -33,16 +51,16 @@ class TestWeights:
 class TestStateCost:
     def test_components(self, straight_grid, empty_world, weights):
         s = VehicleState(20.0, 0.01, 0.0, 3.48)
-        c_dv, c_pg, c_tc = state_cost_components(s, 0.0, straight_grid, empty_world, weights)
+        c_dv, c_pg, c_tc = state_cost_components(s, 0.0, straight_grid, empty_world)
         assert c_dv == pytest.approx(1.52)
         assert c_pg == straight_grid.lookup(20.0, 0.01)
         assert c_tc == 0.0
 
     def test_weighted_combination(self, straight_grid, world_one, weights):
         s = VehicleState(20.0, 0.01, 0.0, 3.0)
-        c_dv, c_pg, c_tc = state_cost_components(s, 0.0, straight_grid, world_one, weights)
+        c_dv, c_pg, c_tc = state_cost_components(s, 0.0, straight_grid, world_one)
         want = 0.5 * c_dv + 0.2 * c_pg + 2.0 * c_tc
-        assert weighted_state_cost(s, 0.0, straight_grid, world_one, weights) == pytest.approx(want)
+        assert state_cost_at(s, 0.0, straight_grid, world_one, weights) == pytest.approx(want)
         assert c_tc == pytest.approx(100.0, abs=0.01)  # essentially on top of the object
 
 
@@ -100,3 +118,18 @@ class TestTrajectoryCost:
     def test_empty_rejected(self, straight_grid, empty_world, weights):
         with pytest.raises(ValueError):
             trajectory_cost(Trajectory([]), straight_grid, empty_world, weights)
+
+
+class TestPlannerCost:
+    @pytest.mark.parametrize("mode", ["base", "dki"])
+    @pytest.mark.parametrize("stem", ["scenario_ii_static_overtake", "scenario_iv_vru_steering"])
+    def test_plan_cost_is_trajectory_cost(self, stem, mode):
+        # the tree accumulates edge costs with the formulas trajectory_cost uses
+        sc = replace(load_scenario(SCENARIO_DIR / f"{stem}.json"), duration=3.0)
+        log = run_closed_loop(sc, mode, 0, budget=("iters", 2000))
+        grid = build_scenario_grid(sc)
+        plans = [tick for tick in log.ticks if tick.solved]
+        assert len(plans) >= 3
+        for tick in plans:
+            want = trajectory_cost(tick.planned, grid, sc.world, sc.weights)
+            assert tick.cost == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -11,7 +12,6 @@ from urbansst.sim import (
     build_scenario_grid,
     compute_metrics,
     load_scenario,
-    metrics_to_dict,
     rollout_inputs,
     run_closed_loop,
     scenario_from_dict,
@@ -182,7 +182,7 @@ class TestMetrics:
             _tick(0, 0.0, VehicleState(0, 0, 0, 5), None,
                   [TimedState(VehicleState(1, 0, 0, 5), 0.5)], False, True),
         ])
-        d = metrics_to_dict(compute_metrics(log, sc))
+        d = asdict(compute_metrics(log, sc))
         assert set(d) == {
             "mean_abs_acceleration", "mean_speed_deviation", "mean_lane_deviation",
             "min_target_distance", "collision_count", "progress_distance",

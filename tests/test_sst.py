@@ -7,12 +7,12 @@ import pytest
 
 from urbansst.geometry import obb_overlap
 from urbansst.objects import ObjectPrediction, WorldModel
+from urbansst.road import PenaltyGrid
 from urbansst.sst import (
     InvalidStartError,
     PlannerConfig,
     PlannerTree,
     TreeNode,
-    extract_best_trajectory,
     is_state_valid,
     norm_state,
     plan,
@@ -20,14 +20,15 @@ from urbansst.sst import (
     sample_state,
     state_distance,
 )
-from urbansst.vehicle import ControlInput, VehicleState, propagate
+from urbansst.vehicle import ControlInput, VehicleParams, VehicleState, propagate
 
 from conftest import make_planner_config, wrap_dist
 
 
 def planner_metric(a, b, config):
-    """The metric the planner searches with, applied to two states."""
-    return state_distance(norm_state(a, config), norm_state(b, config))
+    """The metric the planner searches with, applied to two states of a default vehicle."""
+    params = VehicleParams()
+    return state_distance(norm_state(a, config, params), norm_state(b, config, params))
 
 
 class TestConfig:
@@ -96,14 +97,14 @@ class TestMetric:
 
 
 class TestSampling:
-    def test_state_bounds_and_mean(self):
+    def test_state_bounds_and_mean(self, params):
         cfg = make_planner_config()
         rng = np.random.default_rng(11)
         n = 10_000
         draws = np.array(
-            [[s.x, s.y, s.theta, s.v] for s in (sample_state(cfg, rng) for _ in range(n))]
+            [[s.x, s.y, s.theta, s.v] for s in (sample_state(cfg, rng, params) for _ in range(n))]
         )
-        bounds = [cfg.x_bounds, cfg.y_bounds, cfg.theta_bounds, cfg.v_bounds]
+        bounds = [cfg.x_bounds, cfg.y_bounds, (-math.pi, math.pi), params.v_bounds]
         for i, (lo, hi) in enumerate(bounds):
             col = draws[:, i]
             assert col.min() >= lo and col.max() <= hi
@@ -126,18 +127,18 @@ class TestSampling:
         cfg = make_planner_config()
         rng = np.random.default_rng(29)
         ref = np.random.default_rng(29)
-        bounds = (cfg.x_bounds, cfg.y_bounds, cfg.theta_bounds, cfg.v_bounds)
+        bounds = (cfg.x_bounds, cfg.y_bounds, (-math.pi, math.pi), params.v_bounds)
         for _ in range(1000):
-            s = sample_state(cfg, rng)
+            s = sample_state(cfg, rng, params)
             assert s == VehicleState(*(ref.uniform(lo, hi) for lo, hi in bounds))
             assert all(type(f) is float for f in (s.x, s.y, s.theta, s.v))
             # interleaved input draws keep both streams in step
             assert sample_input(cfg, rng, params) == sample_input(cfg, ref, params)
 
-    def test_state_determinism(self):
+    def test_state_determinism(self, params):
         cfg = make_planner_config()
-        a = [sample_state(cfg, np.random.default_rng(7)) for _ in range(50)]
-        b = [sample_state(cfg, np.random.default_rng(7)) for _ in range(50)]
+        a = [sample_state(cfg, np.random.default_rng(7), params) for _ in range(50)]
+        b = [sample_state(cfg, np.random.default_rng(7), params) for _ in range(50)]
         assert a == b
 
 
@@ -222,6 +223,29 @@ class TestPropagationKernel:
         assert min(outcomes[w] for w in ("road", "object", "valid")) >= 10, outcomes
 
 
+class TestGridCells:
+    def test_propagation_uses_the_lookup_cell_rule(self, straight_goal, empty_world, weights, params):
+        # columns of a 0.2 m grid alternate valid and invalid; a state on a
+        # cell edge x = k * 0.2 lies in the cell PenaltyGrid.lookup picks
+        res = 0.2
+        n_cols = 484
+        cells = np.tile(np.arange(n_cols) % 2 * 100.0, (50, 1))
+        grid = PenaltyGrid((0.0, -5.0), res, cells, 100.0, 99.0)
+        cfg = PlannerConfig(iteration_budget=1).with_bounds((0.0, n_cols * res), (-5.0, 5.0))
+        tree = PlannerTree(
+            VehicleState(0.1, 0.0, 0.0, 0.0), 0.0, straight_goal, grid, empty_world, cfg, weights, params,
+        )
+        n_valid = 0
+        for k in range(n_cols):
+            s = VehicleState(k * res, 0.0, 0.0, 0.0)
+            valid = is_state_valid(s, 0.0, grid, empty_world, cfg, params)
+            # at v = 0 a zero input leaves every substate at s
+            end = tree.propagate_checked(TreeNode(s, 0.0, None, None, 0.0, 0.0), ControlInput(0.0, 0.0))
+            assert (end is not None) == valid, k
+            n_valid += valid
+        assert 200 < n_valid < n_cols - 200
+
+
 def _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget, seed=0):
     cfg = make_planner_config(budget=budget, rng_seed=seed)
     tree = PlannerTree(
@@ -241,7 +265,7 @@ class TestSelect:
         def add(state, cost):
             node = TreeNode(state, 0.4, None, tree.root, cost, 0.0)
             tree.root.children.append(node)
-            tree._add_witness(node, norm_state(state, tree.config))
+            tree._add_witness(node, norm_state(state, tree.config, params))
             return node
 
         cheap = add(VehicleState(21.5, 0.0, 0.0, 3.0), 5.0)   # dist 0.15
@@ -261,11 +285,11 @@ class TestSelect:
         assert len(active) > 50
         rng = np.random.default_rng(17)
         for _ in range(1000):
-            sample = sample_state(cfg, rng)
-            n = norm_state(sample, cfg)
-            dists = np.array([wrap_dist(norm_state(node.state, cfg), n) for node in active])
+            sample = sample_state(cfg, rng, params)
+            n = norm_state(sample, cfg, params)
+            dists = np.array([wrap_dist(norm_state(node.state, cfg, params), n) for node in active])
             picked = tree.select(sample)
-            picked_dist = wrap_dist(norm_state(picked.state, cfg), n)
+            picked_dist = wrap_dist(norm_state(picked.state, cfg, params), n)
             in_range = dists <= cfg.d_near
             if in_range.any():
                 best_cost = min(node.cost for node, ok in zip(active, in_range) if ok)
@@ -308,7 +332,7 @@ class TestWitnessSparsity:
         assert active == reps
         # each table column mirrors its representative
         for i, rep in enumerate(tree._reps):
-            assert tuple(tree._table[4:8, i]) == norm_state(rep.state, tree.config)
+            assert tuple(tree._table[4:8, i]) == norm_state(rep.state, tree.config, params)
             assert tree._table[8, i] == rep.cost
 
 
@@ -399,28 +423,6 @@ class TestPlan:
         assert result.solved
         assert result.cost == 0.0
         assert len(result.trajectory.samples) == 1
-
-
-class TestExtract:
-    def test_no_goal_node_raises(self, straight_goal, straight_grid, empty_world, weights, params):
-        tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=0)
-        with pytest.raises(ValueError):
-            extract_best_trajectory(tree, straight_goal)
-
-    def test_extracted_chain_properties(self, straight_goal, straight_grid, empty_world, weights, params):
-        tree, result = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=20_000, seed=7)
-        assert result.solved
-        traj = extract_best_trajectory(tree, straight_goal)
-        assert traj.start.state == tree.root.state
-        assert straight_goal.contains_xy(traj.end.state.x, traj.end.state.y)
-        # minimal over surviving in-goal nodes
-        best = min(
-            node.cost
-            for node in tree.iter_nodes()
-            if straight_goal.contains_xy(node.state.x, node.state.y)
-        )
-        costs = [n.cost for n in tree.iter_nodes() if n.state == traj.end.state]
-        assert min(costs) == best
 
 
 class TestPruning:
