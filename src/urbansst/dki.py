@@ -12,7 +12,6 @@ budget (propagation count in iteration mode, elapsed time in wall mode).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,12 +41,7 @@ class DkiConfig:
             raise ValueError("seeding parameters must be positive")
 
 
-def seed_lane_branch(
-    tree: PlannerTree,
-    net: RoadNetwork,
-    dki: DkiConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> int:
+def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int:
     """Grow a branch that chases the lane center ahead of the branch tip.
 
     Each extension draws n_candidates inputs, keeps the fully-valid
@@ -55,7 +49,7 @@ def seed_lane_branch(
     d_lookahead ahead of the tip, and stops at the goal, when no valid
     candidate exists, or once the branch strays d_branch_max from the root.
     """
-    rng = rng if rng is not None else tree.rng
+    rng = tree.rng
     route = net.route_path
     root = tree.root.state
     tip = tree.root
@@ -69,7 +63,9 @@ def seed_lane_branch(
     t_prop = tree.config.t_prop
     gain = 0.25
     added = 0
-    visited = {id(tip)}
+    # Nodes, not their ids: pruning can free a visited node, and a new node
+    # can then be given its id.
+    visited = {tip}
     while True:
         if tree.goal.contains_xy(tip.state.x, tip.state.y):
             break
@@ -103,12 +99,12 @@ def seed_lane_branch(
             # previous-solution branch); continue the march from that
             # representative instead of abandoning the branch.
             node = tree.representative_near(VehicleState(*best_end))
-            if node is None or id(node) in visited:
+            if node is None or node in visited:
                 break
         else:
             added += 1
         tip = node
-        visited.add(id(tip))
+        visited.add(tip)
     return added
 
 
@@ -189,14 +185,11 @@ def plan_dki(
     dki: DkiConfig,
     weights: CostWeights,
     params: VehicleParams,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> PlanResult:
     """Seeded query: previous-solution branch, lane branch, then the base loop."""
-    t0 = time.perf_counter()
     tree = PlannerTree(start, start_time, goal, grid, world, config, weights, params, rng)
     if prev is not None:
         seed_previous_branch(tree, prev, dki)
     seed_lane_branch(tree, net, dki)
-    result = tree.run(already_elapsed=time.perf_counter() - t0)
-    tree.release()
-    return result
+    return tree.run()

@@ -83,15 +83,12 @@ def obb_overlap(
     """Separating-axis overlap test for two oriented boxes.
 
     Touching boundaries count as overlap (collision-conservative).
-    Scalar arguments keep this cheap enough for per-substate checks.
+    Scalar arguments keep this cheap enough for per-substate checks; the
+    planner's callers reject far pairs by their circumscribed circles first
+    (objects.object_hit).
     """
     dx = cx2 - cx1
     dy = cy2 - cy1
-    # Quick reject: circumscribed circles.
-    r1 = 0.5 * math.hypot(l1, w1)
-    r2 = 0.5 * math.hypot(l2, w2)
-    if dx * dx + dy * dy > (r1 + r2) ** 2:
-        return False
     c1 = math.cos(h1)
     s1 = math.sin(h1)
     c2 = math.cos(h2)

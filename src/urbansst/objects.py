@@ -111,7 +111,7 @@ class PoseMemo:
 
     An entry is a tuple with one (x, y, theta, object, reach2) per object,
     where reach2 is the squared centre distance beyond which the ego box
-    cannot touch the object: the circumscribed-circle bound of obb_overlap.
+    cannot touch the object: the bound of the two circumscribed circles.
     Keys are the exact floats asked for, so an entry holds exactly what
     pose_at returns for them.
     """

@@ -155,11 +155,7 @@ class PenaltyGrid:
 
 
 def build_penalty_grid(
-    net: RoadNetwork,
-    bounds,
-    resolution: float = DEFAULT_GRID_RESOLUTION,
-    p_max: float = 100.0,
-    p_invalid: float = 99.0,
+    net: RoadNetwork, bounds, resolution: float, p_max: float, p_invalid: float
 ) -> PenaltyGrid:
     """Rasterize the lane-deviation penalty over a rectangle.
 
@@ -289,8 +285,8 @@ def compute_goal_region(
     ego: VehicleState,
     goal_distance: float,
     goal_threshold: float,
+    lateral_band: float,
     s_hint: Optional[float] = None,
-    lateral_band: float = 6.0,
     spacing: float = 0.2,
 ) -> GoalRegion:
     """Goal band spanning all lanes that cross the route window at g_d ahead."""

@@ -62,17 +62,16 @@ class Scenario:
     p_max: float = 100.0
     p_invalid: float = 99.0
     sampling_margin: float = 15.0
-    metrics_mode: str = "pooled"
 
     def __post_init__(self) -> None:
-        if self.duration <= 0.0:
-            raise ScenarioError("sim.duration: must be positive")
-        if self.replan_rate <= 0.0:
-            raise ScenarioError("sim.replan_rate: must be positive")
+        for name in ("goal_distance", "goal_threshold", "goal_lateral_band", "grid_resolution",
+                     "duration", "replan_rate"):
+            if getattr(self, name) <= 0.0:
+                raise ScenarioError("{}.{}: must be positive".format(*_SECTION_FIELDS[name]))
+        if self.p_invalid > self.p_max:
+            raise ScenarioError("grid.p_invalid: must not exceed grid.p_max")
         if self.sampling_margin < 0.0:
             raise ScenarioError("sim.sampling_margin: must not be negative")
-        if self.metrics_mode not in ("pooled", "per_trajectory"):
-            raise ScenarioError("sim.metrics_mode: must be 'pooled' or 'per_trajectory'")
 
 
 # Scenario fields that the goal, grid and sim sections set: field -> (section, key)
@@ -86,16 +85,25 @@ _SECTION_FIELDS = {
     "duration": ("sim", "duration"),
     "replan_rate": ("sim", "replan_rate"),
     "sampling_margin": ("sim", "sampling_margin"),
-    "metrics_mode": ("sim", "metrics_mode"),
 }
 # PlannerConfig fields that each query sets, never a scenario file.
 _PER_QUERY = ("x_bounds", "y_bounds")
 
 
-def _section(data: dict, key: str, prefix: str = "") -> dict:
+def _known(sec: dict, keys, prefix: str = "") -> None:
+    """Reject a key of sec that is not in keys: a typo would otherwise be ignored."""
+    for key in sec:
+        if key not in keys:
+            raise ScenarioError(f"{prefix}{key}: unknown key")
+
+
+def _section(data: dict, key: str, prefix: str = "", keys=None) -> dict:
+    """data[key] as an object ({} if absent), holding only keys if they are given."""
     sec = data.get(key, {})
     if not isinstance(sec, dict):
         raise ScenarioError(f"{prefix}{key}: expected an object")
+    if keys is not None:
+        _known(sec, keys, f"{prefix}{key}.")
     return sec
 
 
@@ -139,7 +147,7 @@ def _numbers(value, n: int, where: str) -> tuple:
 
 def _read(value, kind, where: str):
     """value as a field of declared type `kind`: a finite float or int, a
-    pair of finite floats for a tuple, a string, or None where it is Optional."""
+    pair of finite floats for a tuple, or None where it is Optional."""
     args = get_args(kind)
     if type(None) in args:
         if value is None:
@@ -147,8 +155,6 @@ def _read(value, kind, where: str):
         kind = args[0]
     if kind is tuple:
         return _numbers(value, 2, where)
-    if kind is str:
-        return str(value)
     return _check(value, kind, where)
 
 
@@ -164,26 +170,27 @@ def _config(where: str, cls, sec: dict):
     """A config dataclass from its section: each field that the section
     holds is read by its declared type, the others keep the class defaults."""
     hints = get_type_hints(cls)
-    kwargs = {
-        f.name: _read(sec[f.name], hints[f.name], f"{where}.{f.name}")
-        for f in fields(cls)
-        if f.name in sec and f.name not in _PER_QUERY
-    }
+    names = [f.name for f in fields(cls) if f.name not in _PER_QUERY]
+    _known(sec, names, f"{where}.")
+    kwargs = {name: _read(sec[name], hints[name], f"{where}.{name}") for name in names if name in sec}
     return _build(where, cls, **kwargs)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected an object")
+    _known(data, ("name", "road", "ego", "objects", "weights", "planner", "dki", "goal", "grid", "sim"))
     try:
         road_sec = data.get("road")
         if not isinstance(road_sec, dict):
             raise ScenarioError("road: section is required")
+        _known(road_sec, ("lanes", "route"), "road.")
         lanes = []
         for i, ld in enumerate(_items(road_sec, "lanes", "road.")):
             where = f"road.lanes[{i}]"
             if not isinstance(ld, dict):
                 raise ScenarioError(f"{where}: expected an object")
+            _known(ld, ("id", "width", "centerline", "successors"), f"{where}.")
             width = _num(ld, "width", _REQUIRED, f"{where}.")
             centerline = [
                 _numbers(p, 2, f"{where}.centerline[{j}]")
@@ -205,8 +212,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"road: {exc}") from exc
 
-        ego = _section(data, "ego")
-        st = _section(ego, "state", "ego.")
+        ego = _section(data, "ego", keys=("state", "params"))
+        st = _section(ego, "state", "ego.", ("x", "y", "theta", "v"))
         ego_state = VehicleState(*(_num(st, k, 0.0, "ego.state.") for k in ("x", "y", "theta", "v")))
         ego_params = _config("ego.params", VehicleParams, _section(ego, "params", "ego."))
 
@@ -216,9 +223,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             where = f"objects[{i}]"
             if not isinstance(od, dict):
                 raise ScenarioError(f"{where}: expected an object")
+            _known(od, ("id", "type", "footprint", "poses", "field"), f"{where}.")
             otype = od.get("type", "vehicle")
             fl, fw = FOOTPRINT_DEFAULTS.get(otype, FOOTPRINT_DEFAULTS["vehicle"])
-            fp = _section(od, "footprint", f"{where}.")
+            fp = _section(od, "footprint", f"{where}.", ("length", "width"))
             length = _num(fp, "length", fl, f"{where}.footprint.")
             width = _num(fp, "width", fw, f"{where}.footprint.")
             poses = [
@@ -239,7 +247,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             planner = replace(planner, iteration_budget=2000)
         dki = _config("dki", DkiConfig, _section(data, "dki"))
 
-        sections = {key: _section(data, key) for key in ("goal", "grid", "sim")}
+        sections = {
+            sec: _section(data, sec, keys=[k for s, k in _SECTION_FIELDS.values() if s == sec])
+            for sec in ("goal", "grid", "sim")
+        }
         hints = get_type_hints(Scenario)
         flat = {
             name: _read(sections[sec][key], hints[name], f"{sec}.{key}")
@@ -443,8 +454,7 @@ def plan_query(
         else:
             raise ValueError("budget must be ('iters', n) or ('time', seconds)")
     goal = compute_goal_region(
-        sc.road, ego, sc.goal_distance, sc.goal_threshold,
-        s_hint=s_hint, lateral_band=sc.goal_lateral_band,
+        sc.road, ego, sc.goal_distance, sc.goal_threshold, sc.goal_lateral_band, s_hint=s_hint,
     )
     bx0, by0, bx1, by1 = goal.bbox
     m = sc.sampling_margin
@@ -494,7 +504,7 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
             log.termination = "route_exhausted"
             break
         except InvalidStartError:
-            result = PlanResult(False, None, math.inf, 0, 0.0, 0, 0)
+            result = PlanResult(False, None, math.inf, 0, 0, 0)
 
         if result.solved:
             fallback = False
@@ -551,13 +561,9 @@ class MetricsReport:
     n_fallback: int
 
 
-def _pool_or_mean_of_means(groups, mode: str) -> float:
-    groups = [g for g in groups if g]
-    if not groups:
-        return math.nan
-    if mode == "per_trajectory":
-        return float(np.mean([np.mean(g) for g in groups]))
-    return float(np.mean(np.concatenate([np.asarray(g) for g in groups])))
+def _pooled_mean(groups) -> float:
+    values = [v for g in groups for v in g]
+    return float(np.mean(values)) if values else math.nan
 
 
 def compute_metrics(log: SimLog, sc: Scenario) -> MetricsReport:
@@ -576,7 +582,6 @@ def compute_metrics(log: SimLog, sc: Scenario) -> MetricsReport:
         lane_groups.append(
             [nearest_lane_center(sc.road, (s.state.x, s.state.y))[1] for s in samples]
         )
-    mode = sc.metrics_mode
     min_dist: Optional[float] = None
     if sc.world.objects:
         best = math.inf
@@ -595,9 +600,9 @@ def compute_metrics(log: SimLog, sc: Scenario) -> MetricsReport:
         for ts_ in tick.exec_states:
             s, _ = route.project(ts_.state.x, ts_.state.y, s_window=(s - 2.0, s + 10.0))
     return MetricsReport(
-        mean_abs_acceleration=_pool_or_mean_of_means(accel_groups, mode),
-        mean_speed_deviation=_pool_or_mean_of_means(speed_groups, mode),
-        mean_lane_deviation=_pool_or_mean_of_means(lane_groups, mode),
+        mean_abs_acceleration=_pooled_mean(accel_groups),
+        mean_speed_deviation=_pooled_mean(speed_groups),
+        mean_lane_deviation=_pooled_mean(lane_groups),
         min_target_distance=min_dist,
         collision_count=len(log.collisions),
         progress_distance=s - s0,

@@ -62,7 +62,6 @@ class PlannerConfig:
     # by the sampling extents instead would shrink a full propagation step
     # below d_prune and freeze the tree at its root.
     metric_xy_scale: float = 10.0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.d_prune > self.d_near:
@@ -162,7 +161,7 @@ def is_state_valid(
 
 class TreeNode:
     __slots__ = (
-        "state", "t", "input", "parent", "children",
+        "state", "t", "input", "parent", "n_children",
         "cost", "state_cost_w", "active",
     )
 
@@ -171,7 +170,7 @@ class TreeNode:
         self.t = t
         self.input = u
         self.parent = parent
-        self.children = []
+        self.n_children = 0
         self.cost = cost
         self.state_cost_w = state_cost_w
         self.active = True
@@ -183,7 +182,6 @@ class PlanResult:
     trajectory: Optional[Trajectory]
     cost: float
     iterations: int
-    wall_time: float
     n_nodes: int
     n_witnesses: int
     cost_history: list = field(default_factory=list)
@@ -196,6 +194,11 @@ class PlannerTree:
     witness's representative, which deactivates the old one at once, so the
     active nodes are exactly the witness representatives and one append-only
     table indexed by witness serves both selection and pruning.
+
+    A node links to its parent and only counts the nodes it is the parent
+    of, so a finished tree holds no reference cycle and reference counting
+    frees it. A wall-time budget counts from construction, which charges
+    seeding to the query.
 
     Not shared between queries; one instance per call to plan().
     """
@@ -210,8 +213,9 @@ class PlannerTree:
         config: PlannerConfig,
         weights: CostWeights,
         params: VehicleParams,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ) -> None:
+        self._started = time.perf_counter()
         if config.x_bounds is None or config.y_bounds is None:
             raise ValueError("planner config needs x_bounds and y_bounds")
         self.goal = goal
@@ -220,7 +224,7 @@ class PlannerTree:
         self.config = config
         self.weights = weights
         self.params = params
-        self.rng = rng if rng is not None else np.random.default_rng(config.rng_seed)
+        self.rng = rng
         self.iterations_used = 0
         self.n_nodes = 0
         self.best_cost = math.inf
@@ -369,7 +373,7 @@ class PlannerTree:
         if i is not None and cost >= self._table[_COST, i]:
             return None
         node = TreeNode(state, t_new, u, parent, cost, scw)
-        parent.children.append(node)
+        parent.n_children += 1
         self.n_nodes += 1
         if i is None:
             self._add_witness(node, norm)
@@ -385,17 +389,10 @@ class PlannerTree:
         return node
 
     def _prune_inactive_chain(self, node: TreeNode) -> None:
-        while (
-            node is not None
-            and not node.active
-            and not node.children
-            and node.parent is not None
-        ):
-            parent = node.parent
-            parent.children.remove(node)
-            node.parent = None
+        while not node.active and node.n_children == 0 and node.parent is not None:
+            node = node.parent
+            node.n_children -= 1
             self.n_nodes -= 1
-            node = parent
 
     def _record_solution(self, node: TreeNode) -> None:
         self.best_cost = node.cost
@@ -413,49 +410,29 @@ class PlannerTree:
         if endpoint is not None:
             self.try_insert(node, endpoint, u)
 
-    def run(self, already_elapsed: float = 0.0) -> PlanResult:
+    def run(self) -> PlanResult:
         """Exhaust the remaining budget; seeding work done beforehand counts
-        through iterations_used (iteration mode) or already_elapsed (wall mode)."""
+        through iterations_used (iteration mode) or the clock (wall mode)."""
         cfg = self.config
         if (cfg.iteration_budget is None) == (cfg.query_time is None):
             raise ValueError("exactly one of iteration_budget and query_time must be set")
-        t0 = time.perf_counter()
         if cfg.iteration_budget is not None:
             while self.iterations_used < cfg.iteration_budget:
                 self.run_iteration()
         else:
-            deadline = t0 + cfg.query_time - already_elapsed
+            deadline = self._started + cfg.query_time
             while time.perf_counter() < deadline:
                 self.run_iteration()
-        wall = already_elapsed + time.perf_counter() - t0
         solved = self.best_trajectory is not None
         return PlanResult(
             solved=solved,
             trajectory=self.best_trajectory,
             cost=self.best_cost if solved else math.inf,
             iterations=self.iterations_used,
-            wall_time=wall,
             n_nodes=self.n_nodes,
             n_witnesses=self.n_witnesses,
             cost_history=list(self.cost_history),
         )
-
-    def iter_nodes(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children)
-
-    def release(self) -> None:
-        """Empty every child list, which leaves no parent-child reference
-        cycle: the finished tree is then freed by reference counting alone,
-        not by the next run of the cyclic garbage collector."""
-        stack = [self.root]
-        while stack:
-            children = stack.pop().children
-            stack.extend(children)
-            children.clear()
 
 
 def _chain_trajectory(node: TreeNode) -> Trajectory:
@@ -476,9 +453,6 @@ def plan(
     config: PlannerConfig,
     weights: CostWeights,
     params: VehicleParams,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> PlanResult:
-    tree = PlannerTree(start, start_time, goal, grid, world, config, weights, params, rng)
-    result = tree.run()
-    tree.release()
-    return result
+    return PlannerTree(start, start_time, goal, grid, world, config, weights, params, rng).run()

@@ -39,7 +39,7 @@ def straight_net():
 
 @pytest.fixture(scope="session")
 def straight_grid(straight_net):
-    return build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0))
+    return build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0), 0.25, 100.0, 99.0)
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +80,7 @@ def make_planner_config(budget=2000, **kw):
 
 @pytest.fixture()
 def straight_goal(straight_net, ego_start):
-    return compute_goal_region(straight_net, ego_start, 30.0, 2.0)
+    return compute_goal_region(straight_net, ego_start, 30.0, 2.0, 6.0)
 
 
 @pytest.fixture()
@@ -97,3 +97,9 @@ def node_refs(monkeypatch):
 
     monkeypatch.setattr(sst, "TreeNode", WeakRefNode)
     return refs
+
+
+def live_nodes(refs):
+    """The nodes of node_refs that are still alive: no node refers to its
+    children, so these are the nodes of the trees the test still holds."""
+    return [node for node in (ref() for ref in refs) if node is not None]

@@ -23,7 +23,7 @@ from urbansst.sim import (
 from urbansst.sst import PlannerTree, is_state_valid, norm_state, plan, sample_state
 from urbansst.vehicle import ControlInput, VehicleState, propagate
 
-from conftest import SCENARIO_DIR, make_straight_net, wrap_dist
+from conftest import SCENARIO_DIR, live_nodes, make_straight_net, wrap_dist
 
 SEEDS = list(range(10))
 
@@ -138,7 +138,7 @@ class TestAcceptance:
             "braking [" + ", ".join(brake_detail) + "]; steering [" + ", ".join(steer_detail) + "]",
         )
 
-    def test_criterion_5_property_suites(self):
+    def test_criterion_5_property_suites(self, node_refs):
         sc = load_scenario(SCENARIO_DIR / "scenario_i_straight_road.json")
         net = sc.road
         grid = build_scenario_grid(sc)
@@ -188,7 +188,7 @@ class TestAcceptance:
         timed("witness")
         from dataclasses import replace
         tree = PlannerTree(ego, 0.0, goal, grid, world,
-                           replace(cfg, iteration_budget=10_000), weights, params)
+                           replace(cfg, iteration_budget=10_000), weights, params, np.random.default_rng(0))
         tree.run()
         norms = tree._table[:4, : len(tree._reps)].T
         dx = norms[:, None, 0] - norms[None, :, 0]
@@ -220,7 +220,7 @@ class TestAcceptance:
 
         # 6. select_node brute-force oracle on 10^3 queries
         timed("select")
-        active = [n for n in tree.iter_nodes() if n.active]
+        active = [n for n in live_nodes(node_refs) if n.active]
         rng = np.random.default_rng(1)
         for _ in range(1000):
             x_rand = sample_state(cfg, rng, params)
@@ -249,10 +249,10 @@ class TestAcceptance:
         wins = 0
         net20 = make_straight_net()
         for seed in range(20):
-            cfg_s = replace(cfg, rng_seed=seed, iteration_budget=2000)
-            base = plan(ego, 0.0, goal, grid, world, cfg_s, weights, params)
+            cfg_s = replace(cfg, iteration_budget=2000)
+            base = plan(ego, 0.0, goal, grid, world, cfg_s, weights, params, np.random.default_rng(seed))
             dki = plan_dki(ego, 0.0, goal, grid, world, net20, None,
-                           cfg_s, DkiConfig(), weights, params)
+                           cfg_s, DkiConfig(), weights, params, np.random.default_rng(seed))
             if dki.solved and (not base.solved or dki.cost <= base.cost + 1e-9):
                 wins += 1
         assert wins >= 16

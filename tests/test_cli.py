@@ -100,6 +100,16 @@ class TestPlan:
             ("ego.params.v_bounds=5", "ego.params.v_bounds"),
             ('ego.params.a_bounds=["a",1]', "ego.params.a_bounds"),
             ("ego.params.v_bounds=[0,NaN]", "ego.params.v_bounds"),
+            ("planner.d_prunee=0.1", "planner.d_prunee"),
+            ("dki.n_candidatez=3", "dki.n_candidatez"),
+            ("bogus.x=1", "bogus"),
+            ("planner.rng_seed=3", "planner.rng_seed"),
+            ("planner.x_bounds=[0,50]", "planner.x_bounds"),
+            ("goal.lateral_band=-1", "goal.lateral_band"),
+            ("goal.distance=-5", "goal.distance"),
+            ("goal.threshold=0", "goal.threshold"),
+            ("grid.resolution=0", "grid.resolution"),
+            ("grid.p_invalid=200", "grid.p_invalid"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):

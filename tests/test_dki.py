@@ -9,14 +9,14 @@ from urbansst.objects import ObjectPrediction, WorldModel
 from urbansst.sst import PlannerTree, plan
 from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState, propagate
 
-from conftest import LANE_WIDTH, make_planner_config
+from conftest import LANE_WIDTH, live_nodes, make_planner_config
 
 
 def make_tree(goal, grid, world, weights, params, budget=2000, seed=0, start=None):
-    cfg = make_planner_config(budget=budget, rng_seed=seed)
+    cfg = make_planner_config(budget=budget)
     return PlannerTree(
         start if start is not None else VehicleState(0.0, 0.0, 0.0, 5.0),
-        0.0, goal, grid, world, cfg, weights, params,
+        0.0, goal, grid, world, cfg, weights, params, np.random.default_rng(seed),
     )
 
 
@@ -30,12 +30,12 @@ class TestDkiConfig:
 
 
 class TestLaneBranch:
-    def test_reaches_goal_near_center(self, straight_net, straight_goal, straight_grid, empty_world, weights, params):
+    def test_reaches_goal_near_center(self, node_refs, straight_net, straight_goal, straight_grid, empty_world, weights, params):
         tree = make_tree(straight_goal, straight_grid, empty_world, weights, params)
         added = seed_lane_branch(tree, straight_net, DkiConfig())
         assert added > 10
         in_goal = [
-            n for n in tree.iter_nodes() if straight_goal.contains_xy(n.state.x, n.state.y)
+            n for n in live_nodes(node_refs) if straight_goal.contains_xy(n.state.x, n.state.y)
         ]
         assert in_goal
         # the branch hugs the route: every goal hit is within half a lane width
@@ -121,21 +121,21 @@ class TestPreviousBranch:
 
 class TestPlanDki:
     def test_budget_accounting(self, straight_net, straight_goal, straight_grid, empty_world, weights, params, ego_start):
-        cfg = make_planner_config(budget=3000, rng_seed=1)
+        cfg = make_planner_config(budget=3000)
         result = plan_dki(
             ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net,
-            None, cfg, DkiConfig(), weights, params,
+            None, cfg, DkiConfig(), weights, params, np.random.default_rng(1),
         )
         assert result.solved
         assert result.iterations == 3000
 
     def test_tree_freed_without_cyclic_gc(self, node_refs, straight_net, straight_goal, straight_grid, empty_world, weights, params, ego_start):
-        cfg = make_planner_config(budget=3000, rng_seed=1)
+        cfg = make_planner_config(budget=3000)
         gc.disable()
         try:
             result = plan_dki(
                 ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net,
-                None, cfg, DkiConfig(), weights, params,
+                None, cfg, DkiConfig(), weights, params, np.random.default_rng(1),
             )
             alive = sum(ref() is not None for ref in node_refs)
         finally:
@@ -147,11 +147,14 @@ class TestPlanDki:
         wins = 0
         n = 20
         for seed in range(n):
-            cfg = make_planner_config(budget=2000, rng_seed=seed)
-            base = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
+            cfg = make_planner_config(budget=2000)
+            base = plan(
+                ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params,
+                np.random.default_rng(seed),
+            )
             dki = plan_dki(
                 ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net,
-                None, cfg, DkiConfig(), weights, params,
+                None, cfg, DkiConfig(), weights, params, np.random.default_rng(seed),
             )
             assert dki.solved
             if not base.solved or dki.cost <= base.cost + 1e-9:

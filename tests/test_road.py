@@ -68,12 +68,12 @@ class TestPenaltyGrid:
 
     def test_linear_ramp_quarter_width(self, straight_net):
         # fine grid so cell-center quantization is negligible
-        grid = build_penalty_grid(straight_net, (0.0, -4.0, 40.0, 8.0), resolution=0.01)
+        grid = build_penalty_grid(straight_net, (0.0, -4.0, 40.0, 8.0), resolution=0.01, p_max=100.0, p_invalid=99.0)
         d = LANE_WIDTH / 4
         assert grid.lookup(20.0, -d) == pytest.approx(50.0, abs=1.0)
 
     def test_saturates_at_half_width(self, straight_net):
-        grid = build_penalty_grid(straight_net, (0.0, -8.0, 40.0, 8.0), resolution=0.05)
+        grid = build_penalty_grid(straight_net, (0.0, -8.0, 40.0, 8.0), resolution=0.05, p_max=100.0, p_invalid=99.0)
         assert grid.lookup(20.0, -LANE_WIDTH / 2 - 0.5) == pytest.approx(100.0)
 
     def test_out_of_bounds_returns_p_max(self, straight_grid):
@@ -83,7 +83,7 @@ class TestPenaltyGrid:
     def test_analytic_oracle_random_cells(self, straight_net):
         # straight two-lane road: distance to nearest center is
         # min(|y|, |y - 3.5|) exactly, and the owning lane has width 3.75
-        grid = build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0))
+        grid = build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0), 0.25, 100.0, 99.0)
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             col = rng.integers(0, grid.n_cols)
@@ -123,8 +123,8 @@ class TestGoalRegion:
 
     def test_projection_invariance(self, straight_net):
         # lateral offset of the ego does not move the goal window
-        g0 = compute_goal_region(straight_net, VehicleState(0, 0, 0, 5), 30.0, 2.0)
-        g1 = compute_goal_region(straight_net, VehicleState(0, 1.5, 0.2, 3), 30.0, 2.0)
+        g0 = compute_goal_region(straight_net, VehicleState(0, 0, 0, 5), 30.0, 2.0, 6.0)
+        g1 = compute_goal_region(straight_net, VehicleState(0, 1.5, 0.2, 3), 30.0, 2.0, 6.0)
         assert g0.arc_window == pytest.approx(g1.arc_window)
 
     def test_wrong_way_heading_still_in_goal(self, straight_goal):
@@ -134,11 +134,11 @@ class TestGoalRegion:
 
     def test_route_exhausted(self, straight_net):
         with pytest.raises(RouteExhaustedError):
-            compute_goal_region(straight_net, VehicleState(125.0, 0, 0, 5), 30.0, 2.0)
+            compute_goal_region(straight_net, VehicleState(125.0, 0, 0, 5), 30.0, 2.0, 6.0)
 
     def test_threshold_validation(self, straight_net):
         with pytest.raises(ValueError):
-            compute_goal_region(straight_net, VehicleState(0, 0, 0, 5), 30.0, 0.0)
+            compute_goal_region(straight_net, VehicleState(0, 0, 0, 5), 30.0, 0.0, 6.0)
 
     def test_s_hint_disambiguation(self):
         # self-crossing route: figure-eight style overlap at x ~ 0

@@ -22,7 +22,7 @@ from urbansst.sst import (
 )
 from urbansst.vehicle import ControlInput, VehicleParams, VehicleState, propagate
 
-from conftest import make_planner_config, wrap_dist
+from conftest import live_nodes, make_planner_config, wrap_dist
 
 
 def planner_metric(a, b, config):
@@ -51,10 +51,10 @@ class TestConfig:
     def test_exactly_one_budget(self, straight_grid, empty_world, weights, params, straight_goal, ego_start):
         both = make_planner_config(budget=10, query_time=0.01)
         with pytest.raises(ValueError):
-            plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, both, weights, params)
+            plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, both, weights, params, np.random.default_rng(0))
         neither = PlannerConfig().with_bounds((-15.0, 50.0), (-10.0, 12.0))
         with pytest.raises(ValueError):
-            plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, neither, weights, params)
+            plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, neither, weights, params, np.random.default_rng(0))
 
 
 class TestMetric:
@@ -182,12 +182,13 @@ def _crossing_world():
 
 
 class TestPropagationKernel:
-    def test_matches_uncached_oracle(self, straight_goal, straight_grid, weights, params):
+    def test_matches_uncached_oracle(self, node_refs, straight_goal, straight_grid, weights, params):
         world = _crossing_world()
         empty = WorldModel()
-        cfg = make_planner_config(budget=1500, rng_seed=4)
+        cfg = make_planner_config(budget=1500)
         tree = PlannerTree(
             VehicleState(0.0, 0.0, 0.0, 5.0), 0.0, straight_goal, straight_grid, world, cfg, weights, params,
+            np.random.default_rng(4),
         )
         tree.run()
 
@@ -209,7 +210,7 @@ class TestPropagationKernel:
             return (end.x, end.y, end.theta, end.v), "valid"
 
         # every node at every depth, so that nodes of one depth share memo entries
-        nodes = list(tree.iter_nodes())
+        nodes = live_nodes(node_refs)
         assert len({node.t for node in nodes}) >= 10
         rng = np.random.default_rng(23)
         outcomes = Counter()
@@ -234,6 +235,7 @@ class TestGridCells:
         cfg = PlannerConfig(iteration_budget=1).with_bounds((0.0, n_cols * res), (-5.0, 5.0))
         tree = PlannerTree(
             VehicleState(0.1, 0.0, 0.0, 0.0), 0.0, straight_goal, grid, empty_world, cfg, weights, params,
+            np.random.default_rng(0),
         )
         n_valid = 0
         for k in range(n_cols):
@@ -247,10 +249,10 @@ class TestGridCells:
 
 
 def _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget, seed=0):
-    cfg = make_planner_config(budget=budget, rng_seed=seed)
+    cfg = make_planner_config(budget=budget)
     tree = PlannerTree(
         VehicleState(0.0, 0.0, 0.0, 5.0), 0.0, straight_goal, straight_grid, empty_world,
-        cfg, weights, params,
+        cfg, weights, params, np.random.default_rng(seed),
     )
     result = tree.run()
     return tree, result
@@ -264,7 +266,7 @@ class TestSelect:
 
         def add(state, cost):
             node = TreeNode(state, 0.4, None, tree.root, cost, 0.0)
-            tree.root.children.append(node)
+            tree.root.n_children += 1
             tree._add_witness(node, norm_state(state, tree.config, params))
             return node
 
@@ -278,10 +280,10 @@ class TestSelect:
         picked = tree.select(VehicleState(45.0, 10.0, 1.0, 0.0))
         assert picked is tree.root
 
-    def test_brute_force_oracle(self, straight_goal, straight_grid, empty_world, weights, params):
+    def test_brute_force_oracle(self, node_refs, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=2000)
         cfg = tree.config
-        active = [n for n in tree.iter_nodes() if n.active]
+        active = [n for n in live_nodes(node_refs) if n.active]
         assert len(active) > 50
         rng = np.random.default_rng(17)
         for _ in range(1000):
@@ -324,9 +326,9 @@ class TestWitnessSparsity:
         for rep in tree._reps:
             assert rep.active
 
-    def test_active_nodes_are_exactly_reps(self, straight_goal, straight_grid, empty_world, weights, params):
+    def test_active_nodes_are_exactly_reps(self, node_refs, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=5_000)
-        active = {id(n) for n in tree.iter_nodes() if n.active}
+        active = {id(n) for n in live_nodes(node_refs) if n.active}
         reps = {id(rep) for rep in tree._reps}
         assert len(reps) == len(tree._reps) == tree.n_witnesses
         assert active == reps
@@ -338,8 +340,8 @@ class TestWitnessSparsity:
 
 class TestPlan:
     def test_solves_straight_road(self, straight_goal, straight_grid, empty_world, weights, params, ego_start):
-        cfg = make_planner_config(budget=20_000, rng_seed=7)
-        result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
+        cfg = make_planner_config(budget=20_000)
+        result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(7))
         assert result.solved
         assert result.iterations == 20_000
         assert math.isfinite(result.cost) and result.cost > 0
@@ -351,8 +353,8 @@ class TestPlan:
             assert b.t - a.t == pytest.approx(cfg.t_prop)
 
     def test_solution_validity_closure(self, straight_goal, straight_grid, empty_world, weights, params, ego_start):
-        cfg = make_planner_config(budget=20_000, rng_seed=7)
-        result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
+        cfg = make_planner_config(budget=20_000)
+        result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(7))
         traj = result.trajectory
         for a, b in zip(traj.samples, traj.samples[1:]):
             # every edge is an exact replay of its stored input, and all
@@ -364,8 +366,8 @@ class TestPlan:
                 assert is_state_valid(s, a.t + k * cfg.t_step, straight_grid, empty_world, cfg, params)
 
     def test_anytime_cost_monotone(self, straight_goal, straight_grid, empty_world, weights, params, ego_start):
-        cfg = make_planner_config(budget=20_000, rng_seed=3)
-        result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
+        cfg = make_planner_config(budget=20_000)
+        result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(3))
         assert result.solved
         history = result.cost_history
         assert history and history[-1][1] == result.cost
@@ -376,7 +378,7 @@ class TestPlan:
 
     def test_zero_budget_unsolved(self, straight_goal, straight_grid, empty_world, weights, params, ego_start):
         cfg = make_planner_config(budget=0)
-        result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
+        result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(0))
         assert not result.solved
         assert result.trajectory is None
         assert result.cost == math.inf
@@ -385,15 +387,15 @@ class TestPlan:
     def test_goal_outside_bounds_unsolved(self, straight_net, straight_grid, empty_world, weights, params, ego_start):
         from urbansst.road import compute_goal_region
 
-        goal = compute_goal_region(straight_net, ego_start, 30.0, 2.0)
+        goal = compute_goal_region(straight_net, ego_start, 30.0, 2.0, 6.0)
         cfg = PlannerConfig(iteration_budget=2_000).with_bounds((-15.0, 10.0), (-10.0, 12.0))
-        result = plan(ego_start, 0.0, goal, straight_grid, empty_world, cfg, weights, params)
+        result = plan(ego_start, 0.0, goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(0))
         assert not result.solved
 
     def test_deterministic_given_seed(self, straight_goal, straight_grid, empty_world, weights, params, ego_start):
-        cfg = make_planner_config(budget=3_000, rng_seed=21)
-        r1 = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
-        r2 = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
+        cfg = make_planner_config(budget=3_000)
+        r1 = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(21))
+        r2 = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(21))
         assert r1.cost == r2.cost
         assert r1.n_nodes == r2.n_nodes
         assert r1.n_witnesses == r2.n_witnesses
@@ -401,10 +403,10 @@ class TestPlan:
             assert [s.state for s in r1.trajectory.samples] == [s.state for s in r2.trajectory.samples]
 
     def test_tree_freed_without_cyclic_gc(self, node_refs, straight_goal, straight_grid, empty_world, weights, params, ego_start):
-        cfg = make_planner_config(budget=3_000, rng_seed=21)
+        cfg = make_planner_config(budget=3_000)
         gc.disable()
         try:
-            result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
+            result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(21))
             alive = sum(ref() is not None for ref in node_refs)
         finally:
             gc.enable()
@@ -414,28 +416,31 @@ class TestPlan:
     def test_invalid_start_raises(self, straight_goal, straight_grid, empty_world, weights, params):
         cfg = make_planner_config()
         with pytest.raises(InvalidStartError):
-            plan(VehicleState(0.0, -8.0, 0.0, 5.0), 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
+            plan(
+                VehicleState(0.0, -8.0, 0.0, 5.0), 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params,
+                np.random.default_rng(0),
+            )
 
     def test_start_in_goal_immediately_solved(self, straight_goal, straight_grid, empty_world, weights, params):
         cfg = make_planner_config(budget=0)
         start = VehicleState(30.0, 0.0, 0.0, 5.0)
-        result = plan(start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params)
+        result = plan(start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(0))
         assert result.solved
         assert result.cost == 0.0
         assert len(result.trajectory.samples) == 1
 
 
 class TestPruning:
-    def test_node_count_consistency(self, straight_goal, straight_grid, empty_world, weights, params):
+    def test_node_count_consistency(self, node_refs, straight_goal, straight_grid, empty_world, weights, params):
         tree, result = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=5_000)
-        counted = sum(1 for _ in tree.iter_nodes())
+        counted = len(live_nodes(node_refs))
         assert counted == tree.n_nodes == result.n_nodes
         assert result.n_witnesses <= result.n_nodes + 1
 
-    def test_inactive_nonleaves_retained(self, straight_goal, straight_grid, empty_world, weights, params):
-        # pruning only removes inactive leaves, so any inactive node still in
-        # the tree must have children
+    def test_inactive_nonleaves_retained(self, node_refs, straight_goal, straight_grid, empty_world, weights, params):
+        # pruning only removes inactive leaves, so any inactive node still
+        # alive must have children
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=5_000)
-        for node in tree.iter_nodes():
+        for node in live_nodes(node_refs):
             if not node.active:
-                assert node.children
+                assert node.n_children > 0
