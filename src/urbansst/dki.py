@@ -20,8 +20,9 @@ import numpy as np
 from .cost import CostWeights
 from .objects import WorldModel
 from .road import GoalRegion, PenaltyGrid, RoadNetwork
-from .sst import PlannerConfig, PlannerTree, PlanResult, norm_state, sample_input, state_distance
+from .sst import PlannerConfig, PlannerTree, PlanResult, norm_state, sample_inputs, state_distance
 from .vehicle import (
+    ControlInput,
     Trajectory,
     VehicleParams,
     VehicleState,
@@ -77,22 +78,18 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int
         v_cmd = tip.state.v + gain * (v_des - tip.state.v)
         d_target = min(dki.d_lookahead, v_cmd * t_prop)
         target = route.point_at(min(s_tip + d_target, route.length))
-        best_end = None
-        best_u = None
-        best_d = math.inf
-        for _ in range(dki.n_candidates):
-            tree.iterations_used += 1
-            u = sample_input(tree.config, rng, tree.params)
-            end = tree.propagate_checked(tip, u)
-            if end is None:
-                continue
-            d = math.hypot(end[0] - target.x, end[1] - target.y)
-            if d < best_d:
-                best_end = end
-                best_u = u
-                best_d = d
-        if best_end is None:
+        tree.iterations_used += dki.n_candidates
+        a, delta = sample_inputs(tree.config, rng, tree.params, dki.n_candidates)
+        idx, ends = tree.propagate_batch(tip, a, delta)
+        if not len(idx):
             break
+        # math.hypot, not np.hypot, whose last bit differs; the first minimum wins
+        ends = ends.tolist()
+        dists = [math.hypot(x - target.x, y - target.y) for x, y, _, _ in ends]
+        j = dists.index(min(dists))
+        best_end = tuple(ends[j])
+        i = int(idx[j])
+        best_u = ControlInput(float(a[i]), float(delta[i]))
         node = tree.try_insert(tip, best_end, best_u)
         if node is None:
             # The corridor is already held by a cheaper node (typically the

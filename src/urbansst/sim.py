@@ -207,8 +207,12 @@ def scenario_from_dict(data: dict) -> Scenario:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
+        route = _items(road_sec, "route", "road.")
+        for j, lid in enumerate(route):
+            if not isinstance(lid, str):
+                raise ScenarioError(f"road.route[{j}]: expected a lane id string, got {lid!r}")
         try:
-            road = RoadNetwork(lanes, road_sec.get("route", []))
+            road = RoadNetwork(lanes, route)
         except ValueError as exc:
             raise ScenarioError(f"road: {exc}") from exc
 
@@ -225,7 +229,9 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ScenarioError(f"{where}: expected an object")
             _known(od, ("id", "type", "footprint", "poses", "field"), f"{where}.")
             otype = od.get("type", "vehicle")
-            fl, fw = FOOTPRINT_DEFAULTS.get(otype, FOOTPRINT_DEFAULTS["vehicle"])
+            if not isinstance(otype, str) or otype not in FOOTPRINT_DEFAULTS:
+                raise ScenarioError(f"{where}.type: expected one of {sorted(FOOTPRINT_DEFAULTS)}, got {otype!r}")
+            fl, fw = FOOTPRINT_DEFAULTS[otype]
             fp = _section(od, "footprint", f"{where}.", ("length", "width"))
             length = _num(fp, "length", fl, f"{where}.footprint.")
             width = _num(fp, "width", fw, f"{where}.footprint.")

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .cost import CostWeights, edge_cost, state_cost
+from .geometry import obb_overlap
 from .objects import PoseMemo, WorldModel, clearance_cost, object_hit
 from .road import GoalRegion, PenaltyGrid
 from .vehicle import (
@@ -111,6 +112,19 @@ def state_distance(a, b):
     return np.sqrt(d2)
 
 
+def normalize_angles(th: np.ndarray) -> np.ndarray:
+    """normalize_angle of every element, bit for bit.
+
+    np.fmod is exact, and so is each +-2 pi step after it (both operands lie
+    within a factor of two), so the result is the one value th - k * 2 pi in
+    (-pi, pi] that math.remainder and its <= -pi fix give.
+    """
+    th = np.fmod(th, _TWO_PI)
+    th[th > math.pi] -= _TWO_PI
+    th[th <= -math.pi] += _TWO_PI
+    return th
+
+
 def sample_state(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams) -> VehicleState:
     """Uniform state in the sampling bounds, any heading, the vehicle's speed range.
 
@@ -137,6 +151,29 @@ def sample_input(config: PlannerConfig, rng: np.random.Generator, params: Vehicl
         d = rng.normal(0.0, config.sigma_delta)
         if a_lo <= a <= a_hi and d_lo <= d <= d_hi:
             return ControlInput(a, d)
+
+
+def sample_inputs(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams, n: int):
+    """n sample_input calls at once: arrays (a, delta) of the same values.
+
+    Rejected pairs are redrawn in rounds of exactly the number still missing,
+    so no round draws past the n-th accepted pair and the generator ends in
+    the state that n sample_input calls leave it in.
+    """
+    a_lo, a_hi = params.a_bounds
+    d_lo, d_hi = params.delta_bounds
+    scale = (config.sigma_a, config.sigma_delta)
+    kept = []
+    missing = n
+    while missing:
+        ad = rng.normal(0.0, scale, size=(missing, 2))
+        a = ad[:, 0]
+        d = ad[:, 1]
+        ok = (a_lo <= a) & (a <= a_hi) & (d_lo <= d) & (d <= d_hi)
+        kept.append(ad[ok])
+        missing -= int(np.count_nonzero(ok))
+    ad = np.concatenate(kept)
+    return ad[:, 0], ad[:, 1]
 
 
 def is_state_valid(
@@ -357,6 +394,82 @@ class PlannerTree:
             if steps is not None and object_hit(x, y, th, ego_l, ego_w, steps[k]) is not None:
                 return None
         return (x, y, th, v)
+
+    def propagate_batch(self, node: TreeNode, a: np.ndarray, delta: np.ndarray):
+        """propagate_checked for the inputs (a[i], delta[i]) from one node, at once.
+
+        Returns the indices of the candidates whose every substate is valid,
+        in candidate order, and their endpoints as rows (x, y, theta, v) of a
+        float array; each row is bit for bit what propagate_checked returns.
+        The kernel keeps the scalar path's float operations in their order:
+        np.sin and np.cos give math's results, np.tan does not, so the
+        tangent comes from math once per candidate, and the heading wraps by
+        exact fmod steps to math.remainder's value. Candidates are dropped as
+        they fail.
+        """
+        cfg = self.config
+        p = self.params
+        grid = self.grid
+        cells = grid.cells.ravel()
+        gx0 = grid.origin.x
+        gy0 = grid.origin.y
+        res = grid.resolution
+        n_cols = grid.n_cols
+        n_rows = grid.n_rows
+        p_invalid = grid.p_invalid
+        x_hi = cfg.x_bounds[1]
+        y_hi = cfg.y_bounds[1]
+        # a state below a lower sampling bound or the grid origin is invalid
+        x_min = max(cfg.x_bounds[0], gx0)
+        y_min = max(cfg.y_bounds[0], gy0)
+        v_lo, v_hi = p.v_bounds
+        wheelbase = p.wheelbase
+        ts = cfg.t_step
+        ego_l = p.length
+        ego_w = p.width
+        steps = self._substep_poses(node.t) if self.world.objects else None
+
+        n = len(a)
+        idx = np.arange(n)
+        tan_d = np.array([math.tan(d) for d in delta.tolist()])
+        dv = ts * a
+        s = node.state
+        x = np.full(n, s.x)
+        y = np.full(n, s.y)
+        th = np.full(n, s.theta)
+        v = np.full(n, s.v)
+        for k in range(self._n_sub):
+            tv = ts * v
+            x = x + tv * np.cos(th)
+            y = y + tv * np.sin(th)
+            th = normalize_angles(th + ts * (v / wheelbase) * tan_d)
+            v = np.clip(v + dv, v_lo, v_hi)
+            # the cell rule of PenaltyGrid.lookup; int() and astype both truncate
+            col = ((x - gx0) / res).astype(np.intp)
+            row = ((y - gy0) / res).astype(np.intp)
+            ok = (x >= x_min) & (x <= x_hi) & (y >= y_min) & (y <= y_hi) & (col < n_cols) & (row < n_rows)
+            ok &= cells[np.where(ok, row * n_cols + col, 0)] < p_invalid
+            if steps is not None:
+                for ox, oy, oth, obj, reach2 in steps[k]:
+                    dx = ox - x
+                    dy = oy - y
+                    near = (dx * dx + dy * dy <= reach2) & ok
+                    for i in near.nonzero()[0].tolist():
+                        if obb_overlap(
+                            float(x[i]), float(y[i]), float(th[i]), ego_l, ego_w,
+                            ox, oy, oth, obj.length, obj.width,
+                        ):
+                            ok[i] = False
+            keep = ok.nonzero()[0]
+            if len(keep) < len(ok):
+                idx = idx[keep]
+                x = x[keep]
+                y = y[keep]
+                th = th[keep]
+                v = v[keep]
+                tan_d = tan_d[keep]
+                dv = dv[keep]
+        return idx, np.column_stack((x, y, th, v))
 
     def try_insert(self, parent: TreeNode, endpoint, u: ControlInput) -> Optional[TreeNode]:
         """Witness-gated insertion of a propagation endpoint."""

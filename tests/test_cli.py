@@ -110,6 +110,10 @@ class TestPlan:
             ("goal.threshold=0", "goal.threshold"),
             ("grid.resolution=0", "grid.resolution"),
             ("grid.p_invalid=200", "grid.p_invalid"),
+            ("road.route=5", "road.route"),
+            ("road.route=[5]", "road.route[0]"),
+            ('objects.0.type="bike"', "objects[0].type"),
+            ("objects.0.type=[1]", "objects[0].type"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):

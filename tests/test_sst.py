@@ -15,14 +15,17 @@ from urbansst.sst import (
     TreeNode,
     is_state_valid,
     norm_state,
+    normalize_angles,
     plan,
     sample_input,
+    sample_inputs,
     sample_state,
     state_distance,
 )
-from urbansst.vehicle import ControlInput, VehicleParams, VehicleState, propagate
+from urbansst.sim import build_scenario_grid, load_scenario, plan_query
+from urbansst.vehicle import ControlInput, VehicleParams, VehicleState, normalize_angle, propagate
 
-from conftest import live_nodes, make_planner_config, wrap_dist
+from conftest import SCENARIO_DIR, live_nodes, make_planner_config, wrap_dist
 
 
 def planner_metric(a, b, config):
@@ -181,33 +184,51 @@ def _crossing_world():
     ])
 
 
+def _propagation_oracle(tree, node, u):
+    """Endpoint of u from node, or None, by the uncached reference model, and
+    why: "road" (bounds or grid), "object" or "valid"."""
+    cfg, params, grid, world = tree.config, tree.params, tree.grid, tree.world
+    empty = WorldModel()
+    states = propagate(node.state, u, cfg.t_prop, cfg.t_step, params)
+    for k, s in enumerate(states, start=1):
+        t = node.t + k * cfg.t_step
+        on_road = is_state_valid(s, t, grid, empty, cfg, params)
+        hit = any(
+            obb_overlap(s.x, s.y, s.theta, params.length, params.width, *obj.pose_at(t), obj.length, obj.width)
+            for obj in world.objects
+        )
+        assert is_state_valid(s, t, grid, world, cfg, params) == (on_road and not hit)
+        if not on_road:
+            return None, "road"
+        if hit:
+            return None, "object"
+    end = states[-1]
+    return (end.x, end.y, end.theta, end.v), "valid"
+
+
+def _scenario_tree(node_refs, monkeypatch, name, ego, t):
+    """The tree of one dki query of a shipped scenario from ego at time t, and its nodes."""
+    sc = load_scenario(SCENARIO_DIR / name)
+    trees = []
+    run = PlannerTree.run
+
+    def keep(tree):
+        trees.append(tree)
+        return run(tree)
+
+    monkeypatch.setattr(PlannerTree, "run", keep)
+    plan_query(sc, "dki", build_scenario_grid(sc), ego, t, (0, 0), budget=("iters", 1500))
+    return trees[0], live_nodes(node_refs)
+
+
 class TestPropagationKernel:
     def test_matches_uncached_oracle(self, node_refs, straight_goal, straight_grid, weights, params):
-        world = _crossing_world()
-        empty = WorldModel()
         cfg = make_planner_config(budget=1500)
         tree = PlannerTree(
-            VehicleState(0.0, 0.0, 0.0, 5.0), 0.0, straight_goal, straight_grid, world, cfg, weights, params,
-            np.random.default_rng(4),
+            VehicleState(0.0, 0.0, 0.0, 5.0), 0.0, straight_goal, straight_grid, _crossing_world(), cfg, weights,
+            params, np.random.default_rng(4),
         )
         tree.run()
-
-        def oracle(node, u):
-            states = propagate(node.state, u, cfg.t_prop, cfg.t_step, params)
-            for k, s in enumerate(states, start=1):
-                t = node.t + k * cfg.t_step
-                on_road = is_state_valid(s, t, straight_grid, empty, cfg, params)
-                hit = any(
-                    obb_overlap(s.x, s.y, s.theta, params.length, params.width, *obj.pose_at(t), obj.length, obj.width)
-                    for obj in world.objects
-                )
-                assert is_state_valid(s, t, straight_grid, world, cfg, params) == (on_road and not hit)
-                if not on_road:
-                    return None, "road"
-                if hit:
-                    return None, "object"
-            end = states[-1]
-            return (end.x, end.y, end.theta, end.v), "valid"
 
         # every node at every depth, so that nodes of one depth share memo entries
         nodes = live_nodes(node_refs)
@@ -217,11 +238,74 @@ class TestPropagationKernel:
         for node in nodes:
             for _ in range(8):
                 u = sample_input(cfg, rng, params)
-                expected, why = oracle(node, u)
+                expected, why = _propagation_oracle(tree, node, u)
                 assert tree.propagate_checked(node, u) == expected
                 outcomes[why] += 1
         assert sum(outcomes.values()) >= 300
         assert min(outcomes[w] for w in ("road", "object", "valid")) >= 10, outcomes
+
+    @pytest.mark.parametrize(
+        "name, ego, t",
+        [
+            # the parked car at x = 30 lies ahead
+            ("scenario_ii_static_overtake.json", VehicleState(22.0, 0.0, 0.0, 5.0), 0.0),
+            # both pedestrians cross the ego lane at x = 55
+            ("scenario_iv_vru_steering.json", VehicleState(47.0, 0.0, 0.0, 5.0), 6.0),
+        ],
+    )
+    def test_batch_matches_scalar_path(self, node_refs, monkeypatch, name, ego, t):
+        tree, nodes = _scenario_tree(node_refs, monkeypatch, name, ego, t)
+        assert len({node.t for node in nodes}) >= 10
+        rng = np.random.default_rng(37)
+        outcomes = Counter()
+        for node in nodes:
+            a, delta = sample_inputs(tree.config, rng, tree.params, 8)
+            idx, ends = tree.propagate_batch(node, a, delta)
+            got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
+            for i, u in enumerate(map(ControlInput, a.tolist(), delta.tolist())):
+                expected = tree.propagate_checked(node, u)
+                assert got.get(i) == expected
+                outcomes[_propagation_oracle(tree, node, u)[1]] += 1
+        assert min(outcomes[w] for w in ("road", "object", "valid")) >= 10, outcomes
+
+
+class TestKernelExactness:
+    """Host properties that let propagate_batch equal propagate_checked bit for bit."""
+
+    def test_numpy_sin_cos_equal_math(self):
+        th = np.random.default_rng(41).uniform(-2.0 * math.pi, 2.0 * math.pi, 100_000)
+        for name in ("sin", "cos"):
+            got = getattr(np, name)(th).tolist()
+            want = list(map(getattr(math, name), th.tolist()))
+            bad = sum(g != w for g, w in zip(got, want))
+            assert bad == 0, (
+                f"host property: np.{name} differs from math.{name} on {bad} of {len(want)} arguments, "
+                "so the batched propagation kernel cannot match the scalar one on this host"
+            )
+
+    def test_fmod_wrap_equals_math_remainder(self):
+        th = np.random.default_rng(43).uniform(-3.0 * math.pi, 3.0 * math.pi, 100_000)
+        edges = [k * math.pi + e for k in range(-4, 5) for e in (0.0, 1e-15, -1e-15)]
+        th = np.concatenate((th, edges, np.nextafter(edges, math.inf), np.nextafter(edges, -math.inf)))
+        got = normalize_angles(th.copy()).tolist()
+        want = list(map(normalize_angle, th.tolist()))
+        bad = sum(g != w for g, w in zip(got, want))
+        assert bad == 0, (
+            f"host property: np.fmod with one 2 pi correction differs from math.remainder on {bad} of "
+            f"{len(want)} angles, so the batched propagation kernel cannot match the scalar one on this host"
+        )
+
+    @pytest.mark.parametrize("a_bounds", [(-0.8, 0.8), (0.1, 0.15)])
+    def test_sample_inputs_equal_scalar_draws(self, a_bounds):
+        cfg = make_planner_config()
+        params = VehicleParams(a_bounds=a_bounds)
+        rng = np.random.default_rng(47)
+        ref = np.random.default_rng(47)
+        for n in (1, 7, 100):
+            a, delta = sample_inputs(cfg, rng, params, n)
+            want = [sample_input(cfg, ref, params) for _ in range(n)]
+            assert list(map(ControlInput, a.tolist(), delta.tolist())) == want
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestGridCells:
