@@ -27,6 +27,7 @@ from .sim import (
     simlog_to_csv,
     simlog_to_dict,
 )
+from .sst import PlannerConfig
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -36,25 +37,32 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _parse_budget(spec):
+    """--budget time:SECS or iters:N as plan_query's budget; zero runs no iteration."""
     if spec is None:
         return None
     kind, _, value = spec.partition(":")
-    if kind == "time":
-        return ("time", float(value))
-    if kind == "iters":
-        return ("iters", int(value))
-    raise ScenarioError(f"--budget expects time:SECS or iters:N, got {spec!r}")
+    try:
+        cfg = PlannerConfig().with_budget(kind, value)
+    except ValueError as exc:
+        raise ScenarioError(f"--budget {spec!r}: {exc}") from exc
+    if 0 in (cfg.iteration_budget, cfg.query_time):
+        raise ScenarioError(f"--budget {spec!r}: a zero budget runs no iteration")
+    return (kind, cfg.iteration_budget or cfg.query_time)
 
 
 def _parse_seeds(spec: str):
+    """--seeds "0,3,5-7" as a list of non-negative seeds; ranges are inclusive."""
     seeds = []
     for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if "-" in chunk.lstrip("-")[0:]:
-            lo, _, hi = chunk.partition("-")
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(chunk))
+        lo, dash, hi = chunk.strip().partition("-")
+        try:
+            first = int(lo)
+            last = int(hi) if dash else first
+        except ValueError:
+            raise ScenarioError(f"--seeds expects a comma list of N or LO-HI, got {spec!r}") from None
+        if last < first:
+            raise ScenarioError(f"--seeds: range {chunk.strip()!r} selects no seed")
+        seeds.extend(range(first, last + 1))
     return seeds
 
 
@@ -214,6 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # benchmark takes --seeds instead
+            raise ScenarioError(f"--seed: expected a non-negative integer, got {args.seed}")
         return args.func(args)
     except (OSError, ScenarioError, RouteExhaustedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

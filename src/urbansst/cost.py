@@ -3,18 +3,14 @@
 Path length is an intrinsic per-edge cost; desired-velocity deviation,
 penalty-grid and target-clearance terms are state costs integrated over
 time with the trapezoid rule between edge endpoints. state_cost and
-edge_cost are the only definitions of the two formulas: the planner and
-trajectory_cost both go through them, in the same floating-point order.
+edge_cost are the only definitions of the two formulas; the planner's tree
+accumulates its costs through them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .objects import WorldModel, clearance_cost_xy
-from .road import PenaltyGrid
-from .vehicle import TimedState, Trajectory
 
 
 @dataclass(frozen=True)
@@ -40,25 +36,3 @@ def edge_cost(w: CostWeights, x0: float, y0: float, c0: float, x1: float, y1: fl
     """Cost of an edge from (x0, y0) with state cost c0 to (x1, y1) with state
     cost c1, dt seconds later: path length plus the trapezoid state-cost integral."""
     return w.path_length * math.hypot(x1 - x0, y1 - y0) + dt * (c0 + c1) / 2.0
-
-
-def motion_cost(
-    s_n: TimedState, s_next: TimedState, grid: PenaltyGrid, world: WorldModel, w: CostWeights
-) -> float:
-    dt = s_next.t - s_n.t
-    if dt <= 0.0:
-        raise ValueError("motion cost requires strictly increasing timestamps")
-    a = s_n.state
-    b = s_next.state
-    c0 = state_cost(w, a.v, grid.lookup(a.x, a.y), clearance_cost_xy(a.x, a.y, s_n.t, world))
-    c1 = state_cost(w, b.v, grid.lookup(b.x, b.y), clearance_cost_xy(b.x, b.y, s_next.t, world))
-    return edge_cost(w, a.x, a.y, c0, b.x, b.y, c1, dt)
-
-
-def trajectory_cost(traj: Trajectory, grid: PenaltyGrid, world: WorldModel, w: CostWeights) -> float:
-    if not traj.samples:
-        raise ValueError("trajectory must have at least one sample")
-    total = 0.0
-    for a, b in zip(traj.samples, traj.samples[1:]):
-        total += motion_cost(a, b, grid, world, w)
-    return total

@@ -64,15 +64,6 @@ class ObjectPrediction:
             normalize_angle(th0 + w * (th1 - th0)),
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ObjectPrediction)
-            and self.id == other.id
-            and self.length == other.length
-            and self.width == other.width
-            and self.poses == other.poses
-        )
-
 
 @dataclass(frozen=True)
 class FieldParams:
@@ -97,13 +88,6 @@ class WorldModel:
         self.fields = list(fields)
         if len(self.fields) != len(self.objects):
             raise ValueError("one field parameter set per object required")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WorldModel)
-            and self.objects == other.objects
-            and self.fields == other.fields
-        )
 
 
 class PoseMemo:

@@ -41,15 +41,6 @@ class Lane:
             if a == b:
                 raise ValueError(f"lane {self.id}: consecutive centerline points must differ")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lane)
-            and self.id == other.id
-            and self.width == other.width
-            and self.centerline == other.centerline
-            and self.successors == other.successors
-        )
-
 
 def _resample_polyline(points: np.ndarray, spacing: float) -> np.ndarray:
     """Resample a polyline at most `spacing` apart, keeping original endpoints."""
@@ -87,13 +78,6 @@ class RoadNetwork:
     def lane(self, lane_id) -> Lane:
         return self._by_id[lane_id]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RoadNetwork)
-            and self.lanes == other.lanes
-            and self.route == other.route
-        )
-
     def point_index(self, spacing: float):
         """KD-tree over all lanes' densified centerline points, cached per spacing."""
         key = round(spacing, 9)
@@ -121,11 +105,11 @@ class RoadNetwork:
 DEFAULT_GRID_RESOLUTION = 0.25
 
 
-def nearest_lane_center(net: RoadNetwork, p: Point2, spacing: float = DEFAULT_GRID_RESOLUTION / 2):
+def nearest_lane_center(net: RoadNetwork, p: Point2):
     """Closest densified lane-center point to p: (point, distance, lane_id)."""
     if not net.lanes:
         raise ValueError("road network has no lanes")
-    tree, pts, owners = net.point_index(spacing)
+    tree, pts, owners = net.point_index(DEFAULT_GRID_RESOLUTION / 2)
     dist, idx = tree.query([p[0], p[1]])
     lane = net.lanes[owners[idx]]
     return Point2(float(pts[idx, 0]), float(pts[idx, 1])), float(dist), lane.id
@@ -229,8 +213,8 @@ class RoutePath:
         y = float(np.interp(s, self._arc, self.points[:, 1]))
         return Point2(x, y)
 
-    def slice(self, s0: float, s1: float, spacing: float = 0.5) -> np.ndarray:
-        """Polyline of the route between arc-lengths s0 and s1."""
+    def slice(self, s0: float, s1: float) -> np.ndarray:
+        """Polyline of the route between arc-lengths s0 and s1, points at most 0.5 m apart."""
         s0 = min(max(s0, 0.0), self.length)
         s1 = min(max(s1, s0), self.length)
         inner = self._arc[(self._arc > s0) & (self._arc < s1)]
@@ -238,7 +222,7 @@ class RoutePath:
         x = np.interp(svals, self._arc, self.points[:, 0])
         y = np.interp(svals, self._arc, self.points[:, 1])
         pts = np.column_stack([x, y])
-        return _resample_polyline(pts, spacing)
+        return _resample_polyline(pts, 0.5)
 
 
 class GoalRegion:
@@ -287,7 +271,6 @@ def compute_goal_region(
     goal_threshold: float,
     lateral_band: float,
     s_hint: Optional[float] = None,
-    spacing: float = 0.2,
 ) -> GoalRegion:
     """Goal band spanning all lanes that cross the route window at g_d ahead."""
     if goal_threshold <= 0.0:
@@ -306,7 +289,7 @@ def compute_goal_region(
     lane_ids = []
     polygons = []
     for lane in net.lanes:
-        dense = _resample_polyline(np.asarray(lane.centerline, dtype=float), spacing)
+        dense = _resample_polyline(np.asarray(lane.centerline, dtype=float), 0.2)
         mask = _window_membership(dense, window, lateral_band)
         if not mask.any():
             continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
@@ -251,6 +251,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         planner = _config("planner", PlannerConfig, _section(data, "planner"))
         if planner.iteration_budget is None and planner.query_time is None:
             planner = replace(planner, iteration_budget=2000)
+        if 0 in (planner.iteration_budget, planner.query_time):
+            raise ScenarioError("planner: a zero budget runs no iteration")
         dki = _config("dki", DkiConfig, _section(data, "dki"))
 
         sections = {
@@ -316,44 +318,6 @@ def load_scenario(path, overrides=()) -> Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     return scenario_from_dict(_apply_overrides(data, overrides))
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    sections = {"goal": {}, "grid": {}, "sim": {}}
-    for name, (sec, key) in _SECTION_FIELDS.items():
-        sections[sec][key] = getattr(sc, name)
-    return {
-        "name": sc.name,
-        "road": {
-            "lanes": [
-                {
-                    "id": lane.id,
-                    "width": lane.width,
-                    "centerline": [[p.x, p.y] for p in lane.centerline],
-                    "successors": list(lane.successors),
-                }
-                for lane in sc.road.lanes
-            ],
-            "route": list(sc.road.route),
-        },
-        "ego": {
-            "state": asdict(sc.ego_state),
-            "params": asdict(sc.ego_params),
-        },
-        "objects": [
-            {
-                "id": obj.id,
-                "footprint": {"length": obj.length, "width": obj.width},
-                "poses": [list(p) for p in obj.poses],
-                "field": asdict(fp),
-            }
-            for obj, fp in zip(sc.world.objects, sc.world.fields)
-        ],
-        "weights": asdict(sc.weights),
-        "planner": {k: v for k, v in asdict(sc.planner).items() if k not in _PER_QUERY},
-        "dki": asdict(sc.dki),
-        **sections,
-    }
 
 
 def build_scenario_grid(sc: Scenario) -> PenaltyGrid:
@@ -450,15 +414,7 @@ def plan_query(
     replace them here. Raises RouteExhaustedError when the goal lies past the
     route's end and InvalidStartError when ego is not a valid state.
     """
-    cfg = sc.planner
-    if budget is not None:
-        kind, value = budget
-        if kind == "iters":
-            cfg = replace(cfg, iteration_budget=int(value), query_time=None)
-        elif kind == "time":
-            cfg = replace(cfg, iteration_budget=None, query_time=float(value))
-        else:
-            raise ValueError("budget must be ('iters', n) or ('time', seconds)")
+    cfg = sc.planner if budget is None else sc.planner.with_budget(*budget)
     goal = compute_goal_region(
         sc.road, ego, sc.goal_distance, sc.goal_threshold, sc.goal_lateral_band, s_hint=s_hint,
     )

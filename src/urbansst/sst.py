@@ -65,6 +65,11 @@ class PlannerConfig:
     metric_xy_scale: float = 10.0
 
     def __post_init__(self) -> None:
+        # A budget must end; a zero budget builds the root alone and stops.
+        if self.iteration_budget is not None and self.iteration_budget < 0:
+            raise ValueError(f"iteration_budget must not be negative, got {self.iteration_budget!r}")
+        if self.query_time is not None and not (math.isfinite(self.query_time) and self.query_time >= 0.0):
+            raise ValueError(f"query_time must be finite and not negative, got {self.query_time!r}")
         if self.d_prune > self.d_near:
             raise ValueError("d_prune must not exceed d_near")
         if self.sigma_a <= 0.0 or self.sigma_delta <= 0.0:
@@ -75,6 +80,14 @@ class PlannerConfig:
 
     def with_bounds(self, x_bounds, y_bounds) -> "PlannerConfig":
         return replace(self, x_bounds=tuple(x_bounds), y_bounds=tuple(y_bounds))
+
+    def with_budget(self, kind: str, value) -> "PlannerConfig":
+        """This config with the budget ("iters", n) or ("time", seconds) in place of its own."""
+        if kind == "iters":
+            return replace(self, iteration_budget=int(value), query_time=None)
+        if kind == "time":
+            return replace(self, iteration_budget=None, query_time=float(value))
+        raise ValueError(f"budget kind must be 'iters' or 'time', got {kind!r}")
 
 
 def norm_state(s: VehicleState, config: PlannerConfig, params: VehicleParams) -> tuple:

@@ -59,17 +59,6 @@ class TimedState:
 class Trajectory:
     samples: list = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def start(self) -> TimedState:
-        return self.samples[0]
-
-    @property
-    def end(self) -> TimedState:
-        return self.samples[-1]
-
 
 def step(s: VehicleState, u: ControlInput, ts: float, p: VehicleParams) -> VehicleState:
     """One Euler step of the bicycle model.

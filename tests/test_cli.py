@@ -38,6 +38,39 @@ class TestArgHelpers:
         assert _parse_seeds("0,3,5") == [0, 3, 5]
         assert _parse_seeds("2-5") == [2, 3, 4, 5]
         assert _parse_seeds("0-2,7") == [0, 1, 2, 7]
+        assert _parse_seeds("4-4") == [4]
+        for spec in ("3-1", "0,3-1", "1-", "a", "-1", "0,,1", "2--1", ""):
+            with pytest.raises(ScenarioError, match="--seeds"):
+                _parse_seeds(spec)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--budget", "time:inf"],
+            ["plan", "--budget", "time:nan"],
+            ["plan", "--budget", "time:-1"],
+            ["plan", "--budget", "time:0"],
+            ["plan", "--budget", "time:"],
+            ["plan", "--budget", "iters:0"],
+            ["plan", "--budget", "iters:-5"],
+            ["plan", "--budget", "iters:abc"],
+            ["plan", "--budget", "iters:1.5"],
+            ["plan", "--seed", "-1"],
+            ["simulate", "--seed", "-1"],
+            ["simulate", "--budget", "time:inf"],
+            ["benchmark", "--seeds", "3-1"],
+            ["benchmark", "--seeds", "1-"],
+            ["benchmark", "--seeds", "a"],
+            ["benchmark", "--budget", "iters:0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_flag_exit_one(self, tmp_path, capsys, argv):
+        command, flag, value = argv
+        rc = main([command, "--scenario", OVERTAKE, f"{flag}={value}", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+        assert not (tmp_path / "o").exists()
 
 
 class TestPlan:
@@ -114,6 +147,11 @@ class TestPlan:
             ("road.route=[5]", "road.route[0]"),
             ('objects.0.type="bike"', "objects[0].type"),
             ("objects.0.type=[1]", "objects[0].type"),
+            ("planner.iteration_budget=-5", "planner: iteration_budget"),
+            ("planner.iteration_budget=0", "planner: a zero budget"),
+            ("planner.query_time=0", "planner: a zero budget"),
+            ("planner.query_time=-1", "planner: query_time"),
+            ("planner.query_time=Infinity", "planner.query_time"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):

@@ -2,12 +2,36 @@ from dataclasses import replace
 
 import pytest
 
-from urbansst.cost import CostWeights, motion_cost, trajectory_cost
-from urbansst.objects import ObjectPrediction, WorldModel
+from urbansst.cost import CostWeights, edge_cost, state_cost
+from urbansst.objects import ObjectPrediction, WorldModel, clearance_cost_xy
 from urbansst.sim import build_scenario_grid, load_scenario, run_closed_loop
 from urbansst.vehicle import TimedState, Trajectory, VehicleState
 
 from conftest import SCENARIO_DIR
+
+
+def motion_cost(s_n, s_next, grid, world, w):
+    """Cost of the edge from timed state s_n to s_next, recomputed from the
+    states alone: each state's grid value and clearance field are looked up
+    afresh, not taken from the planner's tree."""
+    dt = s_next.t - s_n.t
+    if dt <= 0.0:
+        raise ValueError("motion cost requires strictly increasing timestamps")
+    a = s_n.state
+    b = s_next.state
+    c0 = state_cost(w, a.v, grid.lookup(a.x, a.y), clearance_cost_xy(a.x, a.y, s_n.t, world))
+    c1 = state_cost(w, b.v, grid.lookup(b.x, b.y), clearance_cost_xy(b.x, b.y, s_next.t, world))
+    return edge_cost(w, a.x, a.y, c0, b.x, b.y, c1, dt)
+
+
+def trajectory_cost(traj, grid, world, w):
+    """Sum of motion_cost over the trajectory's edges: the planner's cost oracle."""
+    if not traj.samples:
+        raise ValueError("trajectory must have at least one sample")
+    total = 0.0
+    for a, b in zip(traj.samples, traj.samples[1:]):
+        total += motion_cost(a, b, grid, world, w)
+    return total
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,13 @@
 import copy
+import json
 import math
 from dataclasses import asdict
 
 import pytest
 
 from urbansst.sim import (
+    _PER_QUERY,
+    _SECTION_FIELDS,
     Scenario,
     ScenarioError,
     SimLog,
@@ -15,7 +18,6 @@ from urbansst.sim import (
     rollout_inputs,
     run_closed_loop,
     scenario_from_dict,
-    scenario_to_dict,
     simlog_to_csv,
     simlog_to_dict,
 )
@@ -33,6 +35,59 @@ MINIMAL = {
     },
     "ego": {"state": {"x": 0.0, "y": 0.0, "theta": 0.0, "v": 5.0}},
 }
+
+
+def scenario_to_dict(sc: Scenario) -> dict:
+    """The scenario as a document that scenario_from_dict reads back; every
+    field is written, the defaulted ones included."""
+    sections = {"goal": {}, "grid": {}, "sim": {}}
+    for name, (sec, key) in _SECTION_FIELDS.items():
+        sections[sec][key] = getattr(sc, name)
+    return {
+        "name": sc.name,
+        "road": {
+            "lanes": [
+                {
+                    "id": lane.id,
+                    "width": lane.width,
+                    "centerline": [[p.x, p.y] for p in lane.centerline],
+                    "successors": list(lane.successors),
+                }
+                for lane in sc.road.lanes
+            ],
+            "route": list(sc.road.route),
+        },
+        "ego": {
+            "state": asdict(sc.ego_state),
+            "params": asdict(sc.ego_params),
+        },
+        "objects": [
+            {
+                "id": obj.id,
+                "footprint": {"length": obj.length, "width": obj.width},
+                "poses": [list(p) for p in obj.poses],
+                "field": asdict(fp),
+            }
+            for obj, fp in zip(sc.world.objects, sc.world.fields)
+        ],
+        "weights": asdict(sc.weights),
+        "planner": {k: v for k, v in asdict(sc.planner).items() if k not in _PER_QUERY},
+        "dki": asdict(sc.dki),
+        **sections,
+    }
+
+
+def _leaves(node, path=()):
+    """(path, value) of every leaf of a document; list items are keyed by index."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, (list, tuple)):
+        children = enumerate(node)
+    else:
+        yield path, node
+        return
+    for key, child in children:
+        yield from _leaves(child, path + (key,))
 
 
 class TestLoader:
@@ -84,9 +139,17 @@ class TestLoader:
 
     @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("scenario_*.json")), ids=lambda p: p.stem)
     def test_shipped_files_roundtrip(self, path):
-        sc = load_scenario(path)
-        again = scenario_from_dict(scenario_to_dict(sc))
-        assert again == sc
+        doc = scenario_to_dict(load_scenario(path))
+        again = scenario_from_dict(doc)
+        assert scenario_to_dict(again) == doc
+        # every value the file sets is read into its own field; an object's
+        # type only picks the default footprint
+        want = {
+            leaf: value for leaf, value in _leaves(json.loads(path.read_text()))
+            if not (leaf[0] == "objects" and leaf[2:] == ("type",))
+        }
+        loaded = dict(_leaves(doc))
+        assert {leaf: loaded.get(leaf) for leaf in want} == want
 
     def test_json_error_reports_line(self, tmp_path):
         bad = tmp_path / "bad.json"

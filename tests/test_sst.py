@@ -51,6 +51,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             PlannerConfig(iteration_budget=10, t_prop=0.4, t_step=0.3)
 
+    @pytest.mark.parametrize(
+        "budget", [dict(iteration_budget=-1), dict(query_time=-1.0), dict(query_time=math.inf),
+                   dict(query_time=math.nan)],
+    )
+    def test_budget_must_end(self, budget):
+        with pytest.raises(ValueError, match="iteration_budget|query_time"):
+            PlannerConfig(**budget)
+
     def test_exactly_one_budget(self, straight_grid, empty_world, weights, params, straight_goal, ego_start):
         both = make_planner_config(budget=10, query_time=0.01)
         with pytest.raises(ValueError):
@@ -430,8 +438,8 @@ class TestPlan:
         assert result.iterations == 20_000
         assert math.isfinite(result.cost) and result.cost > 0
         traj = result.trajectory
-        assert traj.start.state == ego_start
-        assert straight_goal.contains_xy(traj.end.state.x, traj.end.state.y)
+        assert traj.samples[0].state == ego_start
+        assert straight_goal.contains_xy(traj.samples[-1].state.x, traj.samples[-1].state.y)
         # timestamps advance by exactly one propagation period per edge
         for a, b in zip(traj.samples, traj.samples[1:]):
             assert b.t - a.t == pytest.approx(cfg.t_prop)

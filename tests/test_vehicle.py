@@ -5,7 +5,6 @@ import pytest
 
 from urbansst.vehicle import (
     ControlInput,
-    Trajectory,
     VehicleParams,
     VehicleState,
     normalize_angle,
@@ -135,13 +134,3 @@ class TestPropagate:
         first = propagate(s, u, 0.4, 0.04, params)
         second = propagate(first[-1], u, 0.4, 0.04, params)
         assert long == first + second
-
-
-class TestTrajectory:
-    def test_start_end(self):
-        from urbansst.vehicle import TimedState
-
-        tr = Trajectory([TimedState(VehicleState(0, 0, 0, 1), 0.0), TimedState(VehicleState(1, 0, 0, 1), 0.4)])
-        assert len(tr) == 2
-        assert tr.start.t == 0.0
-        assert tr.end.state.x == 1.0
