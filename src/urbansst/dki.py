@@ -80,7 +80,7 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int
         target = route.point_at(min(s_tip + d_target, route.length))
         tree.iterations_used += dki.n_candidates
         a, delta = sample_inputs(tree.config, rng, tree.params, dki.n_candidates)
-        idx, ends = tree.propagate_batch(tip, a, delta)
+        idx, ends = tree.propagate_batch([tip] * len(a), a, delta)
         if not len(idx):
             break
         # math.hypot, not np.hypot, whose last bit differs; the first minimum wins

@@ -5,6 +5,14 @@ uniform state sampling, best-cost selection within a radius, truncated
 Gaussian control sampling, fixed-time propagation with per-substep
 validity checks, and witness-based sparsification of the tree.
 
+The loop runs in batches of up to 64 iterations with the outcome of as
+many sequential ones: the draws do not depend on the tree, so a batch draws
+them first, selects, propagates (in one numpy kernel with a start node per
+candidate) and looks up witnesses for all of them against the tree as it
+stood at batch start, then commits the results in order and redoes on its
+own, through the scalar path, each iteration that an earlier commit of
+the batch may have changed.
+
 The state-space metric is Euclidean over components normalized by the
 sampling-bound extents (wrap-aware in heading), so that the unitless
 selection and pruning radii are meaningful across heterogeneous units.
@@ -39,6 +47,14 @@ _TWO_PI = 2.0 * math.pi
 _WIT = slice(0, 4)
 _REP = slice(4, 8)
 _COST = 8
+
+# Main-loop iterations done as one batch, and the samples or endpoints per
+# distance pass against the witness table (a pass holds _CHUNK x W floats).
+_BATCH = 64
+_CHUNK = 16
+
+# try_insert's default: look the nearest witness up in the table.
+_LOOK_UP = object()
 
 
 class InvalidStartError(ValueError):
@@ -92,13 +108,24 @@ class PlannerConfig:
 
 def norm_state(s: VehicleState, config: PlannerConfig, params: VehicleParams) -> tuple:
     """State in the planner's normalized space; heading maps onto [0, 1)."""
+    return _normalized(s.x, s.y, normalize_angle(s.theta), s.v, config, params)
+
+
+def norm_states(rows: np.ndarray, config: PlannerConfig, params: VehicleParams) -> np.ndarray:
+    """norm_state of each row (x, y, theta, v) of rows, bit for bit, as the columns of a (4, n) array."""
+    x, y, th, v = rows.T
+    return np.array(_normalized(x, y, normalize_angles(th), v, config, params))
+
+
+def _normalized(x, y, th, v, config: PlannerConfig, params: VehicleParams) -> tuple:
+    """The normalized components of floats or of arrays; th is already wrapped."""
     inv_xy = 1.0 / config.metric_xy_scale
     v_lo, v_hi = params.v_bounds
     return (
-        (s.x - config.x_bounds[0]) * inv_xy,
-        (s.y - config.y_bounds[0]) * inv_xy,
-        (normalize_angle(s.theta) + math.pi) / _TWO_PI,
-        (s.v - v_lo) * (1.0 / (v_hi - v_lo)),
+        (x - config.x_bounds[0]) * inv_xy,
+        (y - config.y_bounds[0]) * inv_xy,
+        (th + math.pi) / _TWO_PI,
+        (v - v_lo) * (1.0 / (v_hi - v_lo)),
     )
 
 
@@ -156,12 +183,17 @@ def sample_state(config: PlannerConfig, rng: np.random.Generator, params: Vehicl
 
 
 def sample_input(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams) -> ControlInput:
-    """Zero-mean Gaussian input, jointly redrawn until both components are in bounds."""
+    """Zero-mean Gaussian input, jointly redrawn until both components are in bounds.
+
+    0.0 + sigma * standard_normal() is rng.normal(0.0, sigma) bit for bit
+    (the 0.0 turns -0.0 into 0.0, as the mean does), without its argument
+    handling.
+    """
     a_lo, a_hi = params.a_bounds
     d_lo, d_hi = params.delta_bounds
     while True:
-        a = rng.normal(0.0, config.sigma_a)
-        d = rng.normal(0.0, config.sigma_delta)
+        a = 0.0 + config.sigma_a * rng.standard_normal()
+        d = 0.0 + config.sigma_delta * rng.standard_normal()
         if a_lo <= a <= a_hi and d_lo <= d <= d_hi:
             return ControlInput(a, d)
 
@@ -179,7 +211,7 @@ def sample_inputs(config: PlannerConfig, rng: np.random.Generator, params: Vehic
     kept = []
     missing = n
     while missing:
-        ad = rng.normal(0.0, scale, size=(missing, 2))
+        ad = 0.0 + np.multiply(scale, rng.standard_normal((missing, 2)))
         a = ad[:, 0]
         d = ad[:, 1]
         ok = (a_lo <= a) & (a <= a_hi) & (d_lo <= d) & (d <= d_hi)
@@ -341,13 +373,19 @@ class PlannerTree:
         clearance = clearance_cost(x, y, self._poses.at(t), world.fields) if world.objects else 0.0
         return state_cost(self.weights, v, self.grid.lookup(x, y), clearance)
 
-    def _substep_poses(self, t0: float) -> list:
-        """Object poses at each substep time t0 + k*t_step of a propagation from t0."""
+    def _substep_poses(self, t0: float) -> tuple:
+        """Object poses at each substep time t0 + k*t_step of a propagation from t0.
+
+        A list of n_sub PoseMemo entries, and their (x, y, reach2) as an
+        (n_sub, n_obj, 3) array for the kernel.
+        """
         steps = self._steps.get(t0)
         if steps is None:
             at = self._poses.at
             ts = self.config.t_step
-            steps = self._steps[t0] = [at(t0 + k * ts) for k in range(1, self._n_sub + 1)]
+            poses = [at(t0 + k * ts) for k in range(1, self._n_sub + 1)]
+            xyr = np.array([[(p[0], p[1], p[4]) for p in entry] for entry in poses])
+            steps = self._steps[t0] = (poses, xyr)
         return steps
 
     def propagate_checked(self, node: TreeNode, u: ControlInput):
@@ -375,7 +413,7 @@ class PlannerTree:
         tan_d = math.tan(u.delta)
         ego_l = p.length
         ego_w = p.width
-        steps = self._substep_poses(node.t) if self.world.objects else None
+        steps = self._substep_poses(node.t)[0] if self.world.objects else None
 
         s = node.state
         x = s.x
@@ -408,8 +446,8 @@ class PlannerTree:
                 return None
         return (x, y, th, v)
 
-    def propagate_batch(self, node: TreeNode, a: np.ndarray, delta: np.ndarray):
-        """propagate_checked for the inputs (a[i], delta[i]) from one node, at once.
+    def propagate_batch(self, nodes: list, a: np.ndarray, delta: np.ndarray):
+        """propagate_checked for the inputs (a[i], delta[i]) from nodes[i], at once.
 
         Returns the indices of the candidates whose every substate is valid,
         in candidate order, and their endpoints as rows (x, y, theta, v) of a
@@ -417,8 +455,9 @@ class PlannerTree:
         The kernel keeps the scalar path's float operations in their order:
         np.sin and np.cos give math's results, np.tan does not, so the
         tangent comes from math once per candidate, and the heading wraps by
-        exact fmod steps to math.remainder's value. Candidates are dropped as
-        they fail.
+        exact fmod steps to math.remainder's value. Object poses come from
+        the memo entry of each candidate's start time. Candidates are
+        dropped as they fail.
         """
         cfg = self.config
         p = self.params
@@ -440,17 +479,19 @@ class PlannerTree:
         ts = cfg.t_step
         ego_l = p.length
         ego_w = p.width
-        steps = self._substep_poses(node.t) if self.world.objects else None
+        steps = None
+        if self.world.objects:
+            # slot[i]: the index of candidate i's start time in steps
+            times = {}
+            slot = np.array([times.setdefault(node.t, len(times)) for node in nodes], dtype=np.intp)
+            steps = [self._substep_poses(t) for t in times]
+            xyr = np.stack([entry[1] for entry in steps])
 
         n = len(a)
         idx = np.arange(n)
         tan_d = np.array([math.tan(d) for d in delta.tolist()])
         dv = ts * a
-        s = node.state
-        x = np.full(n, s.x)
-        y = np.full(n, s.y)
-        th = np.full(n, s.theta)
-        v = np.full(n, s.v)
+        x, y, th, v = np.array([(s.x, s.y, s.theta, s.v) for s in (node.state for node in nodes)]).T
         for k in range(self._n_sub):
             tv = ts * v
             x = x + tv * np.cos(th)
@@ -463,11 +504,13 @@ class PlannerTree:
             ok = (x >= x_min) & (x <= x_hi) & (y >= y_min) & (y <= y_hi) & (col < n_cols) & (row < n_rows)
             ok &= cells[np.where(ok, row * n_cols + col, 0)] < p_invalid
             if steps is not None:
-                for ox, oy, oth, obj, reach2 in steps[k]:
-                    dx = ox - x
-                    dy = oy - y
-                    near = (dx * dx + dy * dy <= reach2) & ok
+                at_k = xyr[slot, k]
+                for o in range(at_k.shape[1]):
+                    dx = at_k[:, o, 0] - x
+                    dy = at_k[:, o, 1] - y
+                    near = (dx * dx + dy * dy <= at_k[:, o, 2]) & ok
                     for i in near.nonzero()[0].tolist():
+                        ox, oy, oth, obj, _ = steps[slot[i]][0][k][o]
                         if obb_overlap(
                             float(x[i]), float(y[i]), float(th[i]), ego_l, ego_w,
                             ox, oy, oth, obj.length, obj.width,
@@ -482,10 +525,16 @@ class PlannerTree:
                 v = v[keep]
                 tan_d = tan_d[keep]
                 dv = dv[keep]
+                if steps is not None:
+                    slot = slot[keep]
         return idx, np.column_stack((x, y, th, v))
 
-    def try_insert(self, parent: TreeNode, endpoint, u: ControlInput) -> Optional[TreeNode]:
-        """Witness-gated insertion of a propagation endpoint."""
+    def try_insert(self, parent: TreeNode, endpoint, u: ControlInput, near=_LOOK_UP) -> Optional[TreeNode]:
+        """Witness-gated insertion of a propagation endpoint.
+
+        near is the index of the endpoint's nearest witness if that lies
+        within d_prune, else None; by default it is looked up in the table.
+        """
         x, y, th, v = endpoint
         t_new = parent.t + self.config.t_prop
         scw = self._state_cost_w(x, y, v, t_new)
@@ -495,7 +544,7 @@ class PlannerTree:
         )
         state = VehicleState(x, y, th, v)
         norm = norm_state(state, self.config, self.params)
-        i = self._nearest_witness(norm)
+        i = self._nearest_witness(norm) if near is _LOOK_UP else near
         if i is not None and cost >= self._table[_COST, i]:
             return None
         node = TreeNode(state, t_new, u, parent, cost, scw)
@@ -527,28 +576,123 @@ class PlannerTree:
 
     # -- main loop ----------------------------------------------------------
 
-    def run_iteration(self) -> None:
-        self.iterations_used += 1
-        x_rand = sample_state(self.config, self.rng, self.params)
-        node = self.select(x_rand)
-        u = sample_input(self.config, self.rng, self.params)
-        endpoint = self.propagate_checked(node, u)
-        if endpoint is not None:
-            self.try_insert(node, endpoint, u)
+    def _run_batch(self, k: int) -> None:
+        """k main-loop iterations, with the outcome of k sequential ones.
+
+        An iteration samples a state, selects the node to extend (SST's
+        BestNear rule: the cheapest representative within d_near, else the
+        nearest; Li, Littlefield and Bekris, IJRR 2016), samples an input,
+        propagates and inserts the endpoint unless its witness holds a
+        cheaper one. The draws do not depend on the tree, so all k are made
+        first, in stream order. Selection, propagation and witness lookup
+        then run for all k against the table as it stands (the snapshot),
+        and the results are committed in order. A commit writes one table
+        column. Pick j is stale once a commit replaced the node it picked,
+        or placed a representative within reach[j] of its sample: within
+        d_near it may be cheaper, and when nothing was within d_near, one
+        as near as the pick may be the nearest. A stale pick is redone on
+        the current tree. Witnesses never move, so an endpoint's nearest
+        witness is the snapshot's unless one appended in the batch is
+        strictly nearer (argmin takes the first minimum).
+        """
+        cfg = self.config
+        params = self.params
+        rng = self.rng
+        reps = self._reps
+        draws = [(sample_state(cfg, rng, params), sample_input(cfg, rng, params)) for _ in range(k)]
+        samples = norm_states(np.array([(s.x, s.y, s.theta, s.v) for s, _ in draws]), cfg, params)
+
+        table = self._table[:, : len(reps)]
+        pick = np.empty(k, np.intp)
+        reach = np.empty(k)
+        for c in range(0, k, _CHUNK):
+            d = state_distance(table[_REP, None], samples[:, c : c + _CHUNK, None])
+            costs = np.where(d <= cfg.d_near, table[_COST], math.inf)
+            i = costs.argmin(axis=1)
+            rows = np.arange(len(i))
+            i = np.where(costs[rows, i] == math.inf, d.argmin(axis=1), i)
+            pick[c : c + _CHUNK] = i
+            reach[c : c + _CHUNK] = d[rows, i]
+        reach = np.maximum(reach, cfg.d_near)
+        pick = pick.tolist()
+        nodes = [reps[i] for i in pick]
+
+        a = np.array([u.a for _, u in draws])
+        delta = np.array([u.delta for _, u in draws])
+        idx, ends = self.propagate_batch(nodes, a, delta)
+        m = len(idx)
+        ends_norm = norm_states(ends, cfg, params)
+        wit = np.empty(m, np.intp)
+        wit_d = np.empty(m)
+        for c in range(0, m, _CHUNK):
+            d = state_distance(table[_WIT, None], ends_norm[:, c : c + _CHUNK, None])
+            i = d.argmin(axis=1)
+            wit[c : c + _CHUNK] = i
+            wit_d[c : c + _CHUNK] = d[np.arange(len(i)), i]
+        # row e: the samples that endpoint e, made a representative, would
+        # make stale, and its distance to every endpoint as a witness
+        hits = state_distance(ends_norm[:, :, None], samples[:, None, :]) <= reach
+        to_ends = state_distance(ends_norm[:, :, None], ends_norm[:, None, :])
+
+        row_of = dict(zip(idx.tolist(), range(m)))
+        ends = ends.tolist()
+        wit = wit.tolist()
+        wit_d = wit_d.tolist()
+        stale = np.zeros(k, dtype=bool)
+        # (column, distances to every endpoint) of each witness the batch appended
+        added = []
+        base = self.iterations_used
+        for j, (x_rand, u) in enumerate(draws):
+            self.iterations_used = base + j + 1
+            node = nodes[j]
+            if stale[j] or reps[pick[j]] is not node:
+                node = self.select(x_rand)
+                end = self.propagate_checked(node, u)
+                if end is None:
+                    continue
+                n_wit = len(reps)
+                new = self.try_insert(node, end, u)
+                if new is None:
+                    continue
+                norm = norm_state(new.state, cfg, params)
+                stale |= state_distance(norm, samples) <= reach
+                if len(reps) > n_wit:
+                    added.append((n_wit, state_distance(norm, ends_norm)))
+                continue
+            e = row_of.get(j)
+            if e is None:
+                continue
+            i = wit[e]
+            d_i = wit_d[e]
+            for col, dist in added:
+                if dist[e] < d_i:
+                    i = col
+                    d_i = dist[e]
+            near = i if d_i <= cfg.d_prune else None
+            if self.try_insert(node, tuple(ends[e]), u, near) is None:
+                continue
+            stale |= hits[e]
+            if near is None:
+                added.append((len(reps) - 1, to_ends[e]))
 
     def run(self) -> PlanResult:
         """Exhaust the remaining budget; seeding work done beforehand counts
-        through iterations_used (iteration mode) or the clock (wall mode)."""
+        through iterations_used (iteration mode) or the clock (wall mode).
+
+        The loop runs in batches of up to _BATCH iterations, and a wall-time
+        budget checks its deadline once per batch, so a query can overrun it
+        by up to one batch.
+        """
         cfg = self.config
         if (cfg.iteration_budget is None) == (cfg.query_time is None):
             raise ValueError("exactly one of iteration_budget and query_time must be set")
         if cfg.iteration_budget is not None:
             while self.iterations_used < cfg.iteration_budget:
-                self.run_iteration()
+                self._run_batch(min(_BATCH, cfg.iteration_budget - self.iterations_used))
         else:
             deadline = self._started + cfg.query_time
             while time.perf_counter() < deadline:
-                self.run_iteration()
+                self._run_batch(_BATCH)
         solved = self.best_trajectory is not None
         return PlanResult(
             solved=solved,

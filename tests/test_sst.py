@@ -1,6 +1,8 @@
 import gc
 import math
+import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from urbansst.sst import (
     TreeNode,
     is_state_valid,
     norm_state,
+    norm_states,
     normalize_angles,
     plan,
     sample_input,
@@ -90,6 +93,16 @@ class TestMetric:
         a = VehicleState(0, 0, math.pi - 0.02 * math.pi, 0)
         b = VehicleState(0, 0, -math.pi + 0.02 * math.pi, 0)
         assert planner_metric(a, b, self.CFG) == pytest.approx(0.02)
+
+    def test_norm_states_equal_norm_state(self, params):
+        rng = np.random.default_rng(19)
+        edges = [k * math.pi + e for k in range(-3, 4) for e in (0.0, 1e-15, -1e-15)]
+        th = np.concatenate((rng.uniform(-3 * math.pi, 3 * math.pi, 2000), edges))
+        rows = np.column_stack((rng.uniform(-20, 60, len(th)), rng.uniform(-15, 15, len(th)), th,
+                                rng.uniform(0, 6, len(th))))
+        got = norm_states(rows, self.CFG, params)
+        want = [norm_state(VehicleState(*row), self.CFG, params) for row in rows.tolist()]
+        assert got.T.tolist() == [list(n) for n in want]
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(5)
@@ -265,15 +278,15 @@ class TestPropagationKernel:
         tree, nodes = _scenario_tree(node_refs, monkeypatch, name, ego, t)
         assert len({node.t for node in nodes}) >= 10
         rng = np.random.default_rng(37)
+        # one kernel call for candidates from every node, in mixed order
+        starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 8)).tolist()]
+        a, delta = sample_inputs(tree.config, rng, tree.params, len(starts))
+        idx, ends = tree.propagate_batch(starts, a, delta)
+        got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
         outcomes = Counter()
-        for node in nodes:
-            a, delta = sample_inputs(tree.config, rng, tree.params, 8)
-            idx, ends = tree.propagate_batch(node, a, delta)
-            got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
-            for i, u in enumerate(map(ControlInput, a.tolist(), delta.tolist())):
-                expected = tree.propagate_checked(node, u)
-                assert got.get(i) == expected
-                outcomes[_propagation_oracle(tree, node, u)[1]] += 1
+        for i, (node, u) in enumerate(zip(starts, map(ControlInput, a.tolist(), delta.tolist()))):
+            assert got.get(i) == tree.propagate_checked(node, u)
+            outcomes[_propagation_oracle(tree, node, u)[1]] += 1
         assert min(outcomes[w] for w in ("road", "object", "valid")) >= 10, outcomes
 
 
@@ -302,6 +315,27 @@ class TestKernelExactness:
             f"host property: np.fmod with one 2 pi correction differs from math.remainder on {bad} of "
             f"{len(want)} angles, so the batched propagation kernel cannot match the scalar one on this host"
         )
+
+    def test_scaled_standard_normal_equals_normal(self):
+        scale = (0.8, 0.2)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            for m in (1, 2, 7, 64, 100):
+                got = 0.0 + np.multiply(scale, rng.standard_normal((m, 2)))
+                want = ref.normal(0.0, scale, size=(m, 2))
+                # bytes, so that the sign of a zero counts too
+                assert got.tobytes() == want.tobytes(), (
+                    f"host property: 0.0 + scale * standard_normal differs from normal(0.0, scale) at seed "
+                    f"{seed}, size {m}, so sample_inputs does not draw what rng.normal would"
+                )
+                got = np.array([0.0 + sigma * rng.standard_normal() for sigma in scale])
+                want = np.array([ref.normal(0.0, sigma) for sigma in scale])
+                assert got.tobytes() == want.tobytes(), (
+                    f"host property: 0.0 + sigma * standard_normal() differs from normal(0.0, sigma) at seed "
+                    f"{seed}, so sample_input does not draw what rng.normal would"
+                )
+                assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("a_bounds", [(-0.8, 0.8), (0.1, 0.15)])
     def test_sample_inputs_equal_scalar_draws(self, a_bounds):
@@ -393,25 +427,43 @@ class TestSelect:
                 assert picked_dist == pytest.approx(dists.min())
 
 
+def _assert_witnesses_sparse(tree):
+    """No two witnesses of the tree lie within d_prune of each other."""
+    norms = tree._table[:4, : len(tree._reps)].T
+    assert len(norms) == tree.n_witnesses
+    # chunked pairwise distances with heading wrap
+    d_prune = tree.config.d_prune
+    for i in range(0, len(norms), 512):
+        chunk = norms[i : i + 512]
+        dx = chunk[:, None, 0] - norms[None, :, 0]
+        dy = chunk[:, None, 1] - norms[None, :, 1]
+        dth = np.abs(chunk[:, None, 2] - norms[None, :, 2])
+        dth = np.minimum(dth, 1.0 - dth)
+        dv = chunk[:, None, 3] - norms[None, :, 3]
+        dist = np.sqrt(dx * dx + dy * dy + dth * dth + dv * dv)
+        # ignore self-distances on the diagonal block
+        np.fill_diagonal(dist[:, i : i + 512], np.inf)
+        assert dist.min() > d_prune
+
+
 class TestWitnessSparsity:
     def test_pairwise_separation(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=10_000)
-        norms = tree._table[:4, : len(tree._reps)].T
-        assert len(norms) == tree.n_witnesses
-        assert len(norms) > 100
-        # chunked pairwise distances with heading wrap
-        d_prune = tree.config.d_prune
-        for i in range(0, len(norms), 512):
-            chunk = norms[i : i + 512]
-            dx = chunk[:, None, 0] - norms[None, :, 0]
-            dy = chunk[:, None, 1] - norms[None, :, 1]
-            dth = np.abs(chunk[:, None, 2] - norms[None, :, 2])
-            dth = np.minimum(dth, 1.0 - dth)
-            dv = chunk[:, None, 3] - norms[None, :, 3]
-            dist = np.sqrt(dx * dx + dy * dy + dth * dth + dv * dv)
-            # ignore self-distances on the diagonal block
-            np.fill_diagonal(dist[:, i : i + 512], np.inf)
-            assert dist.min() > d_prune
+        assert tree.n_witnesses > 100
+        _assert_witnesses_sparse(tree)
+
+    def test_wall_time_budget(self, monkeypatch):
+        # a wall-time budget checks its deadline once per batch of the main loop
+        sc = load_scenario(SCENARIO_DIR / "scenario_iv_vru_steering.json")
+        trees = []
+        run = PlannerTree.run
+        monkeypatch.setattr(PlannerTree, "run", lambda tree: trees.append(tree) or run(tree))
+        grid = build_scenario_grid(sc)
+        started = time.perf_counter()
+        result = plan_query(sc, "base", grid, VehicleState(47.0, 0.0, 0.0, 5.0), 6.0, (0, 0), budget=("time", 0.05))
+        assert time.perf_counter() - started < 5.0
+        assert result.iterations > 0 and result.n_witnesses == trees[0].n_witnesses > 1
+        _assert_witnesses_sparse(trees[0])
 
     def test_active_reps_only(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=5_000)
@@ -520,6 +572,70 @@ class TestPlan:
         assert result.solved
         assert result.cost == 0.0
         assert len(result.trajectory.samples) == 1
+
+
+def _run_sequentially(tree):
+    """The main loop one iteration at a time: the oracle of PlannerTree.run's batches."""
+    cfg, params, rng = tree.config, tree.params, tree.rng
+    while tree.iterations_used < cfg.iteration_budget:
+        tree.iterations_used += 1
+        x_rand = sample_state(cfg, rng, params)
+        node = tree.select(x_rand)
+        u = sample_input(cfg, rng, params)
+        end = tree.propagate_checked(node, u)
+        if end is not None:
+            tree.try_insert(node, end, u)
+
+
+class TestBatchedLoop:
+    @pytest.mark.parametrize("d_near", [0.2, 1.0])
+    @pytest.mark.parametrize("mode", ["base", "dki"])
+    @pytest.mark.parametrize(
+        "name, ego, t",
+        [
+            ("scenario_ii_static_overtake.json", VehicleState(22.0, 0.0, 0.0, 5.0), 0.0),
+            ("scenario_iii_roundabout.json", None, 0.0),
+            ("scenario_iv_vru_steering.json", VehicleState(47.0, 0.0, 0.0, 5.0), 6.0),
+        ],
+    )
+    def test_equals_sequential_loop(self, monkeypatch, name, ego, t, mode, d_near):
+        sc = load_scenario(SCENARIO_DIR / name)
+        sc = replace(sc, planner=replace(sc.planner, d_near=d_near))
+        grid = build_scenario_grid(sc)
+        trees = []
+        run = PlannerTree.run
+        select = PlannerTree.select
+        selects = Counter()
+
+        def counted_select(tree, x_rand):
+            selects[len(trees)] += 1
+            return select(tree, x_rand)
+
+        def grow(tree):
+            trees.append(tree)
+            if len(trees) == 2:
+                _run_sequentially(tree)
+            return run(tree)
+
+        monkeypatch.setattr(PlannerTree, "run", grow)
+        monkeypatch.setattr(PlannerTree, "select", counted_select)
+        # a budget that is not a multiple of the batch size; dki seeding
+        # spends up to 1 400 of it
+        batched, sequential = (
+            plan_query(sc, mode, grid, ego or sc.ego_state, t, (0, 0), budget=("iters", 3037)) for _ in range(2)
+        )
+        assert (batched.iterations, batched.n_nodes, batched.n_witnesses) == (
+            sequential.iterations, sequential.n_nodes, sequential.n_witnesses,
+        )
+        assert batched.cost_history == sequential.cost_history
+        assert batched.trajectory == sequential.trajectory
+        a, b = trees
+        w = a.n_witnesses
+        assert a._table[:, :w].tobytes() == b._table[:, :w].tobytes()
+        assert [(r.state, r.t, r.cost) for r in a._reps] == [(r.state, r.t, r.cost) for r in b._reps]
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        # the batched loop redid some of its picks through the scalar path
+        assert selects[1] > 0
 
 
 class TestPruning:
