@@ -11,7 +11,9 @@ them first, selects, propagates (in one numpy kernel with a start node per
 candidate) and looks up witnesses for all of them against the tree as it
 stood at batch start, then commits the results in order and redoes on its
 own, through the scalar path, each iteration that an earlier commit of
-the batch may have changed.
+the batch may have changed. The scalar path integrates with vehicle.step
+and checks each substate with the one validity predicate that
+is_state_valid also applies; the kernel repeats both, bit for bit.
 
 The state-space metric is Euclidean over components normalized by the
 sampling-bound extents (wrap-aware in heading), so that the unitless
@@ -38,6 +40,7 @@ from .vehicle import (
     VehicleParams,
     VehicleState,
     normalize_angle,
+    step,
     substep_count,
 )
 
@@ -229,16 +232,20 @@ def is_state_valid(
     config: PlannerConfig,
     params: VehicleParams,
 ) -> bool:
-    if not (config.x_bounds[0] <= s.x <= config.x_bounds[1]):
-        return False
-    if not (config.y_bounds[0] <= s.y <= config.y_bounds[1]):
-        return False
-    if not (params.v_bounds[0] - 1e-9 <= s.v <= params.v_bounds[1] + 1e-9):
-        return False
-    if grid.lookup(s.x, s.y) >= grid.p_invalid:
-        return False
-    poses = PoseMemo(world, params.length, params.width).at(t)
-    return object_hit(s.x, s.y, s.theta, params.length, params.width, poses) is None
+    return _valid(s, grid, PoseMemo(world, params.length, params.width).at(t), config, params)
+
+
+def _valid(s: VehicleState, grid: PenaltyGrid, poses, config: PlannerConfig, params: VehicleParams) -> bool:
+    """The validity rule: s lies in the sampling bounds and the vehicle's
+    speed range, on a grid cell below p_invalid, and overlaps no object
+    posed as in poses (one PoseMemo entry)."""
+    return (
+        config.x_bounds[0] <= s.x <= config.x_bounds[1]
+        and config.y_bounds[0] <= s.y <= config.y_bounds[1]
+        and params.v_bounds[0] - 1e-9 <= s.v <= params.v_bounds[1] + 1e-9
+        and grid.lookup(s.x, s.y) < grid.p_invalid
+        and object_hit(s.x, s.y, s.theta, params.length, params.width, poses) is None
+    )
 
 
 class TreeNode:
@@ -323,7 +330,7 @@ class PlannerTree:
         self._table = np.empty((9, 1024))
         self._reps: list = []
 
-        if not is_state_valid(start, start_time, grid, world, config, params):
+        if not _valid(start, grid, self._poses.at(start_time), config, params):
             raise InvalidStartError("start state is invalid")
         scw = self._state_cost_w(start.x, start.y, start.v, start_time)
         self.root = TreeNode(start, start_time, None, None, 0.0, scw)
@@ -395,56 +402,12 @@ class PlannerTree:
         invalid at its own absolute timestamp.
         """
         cfg = self.config
-        p = self.params
-        grid = self.grid
-        cells = grid.cells
-        gx0 = grid.origin.x
-        gy0 = grid.origin.y
-        res = grid.resolution
-        n_cols = grid.n_cols
-        n_rows = grid.n_rows
-        p_invalid = grid.p_invalid
-        x_lo, x_hi = cfg.x_bounds
-        y_lo, y_hi = cfg.y_bounds
-        v_lo, v_hi = p.v_bounds
-        wheelbase = p.wheelbase
-        ts = cfg.t_step
-        a = u.a
-        tan_d = math.tan(u.delta)
-        ego_l = p.length
-        ego_w = p.width
-        steps = self._substep_poses(node.t)[0] if self.world.objects else None
-
         s = node.state
-        x = s.x
-        y = s.y
-        th = s.theta
-        v = s.v
-        for k in range(self._n_sub):
-            tv = ts * v
-            x = x + tv * math.cos(th)
-            y = y + tv * math.sin(th)
-            # normalize_angle inlined: the same operations, without a call
-            th = math.remainder(th + ts * (v / wheelbase) * tan_d, _TWO_PI)
-            if th <= -math.pi:
-                th += _TWO_PI
-            v = v + ts * a
-            if v < v_lo:
-                v = v_lo
-            elif v > v_hi:
-                v = v_hi
-            if x < x_lo or x > x_hi or y < y_lo or y > y_hi:
+        for poses in self._substep_poses(node.t)[0]:
+            s = step(s, u, cfg.t_step, self.params)
+            if not _valid(s, self.grid, poses, cfg, self.params):
                 return None
-            # the cell rule of PenaltyGrid.lookup, inlined
-            col = int((x - gx0) / res)
-            row = int((y - gy0) / res)
-            if x < gx0 or y < gy0 or col >= n_cols or row >= n_rows:
-                return None
-            if cells[row, col] >= p_invalid:
-                return None
-            if steps is not None and object_hit(x, y, th, ego_l, ego_w, steps[k]) is not None:
-                return None
-        return (x, y, th, v)
+        return (s.x, s.y, s.theta, s.v)
 
     def propagate_batch(self, nodes: list, a: np.ndarray, delta: np.ndarray):
         """propagate_checked for the inputs (a[i], delta[i]) from nodes[i], at once.
@@ -456,8 +419,9 @@ class PlannerTree:
         np.sin and np.cos give math's results, np.tan does not, so the
         tangent comes from math once per candidate, and the heading wraps by
         exact fmod steps to math.remainder's value. Object poses come from
-        the memo entry of each candidate's start time. Candidates are
-        dropped as they fail.
+        the memo entry of each candidate's start time. A candidate that
+        fails is masked: it keeps integrating, but no later check reads its
+        cell or its objects, and its row is not returned.
         """
         cfg = self.config
         p = self.params
@@ -487,8 +451,7 @@ class PlannerTree:
             steps = [self._substep_poses(t) for t in times]
             xyr = np.stack([entry[1] for entry in steps])
 
-        n = len(a)
-        idx = np.arange(n)
+        ok = np.ones(len(a), dtype=bool)
         tan_d = np.array([math.tan(d) for d in delta.tolist()])
         dv = ts * a
         x, y, th, v = np.array([(s.x, s.y, s.theta, s.v) for s in (node.state for node in nodes)]).T
@@ -501,7 +464,7 @@ class PlannerTree:
             # the cell rule of PenaltyGrid.lookup; int() and astype both truncate
             col = ((x - gx0) / res).astype(np.intp)
             row = ((y - gy0) / res).astype(np.intp)
-            ok = (x >= x_min) & (x <= x_hi) & (y >= y_min) & (y <= y_hi) & (col < n_cols) & (row < n_rows)
+            ok &= (x >= x_min) & (x <= x_hi) & (y >= y_min) & (y <= y_hi) & (col < n_cols) & (row < n_rows)
             ok &= cells[np.where(ok, row * n_cols + col, 0)] < p_invalid
             if steps is not None:
                 at_k = xyr[slot, k]
@@ -516,18 +479,8 @@ class PlannerTree:
                             ox, oy, oth, obj.length, obj.width,
                         ):
                             ok[i] = False
-            keep = ok.nonzero()[0]
-            if len(keep) < len(ok):
-                idx = idx[keep]
-                x = x[keep]
-                y = y[keep]
-                th = th[keep]
-                v = v[keep]
-                tan_d = tan_d[keep]
-                dv = dv[keep]
-                if steps is not None:
-                    slot = slot[keep]
-        return idx, np.column_stack((x, y, th, v))
+        idx = ok.nonzero()[0]
+        return idx, np.column_stack((x, y, th, v))[idx]
 
     def try_insert(self, parent: TreeNode, endpoint, u: ControlInput, near=_LOOK_UP) -> Optional[TreeNode]:
         """Witness-gated insertion of a propagation endpoint.

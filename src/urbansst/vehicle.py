@@ -39,11 +39,14 @@ class VehicleParams:
     delta_bounds: tuple = (-0.4, 0.4)
 
     def __post_init__(self) -> None:
-        if self.wheelbase <= 0.0:
-            raise ValueError("wheelbase must be positive")
+        if self.wheelbase <= 0.0 or self.length <= 0.0 or self.width <= 0.0:
+            raise ValueError("wheelbase, length and width must be positive")
         for lo, hi in (self.v_bounds, self.a_bounds, self.delta_bounds):
             if lo > hi:
                 raise ValueError("bounds must be ordered (min, max)")
+        # the planner metric divides by the speed range
+        if self.v_bounds[0] == self.v_bounds[1]:
+            raise ValueError("v_bounds must span a range: v_min must be < v_max")
         if self.v_bounds[0] < 0.0:
             raise ValueError("reverse driving is unsupported: v_min must be >= 0")
 
@@ -79,10 +82,17 @@ def step(s: VehicleState, u: ControlInput, ts: float, p: VehicleParams) -> Vehic
     return VehicleState(x, y, theta, v)
 
 
+# Integration steps one propagation may take; the shipped scenarios take 10.
+_MAX_SUBSTEPS = 1000
+
+
 def substep_count(tp: float, ts: float) -> int:
-    """Number of integration steps in a propagation; rejects non-multiples."""
+    """Number of integration steps in a propagation; rejects non-multiples and more than _MAX_SUBSTEPS."""
     if ts <= 0.0 or tp <= 0.0:
         raise ValueError("time steps must be positive")
+    # also rejects a ratio that overflows to infinity, which round() cannot take
+    if not tp / ts < _MAX_SUBSTEPS + 0.5:
+        raise ValueError(f"propagation time {tp} takes more than {_MAX_SUBSTEPS} steps of {ts}")
     n = round(tp / ts)
     if n < 1 or abs(n * ts - tp) > 1e-9 * max(tp, ts):
         raise ValueError(f"propagation time {tp} is not an integer multiple of {ts}")

@@ -133,6 +133,9 @@ class TestPlan:
             ("ego.params.v_bounds=5", "ego.params.v_bounds"),
             ('ego.params.a_bounds=["a",1]', "ego.params.a_bounds"),
             ("ego.params.v_bounds=[0,NaN]", "ego.params.v_bounds"),
+            ("ego.params.v_bounds=[5,5]", "ego.params"),
+            ("ego.params.length=-1", "ego.params"),
+            ("ego.params.width=0", "ego.params"),
             ("planner.d_prunee=0.1", "planner.d_prunee"),
             ("dki.n_candidatez=3", "dki.n_candidatez"),
             ("bogus.x=1", "bogus"),
@@ -152,6 +155,7 @@ class TestPlan:
             ("planner.query_time=0", "planner: a zero budget"),
             ("planner.query_time=-1", "planner: query_time"),
             ("planner.query_time=Infinity", "planner.query_time"),
+            ("planner.t_step=1e-300", "planner"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):

@@ -50,9 +50,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PlannerConfig(iteration_budget=10, metric_xy_scale=-1.0)
 
-    def test_step_must_divide_propagation(self):
+    @pytest.mark.parametrize("t_prop, t_step", [(0.4, 0.3), (0.4, 0.0002), (0.4, 1e-300), (0.4, 1e-320)])
+    def test_step_must_divide_propagation(self, t_prop, t_step):
+        # a multiple of t_step is still rejected beyond 1 000 substeps
         with pytest.raises(ValueError):
-            PlannerConfig(iteration_budget=10, t_prop=0.4, t_step=0.3)
+            PlannerConfig(iteration_budget=10, t_prop=t_prop, t_step=t_step)
 
     @pytest.mark.parametrize(
         "budget", [dict(iteration_budget=-1), dict(query_time=-1.0), dict(query_time=math.inf),
@@ -363,15 +365,15 @@ class TestGridCells:
             VehicleState(0.1, 0.0, 0.0, 0.0), 0.0, straight_goal, grid, empty_world, cfg, weights, params,
             np.random.default_rng(0),
         )
-        n_valid = 0
-        for k in range(n_cols):
-            s = VehicleState(k * res, 0.0, 0.0, 0.0)
-            valid = is_state_valid(s, 0.0, grid, empty_world, cfg, params)
-            # at v = 0 a zero input leaves every substate at s
-            end = tree.propagate_checked(TreeNode(s, 0.0, None, None, 0.0, 0.0), ControlInput(0.0, 0.0))
-            assert (end is not None) == valid, k
-            n_valid += valid
-        assert 200 < n_valid < n_cols - 200
+        nodes = [TreeNode(VehicleState(k * res, 0.0, 0.0, 0.0), 0.0, None, None, 0.0, 0.0) for k in range(n_cols)]
+        valid = [is_state_valid(node.state, 0.0, grid, empty_world, cfg, params) for node in nodes]
+        assert 200 < sum(valid) < n_cols - 200
+        # at v = 0 a zero input leaves every substate at its start
+        ends = [tree.propagate_checked(node, ControlInput(0.0, 0.0)) for node in nodes]
+        assert [end is not None for end in ends] == valid
+        # the kernel, with every cell-edge state in one call
+        idx, _ = tree.propagate_batch(nodes, np.zeros(n_cols), np.zeros(n_cols))
+        assert idx.tolist() == np.flatnonzero(valid).tolist()
 
 
 def _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget, seed=0):
