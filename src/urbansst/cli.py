@@ -86,9 +86,8 @@ def cmd_plan(args) -> int:
     if result.solved:
         lines = ["t,x,y,theta,v,a,delta"]
         for s in result.trajectory.samples:
-            a = repr(s.input.a) if s.input else ""
-            d = repr(s.input.delta) if s.input else ""
-            lines.append(f"{s.t!r},{s.state.x!r},{s.state.y!r},{s.state.theta!r},{s.state.v!r},{a},{d}")
+            u = map(repr, s.input) if s.input else ("", "")
+            lines.append(",".join((repr(s.t), *map(repr, s.state), *u)))
         _atomic_write(out / "trajectory.csv", "\n".join(lines) + "\n")
         return 0
     return 2

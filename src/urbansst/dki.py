@@ -87,7 +87,7 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int
         ends = ends.tolist()
         dists = [math.hypot(x - target.x, y - target.y) for x, y, _, _ in ends]
         j = dists.index(min(dists))
-        best_end = tuple(ends[j])
+        best_end = VehicleState(*ends[j])
         i = int(idx[j])
         best_u = ControlInput(float(a[i]), float(delta[i]))
         node = tree.try_insert(tip, best_end, best_u)
@@ -95,7 +95,7 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int
             # The corridor is already held by a cheaper node (typically the
             # previous-solution branch); continue the march from that
             # representative instead of abandoning the branch.
-            node = tree.representative_near(VehicleState(*best_end))
+            node = tree.representative_near(best_end)
             if node is None or node in visited:
                 break
         else:

@@ -43,6 +43,13 @@ class ScenarioError(ValueError):
     """Scenario file failed parsing or semantic validation."""
 
 
+def _chance_within(bounds: tuple, sigma: float) -> float:
+    """P(lo <= X <= hi) for X ~ N(0, sigma^2) and bounds (lo, hi)."""
+    lo, hi = bounds
+    s = sigma * math.sqrt(2.0)
+    return 0.5 * (math.erf(hi / s) - math.erf(lo / s))
+
+
 @dataclass
 class Scenario:
     name: str
@@ -72,6 +79,18 @@ class Scenario:
             raise ScenarioError("grid.p_invalid: must not exceed grid.p_max")
         if self.sampling_margin < 0.0:
             raise ScenarioError("sim.sampling_margin: must not be negative")
+        # sst.sample_input redraws (a, delta) until both lie in their bounds:
+        # below a chance of 1e-3 per draw (over a thousand redraws per input)
+        # the planner in effect hangs. An inverse-CDF sampler of the truncated
+        # Gaussian would never redraw and make this check unneeded.
+        chances = {
+            "a_bounds": _chance_within(self.ego_params.a_bounds, self.planner.sigma_a),
+            "delta_bounds": _chance_within(self.ego_params.delta_bounds, self.planner.sigma_delta),
+        }
+        accept = chances["a_bounds"] * chances["delta_bounds"]
+        if accept < 1e-3:
+            name = min(chances, key=chances.get)
+            raise ScenarioError(f"ego.params.{name}: input draws fall in bounds with chance {accept:.3g} < 0.001")
 
 
 # Scenario fields that the goal, grid and sim sections set: field -> (section, key)
@@ -145,6 +164,12 @@ def _numbers(value, n: int, where: str) -> tuple:
     return tuple(_check(v, float, where) for v in value)
 
 
+def _lane_id(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where}: expected a lane id string, got {value!r}")
+    return value
+
+
 def _read(value, kind, where: str):
     """value as a field of declared type `kind`: a finite float or int, a
     pair of finite floats for a tuple, or None where it is Optional."""
@@ -191,26 +216,21 @@ def scenario_from_dict(data: dict) -> Scenario:
             if not isinstance(ld, dict):
                 raise ScenarioError(f"{where}: expected an object")
             _known(ld, ("id", "width", "centerline", "successors"), f"{where}.")
+            lane_id = _lane_id(ld.get("id"), f"{where}.id")
             width = _num(ld, "width", _REQUIRED, f"{where}.")
             centerline = [
                 _numbers(p, 2, f"{where}.centerline[{j}]")
                 for j, p in enumerate(_items(ld, "centerline", f"{where}."))
             ]
+            successors = [
+                _lane_id(s, f"{where}.successors[{j}]")
+                for j, s in enumerate(_items(ld, "successors", f"{where}."))
+            ]
             try:
-                lanes.append(
-                    Lane(
-                        id=str(ld["id"]),
-                        width=width,
-                        centerline=centerline,
-                        successors=[str(s) for s in ld.get("successors", [])],
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                lanes.append(Lane(id=lane_id, width=width, centerline=centerline, successors=successors))
+            except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
-        route = _items(road_sec, "route", "road.")
-        for j, lid in enumerate(route):
-            if not isinstance(lid, str):
-                raise ScenarioError(f"road.route[{j}]: expected a lane id string, got {lid!r}")
+        route = [_lane_id(lid, f"road.route[{j}]") for j, lid in enumerate(_items(road_sec, "route", "road."))]
         try:
             road = RoadNetwork(lanes, route)
         except ValueError as exc:
@@ -580,10 +600,7 @@ def _trajectory_to_dict(traj: Optional[Trajectory]) -> Optional[list]:
     return [
         {
             "t": s.t,
-            "x": s.state.x,
-            "y": s.state.y,
-            "theta": s.state.theta,
-            "v": s.state.v,
+            **s.state._asdict(),
             "a": s.input.a if s.input else None,
             "delta": s.input.delta if s.input else None,
         }
@@ -602,12 +619,7 @@ def simlog_to_dict(log: SimLog) -> dict:
             {
                 "index": tick.index,
                 "t": tick.t,
-                "state": {
-                    "x": tick.state.x,
-                    "y": tick.state.y,
-                    "theta": tick.state.theta,
-                    "v": tick.state.v,
-                },
+                "state": tick.state._asdict(),
                 "solved": tick.solved,
                 "fallback": tick.fallback,
                 "cost": tick.cost if math.isfinite(tick.cost) else None,

@@ -12,8 +12,8 @@ candidate) and looks up witnesses for all of them against the tree as it
 stood at batch start, then commits the results in order and redoes on its
 own, through the scalar path, each iteration that an earlier commit of
 the batch may have changed. The scalar path integrates with vehicle.step
-and checks each substate with the one validity predicate that
-is_state_valid also applies; the kernel repeats both, bit for bit.
+and checks each substate with _valid, the one validity predicate, which
+the start check also applies; the kernel repeats both, bit for bit.
 
 The state-space metric is Euclidean over components normalized by the
 sampling-bound extents (wrap-aware in heading), so that the unitless
@@ -30,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from .cost import CostWeights, edge_cost, state_cost
-from .geometry import obb_overlap
 from .objects import PoseMemo, WorldModel, clearance_cost, object_hit
 from .road import GoalRegion, PenaltyGrid
 from .vehicle import (
@@ -111,7 +110,8 @@ class PlannerConfig:
 
 def norm_state(s: VehicleState, config: PlannerConfig, params: VehicleParams) -> tuple:
     """State in the planner's normalized space; heading maps onto [0, 1)."""
-    return _normalized(s.x, s.y, normalize_angle(s.theta), s.v, config, params)
+    x, y, theta, v = s
+    return _normalized(x, y, normalize_angle(theta), v, config, params)
 
 
 def norm_states(rows: np.ndarray, config: PlannerConfig, params: VehicleParams) -> np.ndarray:
@@ -224,27 +224,17 @@ def sample_inputs(config: PlannerConfig, rng: np.random.Generator, params: Vehic
     return ad[:, 0], ad[:, 1]
 
 
-def is_state_valid(
-    s: VehicleState,
-    t: float,
-    grid: PenaltyGrid,
-    world: WorldModel,
-    config: PlannerConfig,
-    params: VehicleParams,
-) -> bool:
-    return _valid(s, grid, PoseMemo(world, params.length, params.width).at(t), config, params)
-
-
 def _valid(s: VehicleState, grid: PenaltyGrid, poses, config: PlannerConfig, params: VehicleParams) -> bool:
     """The validity rule: s lies in the sampling bounds and the vehicle's
     speed range, on a grid cell below p_invalid, and overlaps no object
     posed as in poses (one PoseMemo entry)."""
+    x, y, theta, v = s
     return (
-        config.x_bounds[0] <= s.x <= config.x_bounds[1]
-        and config.y_bounds[0] <= s.y <= config.y_bounds[1]
-        and params.v_bounds[0] - 1e-9 <= s.v <= params.v_bounds[1] + 1e-9
-        and grid.lookup(s.x, s.y) < grid.p_invalid
-        and object_hit(s.x, s.y, s.theta, params.length, params.width, poses) is None
+        config.x_bounds[0] <= x <= config.x_bounds[1]
+        and config.y_bounds[0] <= y <= config.y_bounds[1]
+        and params.v_bounds[0] - 1e-9 <= v <= params.v_bounds[1] + 1e-9
+        and grid.lookup(x, y) < grid.p_invalid
+        and object_hit(x, y, theta, params.length, params.width, poses) is None
     )
 
 
@@ -398,8 +388,8 @@ class PlannerTree:
     def propagate_checked(self, node: TreeNode, u: ControlInput):
         """Propagate a constant input from a node, validating every substate.
 
-        Returns the endpoint (x, y, theta, v) or None if any substate is
-        invalid at its own absolute timestamp.
+        Returns the end state or None if any substate is invalid at its own
+        absolute timestamp.
         """
         cfg = self.config
         s = node.state
@@ -407,21 +397,22 @@ class PlannerTree:
             s = step(s, u, cfg.t_step, self.params)
             if not _valid(s, self.grid, poses, cfg, self.params):
                 return None
-        return (s.x, s.y, s.theta, s.v)
+        return s
 
     def propagate_batch(self, nodes: list, a: np.ndarray, delta: np.ndarray):
         """propagate_checked for the inputs (a[i], delta[i]) from nodes[i], at once.
 
         Returns the indices of the candidates whose every substate is valid,
-        in candidate order, and their endpoints as rows (x, y, theta, v) of a
-        float array; each row is bit for bit what propagate_checked returns.
+        in candidate order, and their end states as rows (x, y, theta, v) of
+        a float array; each row is bit for bit what propagate_checked returns.
         The kernel keeps the scalar path's float operations in their order:
         np.sin and np.cos give math's results, np.tan does not, so the
         tangent comes from math once per candidate, and the heading wraps by
         exact fmod steps to math.remainder's value. Object poses come from
-        the memo entry of each candidate's start time. A candidate that
-        fails is masked: it keeps integrating, but no later check reads its
-        cell or its objects, and its row is not returned.
+        the memo entry of each candidate's start time; one circle test over
+        all objects passes the candidates that object_hit then checks. A
+        candidate that fails is masked: it keeps integrating, but no later
+        check reads its cell or its objects, and its row is not returned.
         """
         cfg = self.config
         p = self.params
@@ -441,8 +432,6 @@ class PlannerTree:
         v_lo, v_hi = p.v_bounds
         wheelbase = p.wheelbase
         ts = cfg.t_step
-        ego_l = p.length
-        ego_w = p.width
         steps = None
         if self.world.objects:
             # slot[i]: the index of candidate i's start time in steps
@@ -454,7 +443,7 @@ class PlannerTree:
         ok = np.ones(len(a), dtype=bool)
         tan_d = np.array([math.tan(d) for d in delta.tolist()])
         dv = ts * a
-        x, y, th, v = np.array([(s.x, s.y, s.theta, s.v) for s in (node.state for node in nodes)]).T
+        x, y, th, v = np.array([node.state for node in nodes]).T
         for k in range(self._n_sub):
             tv = ts * v
             x = x + tv * np.cos(th)
@@ -468,34 +457,29 @@ class PlannerTree:
             ok &= cells[np.where(ok, row * n_cols + col, 0)] < p_invalid
             if steps is not None:
                 at_k = xyr[slot, k]
-                for o in range(at_k.shape[1]):
-                    dx = at_k[:, o, 0] - x
-                    dy = at_k[:, o, 1] - y
-                    near = (dx * dx + dy * dy <= at_k[:, o, 2]) & ok
-                    for i in near.nonzero()[0].tolist():
-                        ox, oy, oth, obj, _ = steps[slot[i]][0][k][o]
-                        if obb_overlap(
-                            float(x[i]), float(y[i]), float(th[i]), ego_l, ego_w,
-                            ox, oy, oth, obj.length, obj.width,
-                        ):
-                            ok[i] = False
+                dx = at_k[:, :, 0] - x[:, None]
+                dy = at_k[:, :, 1] - y[:, None]
+                near = (dx * dx + dy * dy <= at_k[:, :, 2]).any(axis=1) & ok
+                for i in near.nonzero()[0].tolist():
+                    entry = steps[slot[i]][0][k]
+                    if object_hit(float(x[i]), float(y[i]), float(th[i]), p.length, p.width, entry) is not None:
+                        ok[i] = False
         idx = ok.nonzero()[0]
         return idx, np.column_stack((x, y, th, v))[idx]
 
-    def try_insert(self, parent: TreeNode, endpoint, u: ControlInput, near=_LOOK_UP) -> Optional[TreeNode]:
-        """Witness-gated insertion of a propagation endpoint.
+    def try_insert(self, parent: TreeNode, state: VehicleState, u: ControlInput, near=_LOOK_UP) -> Optional[TreeNode]:
+        """Witness-gated insertion of a propagation's end state.
 
-        near is the index of the endpoint's nearest witness if that lies
+        near is the index of the state's nearest witness if that lies
         within d_prune, else None; by default it is looked up in the table.
         """
-        x, y, th, v = endpoint
+        x, y, _, v = state
+        x0, y0, _, _ = parent.state
         t_new = parent.t + self.config.t_prop
         scw = self._state_cost_w(x, y, v, t_new)
-        s0 = parent.state
         cost = parent.cost + edge_cost(
-            self.weights, s0.x, s0.y, parent.state_cost_w, x, y, scw, self.config.t_prop
+            self.weights, x0, y0, parent.state_cost_w, x, y, scw, self.config.t_prop
         )
-        state = VehicleState(x, y, th, v)
         norm = norm_state(state, self.config, self.params)
         i = self._nearest_witness(norm) if near is _LOOK_UP else near
         if i is not None and cost >= self._table[_COST, i]:
@@ -553,7 +537,8 @@ class PlannerTree:
         rng = self.rng
         reps = self._reps
         draws = [(sample_state(cfg, rng, params), sample_input(cfg, rng, params)) for _ in range(k)]
-        samples = norm_states(np.array([(s.x, s.y, s.theta, s.v) for s, _ in draws]), cfg, params)
+        states, inputs = zip(*draws)
+        samples = norm_states(np.array(states), cfg, params)
 
         table = self._table[:, : len(reps)]
         pick = np.empty(k, np.intp)
@@ -570,8 +555,7 @@ class PlannerTree:
         pick = pick.tolist()
         nodes = [reps[i] for i in pick]
 
-        a = np.array([u.a for _, u in draws])
-        delta = np.array([u.delta for _, u in draws])
+        a, delta = np.array(inputs).T
         idx, ends = self.propagate_batch(nodes, a, delta)
         m = len(idx)
         ends_norm = norm_states(ends, cfg, params)
@@ -622,7 +606,7 @@ class PlannerTree:
                     i = col
                     d_i = dist[e]
             near = i if d_i <= cfg.d_prune else None
-            if self.try_insert(node, tuple(ends[e]), u, near) is None:
+            if self.try_insert(node, VehicleState(*ends[e]), u, near) is None:
                 continue
             stale |= hits[e]
             if near is None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 def normalize_angle(theta: float) -> float:
@@ -15,16 +15,14 @@ def normalize_angle(theta: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(NamedTuple):
     x: float
     y: float
     theta: float
     v: float
 
 
-@dataclass(frozen=True)
-class ControlInput:
+class ControlInput(NamedTuple):
     a: float
     delta: float
 
@@ -51,8 +49,7 @@ class VehicleParams:
             raise ValueError("reverse driving is unsupported: v_min must be >= 0")
 
 
-@dataclass(frozen=True)
-class TimedState:
+class TimedState(NamedTuple):
     state: VehicleState
     t: float
     input: Optional[ControlInput] = None
@@ -70,10 +67,12 @@ def step(s: VehicleState, u: ControlInput, ts: float, p: VehicleParams) -> Vehic
     re-normalized; sampled accelerations may otherwise push v out of range
     mid-propagation.
     """
-    x = s.x + ts * s.v * math.cos(s.theta)
-    y = s.y + ts * s.v * math.sin(s.theta)
-    theta = normalize_angle(s.theta + ts * (s.v / p.wheelbase) * math.tan(u.delta))
-    v = s.v + ts * u.a
+    x, y, theta, v0 = s
+    a, delta = u
+    x += ts * v0 * math.cos(theta)
+    y += ts * v0 * math.sin(theta)
+    theta = normalize_angle(theta + ts * (v0 / p.wheelbase) * math.tan(delta))
+    v = v0 + ts * a
     v_min, v_max = p.v_bounds
     if v < v_min:
         v = v_min

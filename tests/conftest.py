@@ -8,7 +8,7 @@ import pytest
 
 from urbansst import sst
 from urbansst.cost import CostWeights
-from urbansst.objects import WorldModel
+from urbansst.objects import PoseMemo, WorldModel
 from urbansst.road import Lane, RoadNetwork, build_penalty_grid, compute_goal_region
 from urbansst.sst import PlannerConfig
 from urbansst.vehicle import VehicleParams, VehicleState
@@ -71,6 +71,11 @@ def wrap_dist(a, b):
         dth = 1.0 - dth
     dv = a[3] - b[3]
     return math.sqrt(dx * dx + dy * dy + dth * dth + dv * dv)
+
+
+def is_state_valid(s, t, grid, world, config, params):
+    """The planner's validity rule for s at time t, over a fresh PoseMemo."""
+    return sst._valid(s, grid, PoseMemo(world, params.length, params.width).at(t), config, params)
 
 
 def make_planner_config(budget=2000, **kw):

@@ -20,10 +20,10 @@ from urbansst.sim import (
     load_scenario,
     run_closed_loop,
 )
-from urbansst.sst import PlannerTree, is_state_valid, norm_state, plan, sample_state
+from urbansst.sst import PlannerTree, norm_state, plan, sample_state
 from urbansst.vehicle import ControlInput, VehicleState, propagate
 
-from conftest import SCENARIO_DIR, live_nodes, make_straight_net, wrap_dist
+from conftest import SCENARIO_DIR, is_state_valid, live_nodes, make_straight_net, wrap_dist
 
 SEEDS = list(range(10))
 

@@ -149,6 +149,11 @@ class TestPlan:
             ("road.route=5", "road.route"),
             ("road.route=[5]", "road.route[0]"),
             ('objects.0.type="bike"', "objects[0].type"),
+            ("road.lanes.0.id=7", "road.lanes[0].id"),
+            ('road.lanes.0.successors="text"', "road.lanes[0].successors"),
+            ("road.lanes.0.successors=[1]", "road.lanes[0].successors[0]"),
+            ("ego.params.a_bounds=[0,0]", "ego.params.a_bounds"),
+            ("ego.params.delta_bounds=[2,3]", "ego.params.delta_bounds"),
             ("objects.0.type=[1]", "objects[0].type"),
             ("planner.iteration_budget=-5", "planner: iteration_budget"),
             ("planner.iteration_budget=0", "planner: a zero budget"),

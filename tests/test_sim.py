@@ -58,7 +58,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "route": list(sc.road.route),
         },
         "ego": {
-            "state": asdict(sc.ego_state),
+            "state": sc.ego_state._asdict(),
             "params": asdict(sc.ego_params),
         },
         "objects": [

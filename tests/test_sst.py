@@ -15,7 +15,6 @@ from urbansst.sst import (
     PlannerConfig,
     PlannerTree,
     TreeNode,
-    is_state_valid,
     norm_state,
     norm_states,
     normalize_angles,
@@ -28,7 +27,7 @@ from urbansst.sst import (
 from urbansst.sim import build_scenario_grid, load_scenario, plan_query
 from urbansst.vehicle import ControlInput, VehicleParams, VehicleState, normalize_angle, propagate
 
-from conftest import SCENARIO_DIR, live_nodes, make_planner_config, wrap_dist
+from conftest import SCENARIO_DIR, is_state_valid, live_nodes, make_planner_config, wrap_dist
 
 
 def planner_metric(a, b, config):
