@@ -137,6 +137,13 @@ class PenaltyGrid:
             return self.p_max
         return float(self.cells[row, col])
 
+    def lookups(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """lookup of every (x, y) element pair, bit for bit; int() and astype both truncate."""
+        col = ((x - self.origin.x) / self.resolution).astype(np.intp)
+        row = ((y - self.origin.y) / self.resolution).astype(np.intp)
+        inside = (x >= self.origin.x) & (y >= self.origin.y) & (col < self.n_cols) & (row < self.n_rows)
+        return np.where(inside, self.cells.ravel()[np.where(inside, row * self.n_cols + col, 0)], self.p_max)
+
 
 def build_penalty_grid(
     net: RoadNetwork, bounds, resolution: float, p_max: float, p_invalid: float

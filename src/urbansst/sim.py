@@ -164,9 +164,10 @@ def _numbers(value, n: int, where: str) -> tuple:
     return tuple(_check(v, float, where) for v in value)
 
 
-def _lane_id(value, where: str) -> str:
+def _string(value, where: str) -> str:
+    """value if it is a string: an id or a name, which the loader takes as given."""
     if not isinstance(value, str):
-        raise ScenarioError(f"{where}: expected a lane id string, got {value!r}")
+        raise ScenarioError(f"{where}: expected a string, got {value!r}")
     return value
 
 
@@ -216,21 +217,21 @@ def scenario_from_dict(data: dict) -> Scenario:
             if not isinstance(ld, dict):
                 raise ScenarioError(f"{where}: expected an object")
             _known(ld, ("id", "width", "centerline", "successors"), f"{where}.")
-            lane_id = _lane_id(ld.get("id"), f"{where}.id")
+            lane_id = _string(ld.get("id"), f"{where}.id")
             width = _num(ld, "width", _REQUIRED, f"{where}.")
             centerline = [
                 _numbers(p, 2, f"{where}.centerline[{j}]")
                 for j, p in enumerate(_items(ld, "centerline", f"{where}."))
             ]
             successors = [
-                _lane_id(s, f"{where}.successors[{j}]")
+                _string(s, f"{where}.successors[{j}]")
                 for j, s in enumerate(_items(ld, "successors", f"{where}."))
             ]
             try:
                 lanes.append(Lane(id=lane_id, width=width, centerline=centerline, successors=successors))
             except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
-        route = [_lane_id(lid, f"road.route[{j}]") for j, lid in enumerate(_items(road_sec, "route", "road."))]
+        route = [_string(lid, f"road.route[{j}]") for j, lid in enumerate(_items(road_sec, "route", "road."))]
         try:
             road = RoadNetwork(lanes, route)
         except ValueError as exc:
@@ -248,6 +249,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             if not isinstance(od, dict):
                 raise ScenarioError(f"{where}: expected an object")
             _known(od, ("id", "type", "footprint", "poses", "field"), f"{where}.")
+            oid = _string(od.get("id", f"object{i}"), f"{where}.id")
             otype = od.get("type", "vehicle")
             if not isinstance(otype, str) or otype not in FOOTPRINT_DEFAULTS:
                 raise ScenarioError(f"{where}.type: expected one of {sorted(FOOTPRINT_DEFAULTS)}, got {otype!r}")
@@ -262,7 +264,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             fd = _section(od, "field", f"{where}.")
             field_params.append(_config(f"{where}.field", FieldParams, fd))
             try:
-                objects.append(ObjectPrediction(str(od.get("id", f"object{i}")), length, width, poses))
+                objects.append(ObjectPrediction(oid, length, width, poses))
             except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
         world = WorldModel(objects, field_params)
@@ -286,7 +288,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             if key in sections[sec]
         }
         return Scenario(
-            name=str(data.get("name", "scenario")),
+            name=_string(data.get("name", "scenario"), "name"),
             road=road,
             ego_state=ego_state,
             ego_params=ego_params,

@@ -7,13 +7,15 @@ validity checks, and witness-based sparsification of the tree.
 
 The loop runs in batches of up to 64 iterations with the outcome of as
 many sequential ones: the draws do not depend on the tree, so a batch draws
-them first, selects, propagates (in one numpy kernel with a start node per
-candidate) and looks up witnesses for all of them against the tree as it
-stood at batch start, then commits the results in order and redoes on its
-own, through the scalar path, each iteration that an earlier commit of
-the batch may have changed. The scalar path integrates with vehicle.step
-and checks each substate with _valid, the one validity predicate, which
-the start check also applies; the kernel repeats both, bit for bit.
+them first, then selects, propagates and looks up witnesses for all of them
+against the tree as it stood at batch start, commits the results in order
+and redoes through the scalar path each iteration that an earlier commit
+may have changed. The scalar path integrates with vehicle.step and checks
+each substate with _valid, the one validity predicate. The kernel,
+propagate_batch, gives its results bit for bit from one pass per quantity
+over all candidates and substeps: speeds and positions as running sums, the
+heading with its wrap, one validity pass over bounds and grid cells, then
+object checks up to each candidate's first failing substep.
 
 The state-space metric is Euclidean over components normalized by the
 sampling-bound extents (wrap-aware in heading), so that the unitless
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -33,14 +36,7 @@ from .cost import CostWeights, edge_cost, state_cost
 from .objects import PoseMemo, WorldModel, clearance_cost, object_hit
 from .road import GoalRegion, PenaltyGrid
 from .vehicle import (
-    ControlInput,
-    TimedState,
-    Trajectory,
-    VehicleParams,
-    VehicleState,
-    normalize_angle,
-    step,
-    substep_count,
+    ControlInput, TimedState, Trajectory, VehicleParams, VehicleState, normalize_angle, step, substep_count,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -166,6 +162,11 @@ def normalize_angles(th: np.ndarray) -> np.ndarray:
     th[th > math.pi] -= _TWO_PI
     th[th <= -math.pi] += _TWO_PI
     return th
+
+
+def _rows(tuples: list, width: int) -> np.ndarray:
+    """Tuples of width floats as the rows of an array; np.array takes several times longer."""
+    return np.fromiter(chain.from_iterable(tuples), float, width * len(tuples)).reshape(-1, width)
 
 
 def sample_state(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams) -> VehicleState:
@@ -405,67 +406,65 @@ class PlannerTree:
         Returns the indices of the candidates whose every substate is valid,
         in candidate order, and their end states as rows (x, y, theta, v) of
         a float array; each row is bit for bit what propagate_checked returns.
-        The kernel keeps the scalar path's float operations in their order:
-        np.sin and np.cos give math's results, np.tan does not, so the
-        tangent comes from math once per candidate, and the heading wraps by
-        exact fmod steps to math.remainder's value. Object poses come from
-        the memo entry of each candidate's start time; one circle test over
-        all objects passes the candidates that object_hit then checks. A
-        candidate that fails is masked: it keeps integrating, but no later
-        check reads its cell or its objects, and its row is not returned.
+        Column k of V, TH, X and Y holds the state after k substeps:
+        - V: step 1, clamp included, brings a start up to 1e-9 past v_bounds
+          into range. The running sums of [v1, dv, dv, ...] (np.add.accumulate
+          adds in order, as vehicle.step does) are monotone: once one crosses
+          a bound, every later one does, so clipping gives the per-step clamps.
+        - TH: wraps at each substep, by exact fmod steps to math.remainder's
+          value. The wrap is the identity on (-pi, pi], so after step 1 the
+          running sums of the increments are the headings if all stay in it;
+          else a loop wraps substep by substep.
+        - X, Y: running sums of tv*cos(th) and tv*sin(th) from x0 and y0; np.sin
+          and np.cos give math's results, np.tan does not, so the tangent
+          comes from math once per candidate.
+        One (n, n_sub) pass checks the sampling bounds and the grid cells;
+        first_bad[i] is candidate i's first failing substep, n_sub if none.
+        One circle test over all objects, posed from each candidate's start
+        time, picks the substeps before first_bad that object_hit checks, in
+        substep order up to the first hit: the calls propagate_checked makes.
         """
         cfg = self.config
         p = self.params
-        grid = self.grid
-        cells = grid.cells.ravel()
-        gx0 = grid.origin.x
-        gy0 = grid.origin.y
-        res = grid.resolution
-        n_cols = grid.n_cols
-        n_rows = grid.n_rows
-        p_invalid = grid.p_invalid
-        x_hi = cfg.x_bounds[1]
-        y_hi = cfg.y_bounds[1]
-        # a state below a lower sampling bound or the grid origin is invalid
-        x_min = max(cfg.x_bounds[0], gx0)
-        y_min = max(cfg.y_bounds[0], gy0)
-        v_lo, v_hi = p.v_bounds
-        wheelbase = p.wheelbase
         ts = cfg.t_step
-        steps = None
+        n_sub = self._n_sub
+        x0, y0, th0, v0 = _rows([node.state for node in nodes], 4).T
+        tan_d = np.array([math.tan(d) for d in delta.tolist()])
+        dv = ts * a
+        V = np.column_stack((v0, np.clip(v0 + dv, *p.v_bounds), np.repeat(dv[:, None], n_sub - 1, axis=1)))
+        np.add.accumulate(V[:, 1:], axis=1, out=V[:, 1:])
+        np.clip(V[:, 2:], *p.v_bounds, out=V[:, 2:])
+        inc = ts * (V[:, :-1] / p.wheelbase) * tan_d[:, None]
+        TH = np.column_stack((th0, normalize_angles(th0 + inc[:, 0]), inc[:, 1:]))
+        np.add.accumulate(TH[:, 1:], axis=1, out=TH[:, 1:])
+        if not ((TH[:, 2:] > -math.pi) & (TH[:, 2:] <= math.pi)).all():
+            for k in range(1, n_sub):
+                TH[:, k + 1] = normalize_angles(TH[:, k] + inc[:, k])
+        tv = ts * V[:, :-1]
+        X = np.add.accumulate(np.column_stack((x0, tv * np.cos(TH[:, :-1]))), axis=1)
+        Y = np.add.accumulate(np.column_stack((y0, tv * np.sin(TH[:, :-1]))), axis=1)
+        xs, ys = X[:, 1:], Y[:, 1:]
+        (x_lo, x_hi), (y_lo, y_hi) = cfg.x_bounds, cfg.y_bounds
+        ok = (xs >= x_lo) & (xs <= x_hi) & (ys >= y_lo) & (ys <= y_hi)
+        ok &= self.grid.lookups(xs, ys) < self.grid.p_invalid
+        first_bad = np.where(ok.all(axis=1), n_sub, ok.argmin(axis=1))
         if self.world.objects:
             # slot[i]: the index of candidate i's start time in steps
             times = {}
-            slot = np.array([times.setdefault(node.t, len(times)) for node in nodes], dtype=np.intp)
+            slot = [times.setdefault(node.t, len(times)) for node in nodes]
             steps = [self._substep_poses(t) for t in times]
-            xyr = np.stack([entry[1] for entry in steps])
-
-        ok = np.ones(len(a), dtype=bool)
-        tan_d = np.array([math.tan(d) for d in delta.tolist()])
-        dv = ts * a
-        x, y, th, v = np.array([node.state for node in nodes]).T
-        for k in range(self._n_sub):
-            tv = ts * v
-            x = x + tv * np.cos(th)
-            y = y + tv * np.sin(th)
-            th = normalize_angles(th + ts * (v / wheelbase) * tan_d)
-            v = np.clip(v + dv, v_lo, v_hi)
-            # the cell rule of PenaltyGrid.lookup; int() and astype both truncate
-            col = ((x - gx0) / res).astype(np.intp)
-            row = ((y - gy0) / res).astype(np.intp)
-            ok &= (x >= x_min) & (x <= x_hi) & (y >= y_min) & (y <= y_hi) & (col < n_cols) & (row < n_rows)
-            ok &= cells[np.where(ok, row * n_cols + col, 0)] < p_invalid
-            if steps is not None:
-                at_k = xyr[slot, k]
-                dx = at_k[:, :, 0] - x[:, None]
-                dy = at_k[:, :, 1] - y[:, None]
-                near = (dx * dx + dy * dy <= at_k[:, :, 2]).any(axis=1) & ok
-                for i in near.nonzero()[0].tolist():
-                    entry = steps[slot[i]][0][k]
-                    if object_hit(float(x[i]), float(y[i]), float(th[i]), p.length, p.width, entry) is not None:
-                        ok[i] = False
-        idx = ok.nonzero()[0]
-        return idx, np.column_stack((x, y, th, v))[idx]
+            at = np.stack([entry[1] for entry in steps])[slot]
+            dx = at[..., 0] - xs[:, :, None]
+            dy = at[..., 1] - ys[:, :, None]
+            near = (dx * dx + dy * dy <= at[..., 2]).any(axis=2) & (np.arange(n_sub) < first_bad[:, None])
+            # nonzero runs candidate by candidate, each in substep order
+            for i, k in zip(*(ix.tolist() for ix in near.nonzero())):
+                if k < first_bad[i]:
+                    pose = float(xs[i, k]), float(ys[i, k]), float(TH[i, k + 1])
+                    if object_hit(*pose, p.length, p.width, steps[slot[i]][0][k]) is not None:
+                        first_bad[i] = k
+        idx = (first_bad == n_sub).nonzero()[0]
+        return idx, np.column_stack((X[:, -1], Y[:, -1], TH[:, -1], V[:, -1]))[idx]
 
     def try_insert(self, parent: TreeNode, state: VehicleState, u: ControlInput, near=_LOOK_UP) -> Optional[TreeNode]:
         """Witness-gated insertion of a propagation's end state.
@@ -538,7 +537,7 @@ class PlannerTree:
         reps = self._reps
         draws = [(sample_state(cfg, rng, params), sample_input(cfg, rng, params)) for _ in range(k)]
         states, inputs = zip(*draws)
-        samples = norm_states(np.array(states), cfg, params)
+        samples = norm_states(_rows(states, 4), cfg, params)
 
         table = self._table[:, : len(reps)]
         pick = np.empty(k, np.intp)
@@ -555,7 +554,7 @@ class PlannerTree:
         pick = pick.tolist()
         nodes = [reps[i] for i in pick]
 
-        a, delta = np.array(inputs).T
+        a, delta = _rows(inputs, 2).T
         idx, ends = self.propagate_batch(nodes, a, delta)
         m = len(idx)
         ends_norm = norm_states(ends, cfg, params)

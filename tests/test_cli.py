@@ -152,6 +152,8 @@ class TestPlan:
             ("road.lanes.0.id=7", "road.lanes[0].id"),
             ('road.lanes.0.successors="text"', "road.lanes[0].successors"),
             ("road.lanes.0.successors=[1]", "road.lanes[0].successors[0]"),
+            ("objects.0.id=7", "objects[0].id"),
+            ("name=[]", "error: name:"),
             ("ego.params.a_bounds=[0,0]", "ego.params.a_bounds"),
             ("ego.params.delta_bounds=[2,3]", "ego.params.delta_bounds"),
             ("objects.0.type=[1]", "objects[0].type"),

@@ -80,6 +80,20 @@ class TestPenaltyGrid:
         assert straight_grid.lookup(-1000.0, 0.0) == straight_grid.p_max
         assert straight_grid.lookup(20.0, 1000.0) == straight_grid.p_max
 
+    def test_lookups_equal_lookup(self, straight_grid):
+        # random points over and around the grid, and points on cell edges and the grid's own edges
+        grid = straight_grid
+        rng = np.random.default_rng(61)
+        x = rng.uniform(grid.origin.x - 5.0, grid.origin.x + grid.n_cols * grid.resolution + 5.0, 4_000)
+        y = rng.uniform(grid.origin.y - 5.0, grid.origin.y + grid.n_rows * grid.resolution + 5.0, 4_000)
+        edges = grid.origin.x + grid.resolution * np.arange(-2, grid.n_cols + 3)
+        x = np.concatenate((x, edges, np.nextafter(edges, -math.inf)))
+        rows = grid.origin.y + grid.resolution * np.arange(-2, grid.n_rows + 3)
+        y = np.concatenate((y, np.resize(rows, 2 * len(edges))))
+        got = grid.lookups(x.reshape(2, -1), y.reshape(2, -1))
+        assert got.shape == (2, len(x) // 2)
+        assert got.ravel().tolist() == [grid.lookup(a, b) for a, b in zip(x.tolist(), y.tolist())]
+
     def test_analytic_oracle_random_cells(self, straight_net):
         # straight two-lane road: distance to nearest center is
         # min(|y|, |y - 3.5|) exactly, and the owning lane has width 3.75

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from urbansst import objects
 from urbansst.geometry import obb_overlap
 from urbansst.objects import ObjectPrediction, WorldModel
 from urbansst.road import PenaltyGrid
@@ -290,6 +291,83 @@ class TestPropagationKernel:
             outcomes[_propagation_oracle(tree, node, u)[1]] += 1
         assert min(outcomes[w] for w in ("road", "object", "valid")) >= 10, outcomes
 
+    @staticmethod
+    def _assert_rows_equal_scalar(tree, starts, a, delta):
+        """Each row of one propagate_batch call is propagate_checked's state, bytes and all; returns the rows."""
+        idx, ends = tree.propagate_batch(starts, np.array(a), np.array(delta))
+        got = dict(zip(idx.tolist(), ends))
+        for i, (node, u) in enumerate(zip(starts, map(ControlInput, a, delta))):
+            want = tree.propagate_checked(node, u)
+            assert (i in got) == (want is not None), (node.state, u)
+            if want is not None:
+                # bytes, so that the sign of a zero counts too
+                assert got[i].tobytes() == np.array(want).tobytes(), (node.state, u, got[i], want)
+        return got
+
+    def test_batch_matches_scalar_path_at_speed_bounds(self, straight_goal, straight_grid, empty_world, weights,
+                                                       params):
+        # a start may lie up to 1e-9 outside v_bounds; step 1 clamps it, and
+        # a start at a bound may be clamped at every substep or leave it
+        v_lo, v_hi = params.v_bounds
+        speeds = [v_lo, -0.0, v_lo - 5e-10, v_lo - 1e-9, v_lo + 0.05, v_hi, v_hi + 5e-10, v_hi + 1e-9, v_hi - 0.05]
+        accels = [0.8, 0.3, 1e-12, 0.0, -0.0, -1e-12, -0.3, -0.8]
+        cfg = make_planner_config(budget=1)
+        tree = PlannerTree(
+            VehicleState(0.0, 0.0, 0.0, 5.0), 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params,
+            np.random.default_rng(0),
+        )
+        cases = [(v, acc, d) for v in speeds for acc in accels for d in (0.0, 0.1)]
+        starts = [TreeNode(VehicleState(20.0, 0.0, 0.0, v), 0.0, None, None, 0.0, 0.0) for v, _, _ in cases]
+        got = self._assert_rows_equal_scalar(tree, starts, [c[1] for c in cases], [c[2] for c in cases])
+        assert len(got) == len(cases)
+        ends = {float(row[3]) for row in got.values()}
+        assert {v_lo, v_hi} <= ends and len(ends) > 4
+
+    def test_batch_matches_scalar_path_across_heading_wrap(self, straight_goal, straight_grid, empty_world, weights,
+                                                           params):
+        # headings that cross +-pi mid-propagation, and starts outside (-pi, pi]
+        cfg = make_planner_config(budget=1)
+        tree = PlannerTree(
+            VehicleState(0.0, 0.0, 0.0, 5.0), 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params,
+            np.random.default_rng(0),
+        )
+        headings = [math.pi, -math.pi, math.pi - 0.15, -math.pi + 0.15, 3.0 * math.pi, -7.0, 0.01, -0.01]
+        cases = [(th, d) for th in headings for d in (0.4, 0.0, -0.4)]
+        starts = [TreeNode(VehicleState(30.0, 1.75, th, 6.0), 0.0, None, None, 0.0, 0.0) for th, _ in cases]
+        got = self._assert_rows_equal_scalar(tree, starts, [0.5] * len(cases), [d for _, d in cases])
+        assert len(got) == len(cases)
+        # a start 0.15 short of pi, steered left, crosses it after a few substeps
+        assert got[headings.index(math.pi - 0.15) * 3][2] < 0.0
+
+    @pytest.mark.parametrize(
+        "name, ego, t",
+        [
+            ("scenario_ii_static_overtake.json", VehicleState(22.0, 0.0, 0.0, 5.0), 0.0),
+            ("scenario_iv_vru_steering.json", VehicleState(47.0, 0.0, 0.0, 5.0), 6.0),
+        ],
+    )
+    def test_batch_makes_the_scalar_object_checks(self, node_refs, monkeypatch, name, ego, t):
+        # the kernel runs object_hit where the scalar path runs it, and no
+        # further: the separating-axis test runs as often in both
+        tree, nodes = _scenario_tree(node_refs, monkeypatch, name, ego, t)
+        rng = np.random.default_rng(53)
+        starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 4)).tolist()]
+        a, delta = sample_inputs(tree.config, rng, tree.params, len(starts))
+        calls = Counter()
+        side = "batch"
+
+        def counted(*args):
+            calls[side] += 1
+            return obb_overlap(*args)
+
+        monkeypatch.setattr(objects, "obb_overlap", counted)
+        tree.propagate_batch(starts, a, delta)
+        side = "scalar"
+        for node, u in zip(starts, map(ControlInput, a.tolist(), delta.tolist())):
+            tree.propagate_checked(node, u)
+        assert calls["scalar"] > 100
+        assert calls["batch"] == calls["scalar"]
+
 
 class TestKernelExactness:
     """Host properties that let propagate_batch equal propagate_checked bit for bit."""
@@ -304,6 +382,23 @@ class TestKernelExactness:
                 f"host property: np.{name} differs from math.{name} on {bad} of {len(want)} arguments, "
                 "so the batched propagation kernel cannot match the scalar one on this host"
             )
+
+    def test_accumulate_equals_running_sum(self):
+        # rows of mixed signs and magnitudes, accumulated in place in a column slice as the kernel does
+        rng = np.random.default_rng(59)
+        rows = rng.standard_normal((2_000, 12)) * 10.0 ** rng.integers(-12, 3, (2_000, 12))
+        rows[::7, 1:] = rows[::7, 1:2]
+        got = rows.copy()
+        np.add.accumulate(got[:, 1:], axis=1, out=got[:, 1:])
+        want = rows.tolist()
+        for row in want:
+            for k in range(2, len(row)):
+                row[k] = row[k - 1] + row[k]
+        bad = int(np.count_nonzero(got != np.array(want)))
+        assert bad == 0, (
+            f"host property: np.add.accumulate differs from a running sum in {bad} places, so the batched "
+            "propagation kernel cannot match the scalar one on this host"
+        )
 
     def test_fmod_wrap_equals_math_remainder(self):
         th = np.random.default_rng(43).uniform(-3.0 * math.pi, 3.0 * math.pi, 100_000)
