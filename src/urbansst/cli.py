@@ -184,8 +184,16 @@ def cmd_benchmark(args) -> int:
     return 0 if failed == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ScenarioErrors, so that they exit 1 and
+    not argparse's 2, which means "query unsolved"; subparsers share the class."""
+
+    def error(self, message):
+        raise ScenarioError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="urbansst", description=__doc__)
+    parser = _Parser(prog="urbansst", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="run a single planning query from the scenario start")
@@ -219,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # benchmark takes --seeds instead
             raise ScenarioError(f"--seed: expected a non-negative integer, got {args.seed}")
         return args.func(args)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, get_args, get_type_hints
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -116,72 +117,41 @@ def _known(sec: dict, keys, prefix: str = "") -> None:
             raise ScenarioError(f"{prefix}{key}: unknown key")
 
 
+def _read(value, kind, where: str):
+    """value as the declared type `kind`, or a ScenarioError naming where.
+
+    The kinds are float (finite; booleans are not numbers), int, str, dict
+    (an object), tuple[float, ...] (that many finite floats; a bare tuple is
+    a pair), list[kind] (element j is named where[j]) and Optional[kind]."""
+    args = get_args(kind)
+    if type(None) in args:
+        return None if value is None else _read(value, args[0], where)
+    origin = get_origin(kind) or kind
+    if origin is tuple:
+        n = len(args) or 2
+        if not isinstance(value, (list, tuple)) or len(value) != n:
+            raise ScenarioError(f"{where}: expected {n} finite numbers, got {value!r}")
+        return tuple(_read(v, float, where) for v in value)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where}: expected a list, got {value!r}")
+        return [_read(v, args[0], f"{where}[{j}]") for j, v in enumerate(value)]
+    if origin is float:  # NaN, infinities and ints too large for a float compare false
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, origin)
+    if not ok or isinstance(value, bool):
+        expected = {float: "a finite number", int: "an integer", str: "a string", dict: "an object"}[origin]
+        raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
+    return float(value) if origin is float else value
+
+
 def _section(data: dict, key: str, prefix: str = "", keys=None) -> dict:
     """data[key] as an object ({} if absent), holding only keys if they are given."""
-    sec = data.get(key, {})
-    if not isinstance(sec, dict):
-        raise ScenarioError(f"{prefix}{key}: expected an object")
+    sec = _read(data.get(key, {}), dict, prefix + key)
     if keys is not None:
         _known(sec, keys, f"{prefix}{key}.")
     return sec
-
-
-def _items(data: dict, key: str, prefix: str = "") -> list:
-    items = data.get(key, [])
-    if not isinstance(items, list):
-        raise ScenarioError(f"{prefix}{key}: expected a list")
-    return items
-
-
-_REQUIRED = object()
-
-
-def _check(value, kind, where: str):
-    """value as a finite number of `kind` (float or int); booleans are not numbers."""
-    if kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    if not ok:
-        expected = "an integer" if kind is int else "a finite number"
-        raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
-    return kind(value)
-
-
-def _num(sec: dict, key: str, default, prefix: str = ""):
-    """sec[key], or default if absent, as a finite float; a default of
-    _REQUIRED makes the field mandatory."""
-    value = sec.get(key, default)
-    if value is _REQUIRED:
-        raise ScenarioError(f"{prefix}{key}: required")
-    return _check(value, float, prefix + key)
-
-
-def _numbers(value, n: int, where: str) -> tuple:
-    """value as a tuple of n finite floats."""
-    if not isinstance(value, (list, tuple)) or len(value) != n:
-        raise ScenarioError(f"{where}: expected {n} finite numbers, got {value!r}")
-    return tuple(_check(v, float, where) for v in value)
-
-
-def _string(value, where: str) -> str:
-    """value if it is a string: an id or a name, which the loader takes as given."""
-    if not isinstance(value, str):
-        raise ScenarioError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _read(value, kind, where: str):
-    """value as a field of declared type `kind`: a finite float or int, a
-    pair of finite floats for a tuple, or None where it is Optional."""
-    args = get_args(kind)
-    if type(None) in args:
-        if value is None:
-            return None
-        kind = args[0]
-    if kind is tuple:
-        return _numbers(value, 2, where)
-    return _check(value, kind, where)
 
 
 def _build(where: str, cls, **kwargs):
@@ -203,70 +173,50 @@ def _config(where: str, cls, sec: dict):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario: expected an object")
+    """The scenario in a parsed JSON document. Every value is read by its
+    declared kind through _read, so any malformed value raises a
+    ScenarioError that names its field."""
+    _read(data, dict, "scenario")
     _known(data, ("name", "road", "ego", "objects", "weights", "planner", "dki", "goal", "grid", "sim"))
     try:
-        road_sec = data.get("road")
-        if not isinstance(road_sec, dict):
+        if "road" not in data:
             raise ScenarioError("road: section is required")
-        _known(road_sec, ("lanes", "route"), "road.")
+        road_sec = _section(data, "road", keys=("lanes", "route"))
         lanes = []
-        for i, ld in enumerate(_items(road_sec, "lanes", "road.")):
+        for i, ld in enumerate(_read(road_sec.get("lanes", []), list[dict], "road.lanes")):
             where = f"road.lanes[{i}]"
-            if not isinstance(ld, dict):
-                raise ScenarioError(f"{where}: expected an object")
             _known(ld, ("id", "width", "centerline", "successors"), f"{where}.")
-            lane_id = _string(ld.get("id"), f"{where}.id")
-            width = _num(ld, "width", _REQUIRED, f"{where}.")
-            centerline = [
-                _numbers(p, 2, f"{where}.centerline[{j}]")
-                for j, p in enumerate(_items(ld, "centerline", f"{where}."))
-            ]
-            successors = [
-                _string(s, f"{where}.successors[{j}]")
-                for j, s in enumerate(_items(ld, "successors", f"{where}."))
-            ]
-            try:
-                lanes.append(Lane(id=lane_id, width=width, centerline=centerline, successors=successors))
-            except ValueError as exc:
-                raise ScenarioError(f"{where}: {exc}") from exc
-        route = [_string(lid, f"road.route[{j}]") for j, lid in enumerate(_items(road_sec, "route", "road."))]
-        try:
-            road = RoadNetwork(lanes, route)
-        except ValueError as exc:
-            raise ScenarioError(f"road: {exc}") from exc
+            lanes.append(_build(
+                where, Lane,
+                id=_read(ld.get("id"), str, f"{where}.id"),
+                width=_read(ld.get("width"), float, f"{where}.width"),
+                centerline=_read(ld.get("centerline", []), list[tuple], f"{where}.centerline"),
+                successors=_read(ld.get("successors", []), list[str], f"{where}.successors"),
+            ))
+        route = _read(road_sec.get("route", []), list[str], "road.route")
+        road = _build("road", RoadNetwork, lanes=lanes, route=route)
 
         ego = _section(data, "ego", keys=("state", "params"))
-        st = _section(ego, "state", "ego.", ("x", "y", "theta", "v"))
-        ego_state = VehicleState(*(_num(st, k, 0.0, "ego.state.") for k in ("x", "y", "theta", "v")))
+        st = _section(ego, "state", "ego.", VehicleState._fields)
+        ego_state = VehicleState(*(_read(st.get(k, 0.0), float, f"ego.state.{k}") for k in VehicleState._fields))
         ego_params = _config("ego.params", VehicleParams, _section(ego, "params", "ego."))
 
         objects = []
         field_params = []
-        for i, od in enumerate(_items(data, "objects")):
+        for i, od in enumerate(_read(data.get("objects", []), list[dict], "objects")):
             where = f"objects[{i}]"
-            if not isinstance(od, dict):
-                raise ScenarioError(f"{where}: expected an object")
             _known(od, ("id", "type", "footprint", "poses", "field"), f"{where}.")
-            oid = _string(od.get("id", f"object{i}"), f"{where}.id")
-            otype = od.get("type", "vehicle")
-            if not isinstance(otype, str) or otype not in FOOTPRINT_DEFAULTS:
+            oid = _read(od.get("id", f"object{i}"), str, f"{where}.id")
+            otype = _read(od.get("type", "vehicle"), str, f"{where}.type")
+            if otype not in FOOTPRINT_DEFAULTS:
                 raise ScenarioError(f"{where}.type: expected one of {sorted(FOOTPRINT_DEFAULTS)}, got {otype!r}")
             fl, fw = FOOTPRINT_DEFAULTS[otype]
             fp = _section(od, "footprint", f"{where}.", ("length", "width"))
-            length = _num(fp, "length", fl, f"{where}.footprint.")
-            width = _num(fp, "width", fw, f"{where}.footprint.")
-            poses = [
-                _numbers(p, 4, f"{where}.poses[{j}]")
-                for j, p in enumerate(_items(od, "poses", f"{where}."))
-            ]
-            fd = _section(od, "field", f"{where}.")
-            field_params.append(_config(f"{where}.field", FieldParams, fd))
-            try:
-                objects.append(ObjectPrediction(oid, length, width, poses))
-            except ValueError as exc:
-                raise ScenarioError(f"{where}: {exc}") from exc
+            length = _read(fp.get("length", fl), float, f"{where}.footprint.length")
+            width = _read(fp.get("width", fw), float, f"{where}.footprint.width")
+            poses = _read(od.get("poses", []), list[tuple[float, float, float, float]], f"{where}.poses")
+            field_params.append(_config(f"{where}.field", FieldParams, _section(od, "field", f"{where}.")))
+            objects.append(_build(where, ObjectPrediction, obj_id=oid, length=length, width=width, poses=poses))
         world = WorldModel(objects, field_params)
 
         weights = _config("weights", CostWeights, _section(data, "weights"))
@@ -288,7 +238,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             if key in sections[sec]
         }
         return Scenario(
-            name=_string(data.get("name", "scenario"), "name"),
+            name=_read(data.get("name", "scenario"), str, "name"),
             road=road,
             ego_state=ego_state,
             ego_params=ego_params,
@@ -458,8 +408,9 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
     """Replan at the configured rate and execute the plan open-loop.
 
     mode is "base" or "dki". budget optionally overrides the planner budget
-    as ("iters", n) or ("time", seconds). On a failed query the vehicle
-    falls back to full braking with zero steering for one interval.
+    as ("iters", n) or ("time", seconds). Each tick executes its plan until
+    the next replan or the end of the run, whichever comes first. On a failed
+    query the vehicle falls back to full braking with zero steering instead.
     """
     if mode not in ("base", "dki"):
         raise ValueError("mode must be 'base' or 'dki'")
@@ -477,6 +428,7 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
     log.termination = "duration"
     while k * dt_tick < sc.duration - 1e-9:
         t = k * dt_tick
+        span = min(dt_tick, sc.duration - t)  # never integrate past the end of the run
         hit = _first_collision([TimedState(ego, t)], sc.world, params)
         if hit is not None:
             log.collisions.append((t, hit[1].id))
@@ -494,14 +446,14 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
             fallback = False
             traj = result.trajectory
             exec_states = rollout_inputs(
-                ego, t, dt_tick, lambda tau: _plan_input_at(traj, tau), ts, params
+                ego, t, span, lambda tau: _plan_input_at(traj, tau), ts, params
             )
             first_u = _plan_input_at(traj, t)
             prev_traj = traj
         else:
             fallback = True
             brake = ControlInput(params.a_bounds[0], 0.0)
-            exec_states = rollout_inputs(ego, t, dt_tick, lambda tau: brake, ts, params)
+            exec_states = rollout_inputs(ego, t, span, lambda tau: brake, ts, params)
             first_u = brake
 
         hit = _first_collision(exec_states, sc.world, params)

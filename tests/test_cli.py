@@ -72,6 +72,31 @@ class TestArgHelpers:
         assert capsys.readouterr().err.startswith(f"error: {flag}")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["plan", "--scenario", OVERTAKE, "--budget", "-iters:5"], "--budget"),
+            (["benchmark", "--scenario", OVERTAKE, "--seeds", "-0,3"], "--seeds"),
+            (["plan"], "--scenario"),
+            (["plan", "--scenario", OVERTAKE, "--seed", "x"], "--seed"),
+            (["replay", "--scenario", OVERTAKE], "replay"),
+        ],
+        ids=["budget-dash", "seeds-dash", "no-scenario", "seed-not-int", "unknown-command"],
+    )
+    def test_usage_error_exit_one(self, tmp_path, capsys, argv, message):
+        # exit code 2 means "query unsolved", not argparse's usage error
+        rc = main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--help"])
+        assert exc.value.code == 0
+        assert "--scenario" in capsys.readouterr().out
+
 
 class TestPlan:
     def test_solved_exit_zero(self, tmp_path):
@@ -163,6 +188,12 @@ class TestPlan:
             ("planner.query_time=-1", "planner: query_time"),
             ("planner.query_time=Infinity", "planner.query_time"),
             ("planner.t_step=1e-300", "planner"),
+            ("road.lanes.0.width=null", "road.lanes[0].width"),
+            ("objects.0.poses.0=[1,2,3]", "objects[0].poses[0]"),
+            ("objects.0.footprint.length=true", "objects[0].footprint.length"),
+            ("road.lanes.0.centerline=5", "road.lanes[0].centerline"),
+            ("objects.0.field=[]", "objects[0].field"),
+            ("ego=3", "ego"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):

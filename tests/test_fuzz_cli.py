@@ -153,9 +153,9 @@ def test_edited_flags_exit_with_a_code(data):
 
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(cli, "_run_cell", run_cell)
-        # --flag=value, as argparse reads a separate value that starts with "-" as a flag
-        argv = ["benchmark", "--scenario", str(SCENARIOS[0]), "--modes", "base", f"--seeds={seeds}",
-                f"--budget={budget}", "--out", tmp]
+        # a separate value that starts with "-" is a usage error, which exits 1 like a bad value
+        argv = ["benchmark", "--scenario", str(SCENARIOS[0]), "--modes", "base", "--seeds", seeds,
+                "--budget", budget, "--out", tmp]
         rc = main(argv)
     assert rc in (0, 1), (seeds, budget)
     if rc == 0:

@@ -1,13 +1,15 @@
 import copy
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from typing import Optional
 
 import pytest
 
 from urbansst.sim import (
     _PER_QUERY,
     _SECTION_FIELDS,
+    _read,
     Scenario,
     ScenarioError,
     SimLog,
@@ -158,6 +160,61 @@ class TestLoader:
             load_scenario(bad)
 
 
+@pytest.mark.parametrize(
+    "kind, value, want",
+    [
+        (float, 2, 2.0),
+        (float, -0.5, -0.5),
+        (int, 7, 7),
+        (str, "lane", "lane"),
+        (dict, {"a": 1}, {"a": 1}),
+        (tuple, [1, 2.5], (1.0, 2.5)),
+        (tuple[float, float, float], [0, 1, 2], (0.0, 1.0, 2.0)),
+        (list[str], ["a", "b"], ["a", "b"]),
+        (list[tuple], [[0, 1], [2, 3]], [(0.0, 1.0), (2.0, 3.0)]),
+        (list[dict], [], []),
+        (Optional[int], None, None),
+        (Optional[int], 3, 3),
+        (Optional[tuple], [0, 1], (0.0, 1.0)),
+    ],
+)
+def test_read_accepts_its_kind(kind, value, want):
+    got = _read(value, kind, "x")
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "kind, value, where",
+    [
+        (float, True, "x:"),
+        (int, False, "x:"),
+        (float, math.nan, "x:"),
+        (float, math.inf, "x:"),
+        (float, -math.inf, "x:"),
+        (float, 10**400, "x:"),
+        (float, "1.0", "x:"),
+        (int, 2.5, "x:"),
+        (str, 7, "x:"),
+        (dict, [], "x:"),
+        (float, None, "x:"),
+        (tuple, [1, 2, 3], "x:"),
+        (tuple[float, float, float, float], [1, 2, 3], "x:"),
+        (tuple, 5, "x:"),
+        (tuple, [1, math.nan], "x:"),
+        (list[str], "ab", "x:"),
+        (list[str], {"a": 1}, "x:"),
+        (list[str], ["a", 1], "x[1]:"),
+        (list[tuple], [[0, 1], [2]], "x[1]:"),
+        (list[dict], [{}, {}, 3], "x[2]:"),
+        (Optional[float], math.nan, "x:"),
+    ],
+)
+def test_read_rejects_other_values(kind, value, where):
+    with pytest.raises(ScenarioError) as exc:
+        _read(value, kind, "x")
+    assert str(exc.value).startswith(where + " expected")
+
+
 class TestGrid:
     def test_covers_all_lanes(self):
         sc = scenario_from_dict(copy.deepcopy(MINIMAL))
@@ -273,6 +330,13 @@ class TestClosedLoop:
         assert len(log.ticks) == 6  # 3 s at 2 Hz
         assert log.ticks[0].t == 0.0
         assert log.ticks[-1].t == pytest.approx(2.5)
+
+    def test_run_ends_at_duration_when_replan_period_is_longer(self):
+        sc = load_scenario(SCENARIO_DIR / "scenario_i_straight_road.json")
+        sc = replace(sc, replan_rate=1e-6)  # one replan period is 1e6 s
+        log = run_closed_loop(sc, "dki", seed=0, budget=("iters", 50))
+        assert (log.termination, len(log.ticks)) == ("duration", 1)
+        assert abs(log.ticks[-1].exec_states[-1].t - sc.duration) <= 1e-9
 
     def test_invalid_mode_and_budget(self):
         sc = scenario_from_dict(copy.deepcopy(MINIMAL))
