@@ -76,14 +76,22 @@ class Scenario:
                      "duration", "replan_rate"):
             if getattr(self, name) <= 0.0:
                 raise ScenarioError("{}.{}: must be positive".format(*_SECTION_FIELDS[name]))
+        if 1.0 / self.replan_rate < self.planner.t_step:
+            # a tick shorter than one integration step plans for less than
+            # one edge, and one of 1e-12 s or less executes no state at all
+            raise ScenarioError(
+                f"sim.replan_rate: its period of {1.0 / self.replan_rate:.3g} s is shorter than "
+                f"planner.t_step ({self.planner.t_step!r} s)"
+            )
         if self.p_invalid > self.p_max:
             raise ScenarioError("grid.p_invalid: must not exceed grid.p_max")
         if self.sampling_margin < 0.0:
             raise ScenarioError("sim.sampling_margin: must not be negative")
-        # sst.sample_input redraws (a, delta) until both lie in their bounds:
-        # below a chance of 1e-3 per draw (over a thousand redraws per input)
-        # the planner in effect hangs. An inverse-CDF sampler of the truncated
-        # Gaussian would never redraw and make this check unneeded.
+        # sst.sample_input and sst.sample_batch redraw (a, delta) until both
+        # lie in their bounds: below a chance of 1e-3 per draw (over a
+        # thousand redraws per input) the planner in effect hangs. An
+        # inverse-CDF sampler of the truncated Gaussian would never redraw and
+        # make this check unneeded.
         chances = {
             "a_bounds": _chance_within(self.ego_params.a_bounds, self.planner.sigma_a),
             "delta_bounds": _chance_within(self.ego_params.delta_bounds, self.planner.sigma_delta),
@@ -106,6 +114,10 @@ _SECTION_FIELDS = {
     "replan_rate": ("sim", "replan_rate"),
     "sampling_margin": ("sim", "sampling_margin"),
 }
+# The largest penalty grid a scenario may ask for. The shipped ones need at
+# most 61 901 cells (scenario III at 0.25 m); this many cells are 32 MB of
+# floats, and building them takes several times that.
+_MAX_GRID_CELLS = 4_000_000
 # PlannerConfig fields that each query sets, never a scenario file.
 _PER_QUERY = ("x_bounds", "y_bounds")
 
@@ -293,12 +305,21 @@ def load_scenario(path, overrides=()) -> Scenario:
 
 
 def build_scenario_grid(sc: Scenario) -> PenaltyGrid:
-    """Penalty grid covering every lane band; out-of-grid lookups are p_max anyway."""
+    """Penalty grid covering every lane band; out-of-grid lookups are p_max anyway.
+
+    A resolution that needs more than _MAX_GRID_CELLS cells is an error
+    before anything is allocated.
+    """
+    res = sc.grid_resolution
     xs = [p.x for lane in sc.road.lanes for p in lane.centerline]
     ys = [p.y for lane in sc.road.lanes for p in lane.centerline]
-    margin = max(lane.width for lane in sc.road.lanes) / 2 + 2 * sc.grid_resolution
+    margin = max(lane.width for lane in sc.road.lanes) / 2 + 2 * res
     bounds = (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
-    return build_penalty_grid(sc.road, bounds, sc.grid_resolution, sc.p_max, sc.p_invalid)
+    # a float product: a tiny resolution overflows it to inf, never to an error
+    cells = (bounds[2] - bounds[0]) / res * ((bounds[3] - bounds[1]) / res)
+    if cells > _MAX_GRID_CELLS:
+        raise ScenarioError(f"grid.resolution: {res!r} m needs {cells:.3g} grid cells, more than {_MAX_GRID_CELLS}")
+    return build_penalty_grid(sc.road, bounds, res, sc.p_max, sc.p_invalid)
 
 
 @dataclass

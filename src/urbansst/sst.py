@@ -7,11 +7,13 @@ validity checks, and witness-based sparsification of the tree.
 
 The loop runs in batches of up to 64 iterations with the outcome of as
 many sequential ones: the draws do not depend on the tree, so a batch draws
-them first, then selects, propagates and looks up witnesses for all of them
-against the tree as it stood at batch start, commits the results in order
-and redoes through the scalar path each iteration that an earlier commit
-may have changed. The scalar path integrates with vehicle.step and checks
-each substate with _valid, the one validity predicate. The kernel,
+them first, as two arrays, then selects (nearest first), propagates and
+looks up witnesses for all of them against the tree as it stood at batch
+start, commits the results in order and redoes through the scalar path each
+iteration that an earlier commit may have changed. Object poses at each
+substep are memoized per propagation start time, as one row of one array
+that the kernel gathers. The scalar path integrates with vehicle.step and
+checks each substate with _valid, the one validity predicate. The kernel,
 propagate_batch, gives its results bit for bit from one pass per quantity
 over all candidates and substeps: speeds and positions as running sums, the
 heading with its wrap, one validity pass over bounds and grid cells, then
@@ -202,6 +204,37 @@ def sample_input(config: PlannerConfig, rng: np.random.Generator, params: Vehicl
             return ControlInput(a, d)
 
 
+def sample_batch(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams, k: int):
+    """k alternating sample_state and sample_input calls at once, bit for bit.
+
+    Returns the states as the rows (x, y, theta, v) of a (k, 4) array and the
+    inputs as the rows (a, delta) of a (k, 2) array. Iteration j draws into
+    row j, so the generator ends in the state the k call pairs leave it in;
+    the scaling then runs over whole arrays, in the scalar functions'
+    operation order (a product and a sum round the same either way round).
+    """
+    u = np.empty((k, 4))
+    z = np.empty((k, 2))
+    sigma_a, sigma_d = config.sigma_a, config.sigma_delta
+    a_lo, a_hi = params.a_bounds
+    d_lo, d_hi = params.delta_bounds
+    for j in range(k):
+        rng.random(out=u[j])
+        zj = z[j]
+        while True:
+            rng.standard_normal(out=zj)
+            za, zd = zj.tolist()
+            if a_lo <= 0.0 + sigma_a * za <= a_hi and d_lo <= 0.0 + sigma_d * zd <= d_hi:
+                break
+    (x_lo, x_hi), (y_lo, y_hi) = config.x_bounds, config.y_bounds
+    v_lo, v_hi = params.v_bounds
+    u *= (x_hi - x_lo, y_hi - y_lo, _TWO_PI, v_hi - v_lo)
+    u += (x_lo, y_lo, -math.pi, v_lo)
+    z *= (sigma_a, sigma_d)
+    z += 0.0
+    return u, z
+
+
 def sample_inputs(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams, n: int):
     """n sample_input calls at once: arrays (a, delta) of the same values.
 
@@ -312,9 +345,11 @@ class PlannerTree:
         self.cost_history: list = []
         self._n_sub = substep_count(config.t_prop, config.t_step)
         # Object poses by timestamp, and the substep poses of a propagation
-        # by its start time: every node at one depth shares one entry.
+        # as one row per start time: every node at one depth shares one row.
         self._poses = PoseMemo(world, params.length, params.width)
-        self._steps: dict = {}
+        self._step_rows: dict = {}
+        self._step_poses: list = []
+        self._xyr = np.empty((16, self._n_sub, len(world.objects), 3))
 
         # Column i: witness i's norm, its representative's norm and cost
         # (rows _WIT, _REP, _COST); self._reps[i] is the representative.
@@ -360,10 +395,9 @@ class PlannerTree:
         """Lowest-cost active node within d_near of the sample, else the nearest."""
         table = self._table[:, : len(self._reps)]
         d = state_distance(table[_REP], norm_state(x_rand, self.config, self.params))
-        costs = np.where(d <= self.config.d_near, table[_COST], math.inf)
-        i = int(costs.argmin())
-        if costs[i] == math.inf:
-            i = int(d.argmin())
+        i = int(d.argmin())
+        if d[i] <= self.config.d_near:
+            i = int(np.where(d <= self.config.d_near, table[_COST], math.inf).argmin())
         return self._reps[i]
 
     def _state_cost_w(self, x: float, y: float, v: float, t: float) -> float:
@@ -371,20 +405,26 @@ class PlannerTree:
         clearance = clearance_cost(x, y, self._poses.at(t), world.fields) if world.objects else 0.0
         return state_cost(self.weights, v, self.grid.lookup(x, y), clearance)
 
-    def _substep_poses(self, t0: float) -> tuple:
-        """Object poses at each substep time t0 + k*t_step of a propagation from t0.
+    def _substep_row(self, t0: float) -> int:
+        """Row of the object poses at each substep time t0 + k*t_step of a propagation from t0.
 
-        A list of n_sub PoseMemo entries, and their (x, y, reach2) as an
-        (n_sub, n_obj, 3) array for the kernel.
+        _step_poses[row] holds them as n_sub PoseMemo entries, and
+        _xyr[row] as an (n_sub, n_obj, 3) array of their (x, y, reach2) for
+        the kernel; _xyr doubles its rows when full, as the witness table does.
         """
-        steps = self._steps.get(t0)
-        if steps is None:
+        row = self._step_rows.get(t0)
+        if row is None:
+            row = self._step_rows[t0] = len(self._step_poses)
             at = self._poses.at
             ts = self.config.t_step
             poses = [at(t0 + k * ts) for k in range(1, self._n_sub + 1)]
-            xyr = np.array([[(p[0], p[1], p[4]) for p in entry] for entry in poses])
-            steps = self._steps[t0] = (poses, xyr)
-        return steps
+            self._step_poses.append(poses)
+            if row == len(self._xyr):
+                self._xyr = np.concatenate((self._xyr, np.empty_like(self._xyr)))
+            # reshape, so that a world without objects fills (n_sub, 0, 3) too
+            xyr = [[(q[0], q[1], q[4]) for q in entry] for entry in poses]
+            self._xyr[row] = np.reshape(xyr, self._xyr.shape[1:])
+        return row
 
     def propagate_checked(self, node: TreeNode, u: ControlInput):
         """Propagate a constant input from a node, validating every substate.
@@ -394,7 +434,7 @@ class PlannerTree:
         """
         cfg = self.config
         s = node.state
-        for poses in self._substep_poses(node.t)[0]:
+        for poses in self._step_poses[self._substep_row(node.t)]:
             s = step(s, u, cfg.t_step, self.params)
             if not _valid(s, self.grid, poses, cfg, self.params):
                 return None
@@ -449,11 +489,8 @@ class PlannerTree:
         ok &= self.grid.lookups(xs, ys) < self.grid.p_invalid
         first_bad = np.where(ok.all(axis=1), n_sub, ok.argmin(axis=1))
         if self.world.objects:
-            # slot[i]: the index of candidate i's start time in steps
-            times = {}
-            slot = [times.setdefault(node.t, len(times)) for node in nodes]
-            steps = [self._substep_poses(t) for t in times]
-            at = np.stack([entry[1] for entry in steps])[slot]
+            rows = [self._substep_row(node.t) for node in nodes]
+            at = self._xyr[rows]
             dx = at[..., 0] - xs[:, :, None]
             dy = at[..., 1] - ys[:, :, None]
             near = (dx * dx + dy * dy <= at[..., 2]).any(axis=2) & (np.arange(n_sub) < first_bad[:, None])
@@ -461,7 +498,7 @@ class PlannerTree:
             for i, k in zip(*(ix.tolist() for ix in near.nonzero())):
                 if k < first_bad[i]:
                     pose = float(xs[i, k]), float(ys[i, k]), float(TH[i, k + 1])
-                    if object_hit(*pose, p.length, p.width, steps[slot[i]][0][k]) is not None:
+                    if object_hit(*pose, p.length, p.width, self._step_poses[rows[i]][k]) is not None:
                         first_bad[i] = k
         idx = (first_bad == n_sub).nonzero()[0]
         return idx, np.column_stack((X[:, -1], Y[:, -1], TH[:, -1], V[:, -1]))[idx]
@@ -520,9 +557,13 @@ class PlannerTree:
         nearest; Li, Littlefield and Bekris, IJRR 2016), samples an input,
         propagates and inserts the endpoint unless its witness holds a
         cheaper one. The draws do not depend on the tree, so all k are made
-        first, in stream order. Selection, propagation and witness lookup
-        then run for all k against the table as it stands (the snapshot),
-        and the results are committed in order. A commit writes one table
+        first, in stream order, as the rows of two arrays (sample_batch);
+        states and inputs are built from a row only where a pick is redone or
+        committed. Selection, propagation and witness lookup then run for all
+        k against the table as it stands (the snapshot), and the results are
+        committed in order. The snapshot selection takes each sample's
+        nearest representative first, and the cheapest within d_near only
+        where the nearest lies within d_near. A commit writes one table
         column. Pick j is stale once a commit replaced the node it picked,
         or placed a representative within reach[j] of its sample: within
         d_near it may be cheaper, and when nothing was within d_near, one
@@ -533,29 +574,28 @@ class PlannerTree:
         """
         cfg = self.config
         params = self.params
-        rng = self.rng
         reps = self._reps
-        draws = [(sample_state(cfg, rng, params), sample_input(cfg, rng, params)) for _ in range(k)]
-        states, inputs = zip(*draws)
-        samples = norm_states(_rows(states, 4), cfg, params)
+        states, inputs = sample_batch(cfg, self.rng, params, k)
+        samples = norm_states(states, cfg, params)
 
         table = self._table[:, : len(reps)]
         pick = np.empty(k, np.intp)
         reach = np.empty(k)
         for c in range(0, k, _CHUNK):
             d = state_distance(table[_REP, None], samples[:, c : c + _CHUNK, None])
-            costs = np.where(d <= cfg.d_near, table[_COST], math.inf)
-            i = costs.argmin(axis=1)
-            rows = np.arange(len(i))
-            i = np.where(costs[rows, i] == math.inf, d.argmin(axis=1), i)
+            # the nearest, unless one lies within d_near: then the nearest
+            # does, and the cheapest of those is the pick (rare on most trees)
+            i = d.argmin(axis=1)
+            d_i = d[np.arange(len(i)), i]
+            for r in (d_i <= cfg.d_near).nonzero()[0].tolist():
+                i[r] = np.where(d[r] <= cfg.d_near, table[_COST], math.inf).argmin()
             pick[c : c + _CHUNK] = i
-            reach[c : c + _CHUNK] = d[rows, i]
+            reach[c : c + _CHUNK] = d_i
         reach = np.maximum(reach, cfg.d_near)
         pick = pick.tolist()
         nodes = [reps[i] for i in pick]
 
-        a, delta = _rows(inputs, 2).T
-        idx, ends = self.propagate_batch(nodes, a, delta)
+        idx, ends = self.propagate_batch(nodes, *inputs.T)
         m = len(idx)
         ends_norm = norm_states(ends, cfg, params)
         wit = np.empty(m, np.intp)
@@ -578,11 +618,12 @@ class PlannerTree:
         # (column, distances to every endpoint) of each witness the batch appended
         added = []
         base = self.iterations_used
-        for j, (x_rand, u) in enumerate(draws):
+        for j in range(k):
             self.iterations_used = base + j + 1
             node = nodes[j]
             if stale[j] or reps[pick[j]] is not node:
-                node = self.select(x_rand)
+                node = self.select(VehicleState(*states[j].tolist()))
+                u = ControlInput(*inputs[j].tolist())
                 end = self.propagate_checked(node, u)
                 if end is None:
                     continue
@@ -605,6 +646,7 @@ class PlannerTree:
                     i = col
                     d_i = dist[e]
             near = i if d_i <= cfg.d_prune else None
+            u = ControlInput(*inputs[j].tolist())
             if self.try_insert(node, VehicleState(*ends[e]), u, near) is None:
                 continue
             stale |= hits[e]

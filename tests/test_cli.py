@@ -170,6 +170,10 @@ class TestPlan:
             ("goal.distance=-5", "goal.distance"),
             ("goal.threshold=0", "goal.threshold"),
             ("grid.resolution=0", "grid.resolution"),
+            # 1e15 cells: the grid would not fit in memory
+            ("grid.resolution=1e-6", "grid.resolution"),
+            # a replan period of 1e-12 s executes no state
+            ("sim.replan_rate=1e12", "sim.replan_rate"),
             ("grid.p_invalid=200", "grid.p_invalid"),
             ("road.route=5", "road.route"),
             ("road.route=[5]", "road.route[0]"),

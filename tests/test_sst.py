@@ -20,6 +20,7 @@ from urbansst.sst import (
     norm_states,
     normalize_angles,
     plan,
+    sample_batch,
     sample_input,
     sample_inputs,
     sample_state,
@@ -291,6 +292,31 @@ class TestPropagationKernel:
             outcomes[_propagation_oracle(tree, node, u)[1]] += 1
         assert min(outcomes[w] for w in ("road", "object", "valid")) >= 10, outcomes
 
+    def test_batch_matches_scalar_path_past_the_pose_memo_rows(self, node_refs, monkeypatch):
+        # a fresh tree's substep pose memo has fewer rows than the IV tree has
+        # start times, so that it grows within one kernel call
+        tree, nodes = _scenario_tree(
+            node_refs, monkeypatch, "scenario_iv_vru_steering.json", VehicleState(47.0, 0.0, 0.0, 5.0), 6.0,
+        )
+        fresh = PlannerTree(
+            tree.root.state, tree.root.t, tree.goal, tree.grid, tree.world, tree.config, tree.weights, tree.params,
+            np.random.default_rng(0),
+        )
+        rows = len(fresh._xyr)
+        times = {node.t for node in nodes}
+        assert len(times) > rows
+        rng = np.random.default_rng(61)
+        starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 4)).tolist()]
+        a, delta = sample_inputs(fresh.config, rng, fresh.params, len(starts))
+        idx, ends = fresh.propagate_batch(starts, a, delta)
+        assert len(fresh._step_rows) == len(times) and len(fresh._xyr) > rows
+        got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
+        outcomes = Counter()
+        for i, (node, u) in enumerate(zip(starts, map(ControlInput, a.tolist(), delta.tolist()))):
+            assert got.get(i) == fresh.propagate_checked(node, u)
+            outcomes[_propagation_oracle(fresh, node, u)[1]] += 1
+        assert min(outcomes[w] for w in ("road", "object", "valid")) >= 10, outcomes
+
     @staticmethod
     def _assert_rows_equal_scalar(tree, starts, a, delta):
         """Each row of one propagate_batch call is propagate_checked's state, bytes and all; returns the rows."""
@@ -443,6 +469,23 @@ class TestKernelExactness:
             a, delta = sample_inputs(cfg, rng, params, n)
             want = [sample_input(cfg, ref, params) for _ in range(n)]
             assert list(map(ControlInput, a.tolist(), delta.tolist())) == want
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("a_bounds", [(-0.8, 0.8), (0.1, 0.15)])
+    def test_sample_batch_equals_scalar_draws(self, a_bounds):
+        cfg = make_planner_config()
+        params = VehicleParams(a_bounds=a_bounds)
+        rng = np.random.default_rng(59)
+        ref = np.random.default_rng(59)
+        for k in (0, 1, 64):
+            states, inputs = sample_batch(cfg, rng, params, k)
+            want_states, want_inputs = [], []
+            for _ in range(k):
+                want_states.append(sample_state(cfg, ref, params))
+                want_inputs.append(sample_input(cfg, ref, params))
+            # bytes, so that the sign of a zero counts too
+            assert states.tobytes() == np.array(want_states, float).reshape(k, 4).tobytes()
+            assert inputs.tobytes() == np.array(want_inputs, float).reshape(k, 2).tobytes()
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
