@@ -36,6 +36,17 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_json(path: Path, data) -> None:
+    """data as indented JSON, where null stands for a float that is not finite."""
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        return [finite(x) for x in v] if isinstance(v, (list, tuple)) else v
+    _atomic_write(path, json.dumps(finite(data), indent=2, allow_nan=False) + "\n")
+
+
 def _parse_budget(spec):
     """--budget time:SECS or iters:N as plan_query's budget; zero runs no iteration."""
     if spec is None:
@@ -76,13 +87,13 @@ def cmd_plan(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stats = {
         "solved": result.solved,
-        "cost": result.cost if math.isfinite(result.cost) else None,
+        "cost": result.cost,
         "iterations": result.iterations,
         "n_nodes": result.n_nodes,
         "n_witnesses": result.n_witnesses,
         "cost_history": result.cost_history,
     }
-    _atomic_write(out / "tree_stats.json", json.dumps(stats, indent=2) + "\n")
+    _write_json(out / "tree_stats.json", stats)
     if result.solved:
         lines = ["t,x,y,theta,v,a,delta"]
         for s in result.trajectory.samples:
@@ -99,10 +110,10 @@ def cmd_simulate(args) -> int:
     metrics = compute_metrics(log, sc) if log.ticks else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "simlog.json", json.dumps(simlog_to_dict(log), indent=2) + "\n")
+    _write_json(out / "simlog.json", simlog_to_dict(log))
     _atomic_write(out / "simlog.csv", simlog_to_csv(log))
     if metrics is not None:
-        _atomic_write(out / "metrics.json", json.dumps(asdict(metrics), indent=2) + "\n")
+        _write_json(out / "metrics.json", asdict(metrics))
     return 3 if log.termination == "collision" else 0
 
 
@@ -155,7 +166,7 @@ def cmd_benchmark(args) -> int:
         if error is not None:
             failed += 1
             print(f"cell failed: {name}/{mode}/seed{seed}: {error}", file=sys.stderr)
-    _atomic_write(out / "cells.json", json.dumps(cells, indent=2) + "\n")
+    _write_json(out / "cells.json", cells)
 
     lines = ["scenario,metric,base,dki,gain_pct"]
     for name in sorted({c["scenario"] for c in cells}):

@@ -17,28 +17,15 @@ class Point2(NamedTuple):
     y: float
 
 
-def _signed_area(vertices) -> float:
-    area = 0.0
-    n = len(vertices)
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
-        area += x1 * y2 - x2 * y1
-    return 0.5 * area
-
-
 class Polygon:
-    """Simple polygon; vertex order is normalized to counter-clockwise."""
+    """Simple polygon, its vertices in either winding order."""
 
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: Iterable) -> None:
-        verts = tuple(Point2(float(x), float(y)) for x, y in vertices)
-        if len(verts) < 3:
+        self.vertices = tuple(Point2(float(x), float(y)) for x, y in vertices)
+        if len(self.vertices) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        if _signed_area(verts) < 0.0:
-            verts = verts[::-1]
-        self.vertices = verts
 
     def __repr__(self) -> str:
         return f"Polygon({list(self.vertices)!r})"

@@ -102,9 +102,9 @@ class PoseMemo:
 
     def __init__(self, world: WorldModel, ego_length: float, ego_width: float) -> None:
         r_ego = 0.5 * math.hypot(ego_length, ego_width)
-        self._reach = [
-            (obj, (r_ego + 0.5 * math.hypot(obj.length, obj.width)) ** 2) for obj in world.objects
-        ]
+        # r * r, as r ** 2 raises OverflowError where the square leaves the float range
+        reach = [(obj, r_ego + 0.5 * math.hypot(obj.length, obj.width)) for obj in world.objects]
+        self._reach = [(obj, r * r) for obj, r in reach]
         self._memo: dict = {}
 
     def at(self, t: float) -> tuple:

@@ -73,7 +73,7 @@ class RoadNetwork:
             if nxt not in self._by_id[cur].successors:
                 raise ValueError(f"route is not connected: {nxt!r} is not a successor of {cur!r}")
         self._indices: dict = {}
-        self._route_path: Optional[RoutePath] = None
+        self.route_path = RoutePath(self)
 
     def lane(self, lane_id) -> Lane:
         return self._by_id[lane_id]
@@ -94,12 +94,6 @@ class RoadNetwork:
             cached = (cKDTree(all_pts), all_pts, owners)
             self._indices[key] = cached
         return cached
-
-    @property
-    def route_path(self) -> "RoutePath":
-        if self._route_path is None:
-            self._route_path = RoutePath(self)
-        return self._route_path
 
 
 DEFAULT_GRID_RESOLUTION = 0.25
@@ -235,8 +229,7 @@ class RoutePath:
 class GoalRegion:
     """Lateral band across the lanes around a route arc-length window."""
 
-    def __init__(self, lane_ids, arc_window, polygons) -> None:
-        self.lane_ids = list(lane_ids)
+    def __init__(self, arc_window, polygons) -> None:
         self.arc_window = tuple(arc_window)
         self.polygons = list(polygons)
         xs = [v.x for poly in self.polygons for v in poly.vertices]
@@ -293,20 +286,14 @@ def compute_goal_region(
             f"route ends at {route.length:.1f} m but goal center is at {s_goal:.1f} m"
         )
     window = route.slice(s_goal - goal_threshold, min(s_goal + goal_threshold, route.length))
-    lane_ids = []
     polygons = []
     for lane in net.lanes:
         dense = _resample_polyline(np.asarray(lane.centerline, dtype=float), 0.2)
-        mask = _window_membership(dense, window, lateral_band)
-        if not mask.any():
-            continue
         # Contiguous runs of in-window points become quad strips of +-width/2.
-        idx = np.flatnonzero(mask)
+        idx = np.flatnonzero(_window_membership(dense, window, lateral_band))
         splits = np.flatnonzero(np.diff(idx) > 1)
-        runs = np.split(idx, splits + 1)
         half = lane.width / 2
-        added = False
-        for run in runs:
+        for run in np.split(idx, splits + 1):
             if len(run) < 2:
                 continue
             seg = dense[run]
@@ -318,7 +305,4 @@ def compute_goal_region(
             right = seg - half * np.column_stack([nx, ny])
             ring = np.vstack([left, right[::-1]])
             polygons.append(Polygon(ring))
-            added = True
-        if added:
-            lane_ids.append(lane.id)
-    return GoalRegion(lane_ids, (s_goal - goal_threshold, s_goal + goal_threshold), polygons)
+    return GoalRegion((s_goal - goal_threshold, s_goal + goal_threshold), polygons)

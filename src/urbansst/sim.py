@@ -87,11 +87,11 @@ class Scenario:
             raise ScenarioError("grid.p_invalid: must not exceed grid.p_max")
         if self.sampling_margin < 0.0:
             raise ScenarioError("sim.sampling_margin: must not be negative")
-        # sst.sample_input and sst.sample_batch redraw (a, delta) until both
-        # lie in their bounds: below a chance of 1e-3 per draw (over a
-        # thousand redraws per input) the planner in effect hangs. An
-        # inverse-CDF sampler of the truncated Gaussian would never redraw and
-        # make this check unneeded.
+        # sst.sample_input, sst.sample_batch and sst.sample_inputs redraw
+        # (a, delta) until both lie in their bounds: below a chance of 1e-3
+        # per draw (over a thousand redraws per input) the planner in effect
+        # hangs. An inverse-CDF sampler of the truncated Gaussian would never
+        # redraw and make this check unneeded.
         chances = {
             "a_bounds": _chance_within(self.ego_params.a_bounds, self.planner.sigma_a),
             "delta_bounds": _chance_within(self.ego_params.delta_bounds, self.planner.sigma_delta),
@@ -597,7 +597,7 @@ def simlog_to_dict(log: SimLog) -> dict:
                 "state": tick.state._asdict(),
                 "solved": tick.solved,
                 "fallback": tick.fallback,
-                "cost": tick.cost if math.isfinite(tick.cost) else None,
+                "cost": tick.cost,
                 "iterations": tick.iterations,
                 "n_nodes": tick.n_nodes,
                 "a_cmd": tick.a_cmd,

@@ -273,20 +273,15 @@ def _valid(s: VehicleState, grid: PenaltyGrid, poses, config: PlannerConfig, par
 
 
 class TreeNode:
-    __slots__ = (
-        "state", "t", "input", "parent", "n_children",
-        "cost", "state_cost_w", "active",
-    )
+    __slots__ = ("state", "t", "input", "parent", "cost", "state_cost_w")
 
     def __init__(self, state, t, u, parent, cost, state_cost_w) -> None:
         self.state = state
         self.t = t
         self.input = u
         self.parent = parent
-        self.n_children = 0
         self.cost = cost
         self.state_cost_w = state_cost_w
-        self.active = True
 
 
 @dataclass
@@ -301,17 +296,17 @@ class PlanResult:
 
 
 class PlannerTree:
-    """Single-query search tree with active/witness bookkeeping.
+    """Single-query search tree over witnesses and their representatives.
 
-    A node becomes active only by founding a witness or by replacing a
-    witness's representative, which deactivates the old one at once, so the
-    active nodes are exactly the witness representatives and one append-only
+    A node becomes a representative (SST's active node) only by founding a
+    witness or by replacing a witness's representative, so one append-only
     table indexed by witness serves both selection and pruning.
 
-    A node links to its parent and only counts the nodes it is the parent
-    of, so a finished tree holds no reference cycle and reference counting
-    frees it. A wall-time budget counts from construction, which charges
-    seeding to the query.
+    A node links only to its parent, so a tree holds no reference cycle.
+    SST prunes a replaced representative, then each ancestor left inactive
+    with no child; reference counting frees exactly those nodes, and a
+    finished tree whole. A wall-time budget counts from construction, which
+    charges seeding to the query.
 
     Not shared between queries; one instance per call to plan().
     """
@@ -339,7 +334,6 @@ class PlannerTree:
         self.params = params
         self.rng = rng
         self.iterations_used = 0
-        self.n_nodes = 0
         self.best_cost = math.inf
         self.best_trajectory: Optional[Trajectory] = None
         self.cost_history: list = []
@@ -361,13 +355,22 @@ class PlannerTree:
         scw = self._state_cost_w(start.x, start.y, start.v, start_time)
         self.root = TreeNode(start, start_time, None, None, 0.0, scw)
         self._add_witness(self.root, norm_state(start, config, params))
-        self.n_nodes = 1
         if goal.contains_xy(start.x, start.y):
             self._record_solution(self.root)
 
     @property
     def n_witnesses(self) -> int:
         return len(self._reps)
+
+    @property
+    def n_nodes(self) -> int:
+        """Nodes not pruned: the representatives and their ancestors."""
+        alive = set()
+        for node in self._reps:
+            while node is not None and node not in alive:
+                alive.add(node)
+                node = node.parent
+        return len(alive)
 
     # -- witness table ------------------------------------------------------
 
@@ -385,14 +388,14 @@ class PlannerTree:
         return i if d[i] <= self.config.d_prune else None
 
     def representative_near(self, s: VehicleState) -> Optional[TreeNode]:
-        """Active node that holds the witness within d_prune of s, if any."""
+        """Representative of the witness within d_prune of s, if any."""
         i = self._nearest_witness(norm_state(s, self.config, self.params))
         return None if i is None else self._reps[i]
 
     # -- spec operations ----------------------------------------------------
 
     def select(self, x_rand: VehicleState) -> TreeNode:
-        """Lowest-cost active node within d_near of the sample, else the nearest."""
+        """Lowest-cost representative within d_near of the sample, else the nearest."""
         table = self._table[:, : len(self._reps)]
         d = state_distance(table[_REP], norm_state(x_rand, self.config, self.params))
         i = int(d.argmin())
@@ -521,26 +524,15 @@ class PlannerTree:
         if i is not None and cost >= self._table[_COST, i]:
             return None
         node = TreeNode(state, t_new, u, parent, cost, scw)
-        parent.n_children += 1
-        self.n_nodes += 1
         if i is None:
             self._add_witness(node, norm)
         else:
-            old = self._reps[i]
             self._reps[i] = node
             self._table[_REP, i] = norm
             self._table[_COST, i] = cost
-            old.active = False
-            self._prune_inactive_chain(old)
         if cost < self.best_cost and self.goal.contains_xy(x, y):
             self._record_solution(node)
         return node
-
-    def _prune_inactive_chain(self, node: TreeNode) -> None:
-        while not node.active and node.n_children == 0 and node.parent is not None:
-            node = node.parent
-            node.n_children -= 1
-            self.n_nodes -= 1
 
     def _record_solution(self, node: TreeNode) -> None:
         self.best_cost = node.cost

@@ -23,7 +23,7 @@ from urbansst.sim import (
 from urbansst.sst import PlannerTree, norm_state, plan, sample_state
 from urbansst.vehicle import ControlInput, VehicleState, propagate
 
-from conftest import SCENARIO_DIR, is_state_valid, live_nodes, make_straight_net, wrap_dist
+from conftest import SCENARIO_DIR, is_state_valid, make_straight_net, wrap_dist
 
 SEEDS = list(range(10))
 
@@ -138,7 +138,7 @@ class TestAcceptance:
             "braking [" + ", ".join(brake_detail) + "]; steering [" + ", ".join(steer_detail) + "]",
         )
 
-    def test_criterion_5_property_suites(self, node_refs):
+    def test_criterion_5_property_suites(self):
         sc = load_scenario(SCENARIO_DIR / "scenario_i_straight_road.json")
         net = sc.road
         grid = build_scenario_grid(sc)
@@ -220,7 +220,7 @@ class TestAcceptance:
 
         # 6. select_node brute-force oracle on 10^3 queries
         timed("select")
-        active = [n for n in live_nodes(node_refs) if n.active]
+        active = tree._reps
         rng = np.random.default_rng(1)
         for _ in range(1000):
             x_rand = sample_state(cfg, rng, params)

@@ -25,6 +25,13 @@ def blocked_scenario(tmp_path):
     return str(path)
 
 
+def strict_json(path):
+    """The JSON document in path; NaN and Infinity, which strict parsers reject, raise."""
+    def reject(constant):
+        raise ValueError(f"{path.name}: {constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestArgHelpers:
     def test_parse_budget(self):
         assert _parse_budget(None) is None
@@ -229,6 +236,15 @@ class TestPlan:
             ]
             assert [[float(v) if v else None for v in row.split(",")] for row in rows] == want
 
+    @pytest.mark.parametrize(
+        "override", ["ego.params.length=1e300", "ego.params.width=1e200", "objects.0.footprint.length=1e300"]
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_huge_footprint_exits_with_a_code(self, tmp_path, override):
+        # the squared reach of the two footprints' circles overflows to inf
+        argv = ["plan", "--scenario", OVERTAKE, "--budget", "iters:200", "--set", override]
+        assert main(argv + ["--out", str(tmp_path / "o")]) in (0, 1, 2)
+
     def test_set_override_applies(self, tmp_path):
         out = tmp_path / "out"
         rc = main([
@@ -265,6 +281,17 @@ class TestSimulate:
         assert log["termination"] == "collision"
         assert log["collisions"]
 
+    def test_no_planned_tick_writes_strict_json(self, tmp_path):
+        # one iteration solves no tick, so the means over planned ticks are NaN
+        out = tmp_path / "out"
+        rc = main([
+            "simulate", "--scenario", STRAIGHT, "--mode", "base", "--budget", "iters:1",
+            "--set", "sim.duration=1.0", "--out", str(out),
+        ])
+        assert rc == 0
+        assert strict_json(out / "metrics.json")["mean_abs_acceleration"] is None
+        strict_json(out / "simlog.json")
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -296,6 +323,15 @@ class TestBenchmark:
             "mean_abs_acceleration", "mean_speed_deviation",
             "mean_lane_deviation", "min_target_distance",
         ]
+
+    def test_no_planned_tick_writes_strict_json(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main([
+            "benchmark", "--scenario", STRAIGHT, "--modes", "base", "--budget", "iters:1",
+            "--set", "sim.duration=1.0", "--out", str(out),
+        ])
+        assert rc == 0
+        assert strict_json(out / "cells.json")[0]["metrics"]["mean_abs_acceleration"] is None
 
     def test_failing_cell_exit_one(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import math
 from dataclasses import asdict, replace
@@ -213,6 +214,15 @@ def test_read_rejects_other_values(kind, value, where):
     with pytest.raises(ScenarioError) as exc:
         _read(value, kind, "x")
     assert str(exc.value).startswith(where + " expected")
+
+
+def test_scenario_files_match_their_generator():
+    spec = importlib.util.spec_from_file_location("make_scenarios", SCENARIO_DIR / "make_scenarios.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert sorted(module.FILES) == sorted(p.name for p in SCENARIO_DIR.glob("scenario_*.json"))
+    for name, make in module.FILES.items():
+        assert (SCENARIO_DIR / name).read_text(encoding="utf-8") == json.dumps(make(), indent=2) + "\n", name
 
 
 class TestGrid:

@@ -531,7 +531,6 @@ class TestSelect:
 
         def add(state, cost):
             node = TreeNode(state, 0.4, None, tree.root, cost, 0.0)
-            tree.root.n_children += 1
             tree._add_witness(node, norm_state(state, tree.config, params))
             return node
 
@@ -545,10 +544,10 @@ class TestSelect:
         picked = tree.select(VehicleState(45.0, 10.0, 1.0, 0.0))
         assert picked is tree.root
 
-    def test_brute_force_oracle(self, node_refs, straight_goal, straight_grid, empty_world, weights, params):
+    def test_brute_force_oracle(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=2000)
         cfg = tree.config
-        active = [n for n in live_nodes(node_refs) if n.active]
+        active = tree._reps
         assert len(active) > 50
         rng = np.random.default_rng(17)
         for _ in range(1000):
@@ -604,17 +603,10 @@ class TestWitnessSparsity:
         assert result.iterations > 0 and result.n_witnesses == trees[0].n_witnesses > 1
         _assert_witnesses_sparse(trees[0])
 
-    def test_active_reps_only(self, straight_goal, straight_grid, empty_world, weights, params):
+    def test_active_nodes_are_exactly_reps(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=5_000)
-        for rep in tree._reps:
-            assert rep.active
-
-    def test_active_nodes_are_exactly_reps(self, node_refs, straight_goal, straight_grid, empty_world, weights, params):
-        tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=5_000)
-        active = {id(n) for n in live_nodes(node_refs) if n.active}
         reps = {id(rep) for rep in tree._reps}
         assert len(reps) == len(tree._reps) == tree.n_witnesses
-        assert active == reps
         # each table column mirrors its representative
         for i, rep in enumerate(tree._reps):
             assert tuple(tree._table[4:8, i]) == norm_state(rep.state, tree.config, params)
@@ -785,9 +777,9 @@ class TestPruning:
         assert result.n_witnesses <= result.n_nodes + 1
 
     def test_inactive_nonleaves_retained(self, node_refs, straight_goal, straight_grid, empty_world, weights, params):
-        # pruning only removes inactive leaves, so any inactive node still
-        # alive must have children
+        # pruning only removes inactive leaves, so every node still alive is
+        # a representative or the parent of a live node
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=5_000)
-        for node in live_nodes(node_refs):
-            if not node.active:
-                assert node.n_children > 0
+        live = live_nodes(node_refs)
+        kept = set(tree._reps) | {node.parent for node in live}
+        assert all(node in kept for node in live)
