@@ -137,6 +137,8 @@ _GAIN_METRICS = {
 
 
 def cmd_benchmark(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError(f"--jobs: expected a positive integer, got {args.jobs}")
     budget = _parse_budget(args.budget)
     seeds = _parse_seeds(args.seeds)
     modes = args.modes.split(",")
@@ -146,8 +148,11 @@ def cmd_benchmark(args) -> int:
         for mode in modes
         for seed in seeds
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # under the fork start method the pool starts all its workers at once,
+    # so start no more than there are cells and CPUs
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, jobs))
     else:
         results = [_run_cell(j) for j in jobs]

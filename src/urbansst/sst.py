@@ -10,10 +10,12 @@ many sequential ones: the draws do not depend on the tree, so a batch draws
 them first, as two arrays, then selects (nearest first), propagates and
 looks up witnesses for all of them against the tree as it stood at batch
 start, commits the results in order and redoes through the scalar path each
-iteration that an earlier commit may have changed. Object poses at each
-substep are memoized per propagation start time, as one row of one array
-that the kernel gathers. The scalar path integrates with vehicle.step and
-checks each substate with _valid, the one validity predicate. The kernel,
+iteration that an earlier commit may have changed. The two nearest-neighbour
+passes rank exactly only the table columns that an xy lower bound, one
+matrix product, cannot rule out. Object poses at each substep are memoized
+per propagation start time, as one row of one array that the kernel
+gathers. The scalar path integrates with vehicle.step and checks each
+substate with _valid, the one validity predicate. The kernel,
 propagate_batch, gives its results bit for bit from one pass per quantity
 over all candidates and substeps: speeds and positions as running sums, the
 heading with its wrap, one validity pass over bounds and grid cells, then
@@ -48,10 +50,12 @@ _WIT = slice(0, 4)
 _REP = slice(4, 8)
 _COST = 8
 
-# Main-loop iterations done as one batch, and the samples or endpoints per
-# distance pass against the witness table (a pass holds _CHUNK x W floats).
+# Main-loop iterations done as one batch.
 _BATCH = 64
-_CHUNK = 16
+
+# Up to this many (point, column) pairs, one exact pass over all of them is
+# faster than the xy filter of PlannerTree._nearest.
+_FULL_PASS = 8192
 
 # try_insert's default: look the nearest witness up in the table.
 _LOOK_UP = object()
@@ -381,6 +385,40 @@ class PlannerTree:
         self._table[:, i] = (*norm, *norm, node.cost)
         self._reps.append(node)
 
+    @staticmethod
+    def _nearest(cols: np.ndarray, pts: np.ndarray):
+        """Index of the first nearest column of cols (4, W) to each column of
+        pts (4, n), and its state_distance: argmin over the full distance row,
+        bit for bit.
+
+        Up to _FULL_PASS pairs that is one exact pass. Above it, one matrix
+        product approximates every squared xy distance G = |s|^2 - 2 s.w +
+        |w|^2, the distance to each row's G-argmin is an exact upper bound
+        ub, and only the pairs with G within ub^2 are ranked exactly. The
+        rounded dx^2 + dy^2 is at most the rounded full d^2 (rounding is
+        monotone; heading and speed only add), and the bound's margin is
+        hundreds of times the rounding of ub^2 and of the four-term product,
+        so every column as near as the nearest is ranked.
+        """
+        n, w = pts.shape[1], cols.shape[1]
+        if n * w <= _FULL_PASS:
+            d = state_distance(cols[:, None], pts[:, :, None])
+            i = d.argmin(axis=1)
+            return i, d[np.arange(n), i]
+        x, y = cols[0], cols[1]
+        r2 = x * x + y * y
+        sx, sy = pts[0], pts[1]
+        s2 = sx * sx + sy * sy
+        g = np.column_stack((-2.0 * sx, -2.0 * sy, np.ones(n), s2)) @ np.vstack((x, y, r2, np.ones(w)))
+        ub = state_distance(cols[:, g.argmin(axis=1)], pts)
+        bound = ub * ub * (1.0 + 1e-12) + 1e-12 * (s2 + r2.max() + 1.0)
+        # row-major, so each row's pairs are one run, in column order
+        row, col = np.divmod(np.flatnonzero(g <= bound[:, None]), w)
+        d = state_distance(cols[:, col], pts[:, row])
+        starts = np.searchsorted(row, np.arange(n))
+        best = np.minimum.reduceat(d, starts)
+        return np.minimum.reduceat(np.where(d == best[row], col, w), starts), best
+
     def _nearest_witness(self, n) -> Optional[int]:
         """Index of the nearest witness if it lies within d_prune of n."""
         d = state_distance(self._table[_WIT, : len(self._reps)], n)
@@ -555,14 +593,16 @@ class PlannerTree:
         k against the table as it stands (the snapshot), and the results are
         committed in order. The snapshot selection takes each sample's
         nearest representative first, and the cheapest within d_near only
-        where the nearest lies within d_near. A commit writes one table
-        column. Pick j is stale once a commit replaced the node it picked,
-        or placed a representative within reach[j] of its sample: within
-        d_near it may be cheaper, and when nothing was within d_near, one
-        as near as the pick may be the nearest. A stale pick is redone on
-        the current tree. Witnesses never move, so an endpoint's nearest
-        witness is the snapshot's unless one appended in the batch is
-        strictly nearer (argmin takes the first minimum).
+        where the nearest lies within d_near; both it and the witness lookup
+        find the nearest through _nearest, which on a large table ranks only
+        the columns whose xy distance alone does not rule them out. A commit
+        writes one table column. Pick j is stale once a commit replaced the
+        node it picked, or placed a representative within reach[j] of its
+        sample: within d_near it may be cheaper, and when nothing was within
+        d_near, one as near as the pick may be the nearest. A stale pick is
+        redone on the current tree. Witnesses never move, so an endpoint's
+        nearest witness is the snapshot's unless one appended in the batch
+        is strictly nearer (argmin takes the first minimum).
         """
         cfg = self.config
         params = self.params
@@ -571,18 +611,12 @@ class PlannerTree:
         samples = norm_states(states, cfg, params)
 
         table = self._table[:, : len(reps)]
-        pick = np.empty(k, np.intp)
-        reach = np.empty(k)
-        for c in range(0, k, _CHUNK):
-            d = state_distance(table[_REP, None], samples[:, c : c + _CHUNK, None])
-            # the nearest, unless one lies within d_near: then the nearest
-            # does, and the cheapest of those is the pick (rare on most trees)
-            i = d.argmin(axis=1)
-            d_i = d[np.arange(len(i)), i]
-            for r in (d_i <= cfg.d_near).nonzero()[0].tolist():
-                i[r] = np.where(d[r] <= cfg.d_near, table[_COST], math.inf).argmin()
-            pick[c : c + _CHUNK] = i
-            reach[c : c + _CHUNK] = d_i
+        pick, reach = self._nearest(table[_REP], samples)
+        # the nearest, unless one lies within d_near: then the cheapest of
+        # those is the pick (rare on most trees)
+        for r in (reach <= cfg.d_near).nonzero()[0].tolist():
+            d = state_distance(table[_REP], samples[:, r])
+            pick[r] = np.where(d <= cfg.d_near, table[_COST], math.inf).argmin()
         reach = np.maximum(reach, cfg.d_near)
         pick = pick.tolist()
         nodes = [reps[i] for i in pick]
@@ -590,13 +624,7 @@ class PlannerTree:
         idx, ends = self.propagate_batch(nodes, *inputs.T)
         m = len(idx)
         ends_norm = norm_states(ends, cfg, params)
-        wit = np.empty(m, np.intp)
-        wit_d = np.empty(m)
-        for c in range(0, m, _CHUNK):
-            d = state_distance(table[_WIT, None], ends_norm[:, c : c + _CHUNK, None])
-            i = d.argmin(axis=1)
-            wit[c : c + _CHUNK] = i
-            wit_d[c : c + _CHUNK] = d[np.arange(len(i)), i]
+        wit, wit_d = self._nearest(table[_WIT], ends_norm)
         # row e: the samples that endpoint e, made a representative, would
         # make stale, and its distance to every endpoint as a witness
         hits = state_distance(ends_norm[:, :, None], samples[:, None, :]) <= reach

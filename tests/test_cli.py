@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from urbansst import cli
 from urbansst.cli import _parse_budget, _parse_seeds, main
 from urbansst.sim import ScenarioError, load_scenario, run_closed_loop
 
@@ -69,6 +70,8 @@ class TestArgHelpers:
             ["benchmark", "--seeds", "1-"],
             ["benchmark", "--seeds", "a"],
             ["benchmark", "--budget", "iters:0"],
+            ["benchmark", "--jobs", "0"],
+            ["benchmark", "--jobs", "-2"],
         ],
         ids=" ".join,
     )
@@ -332,6 +335,38 @@ class TestBenchmark:
         ])
         assert rc == 0
         assert strict_json(out / "cells.json")[0]["metrics"]["mean_abs_acceleration"] is None
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers", [("100000", 4, 2), ("2", 4, 2), ("3", 1, None), ("3", None, None), ("1", 4, None)],
+    )
+    def test_workers_capped_by_cells_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        pools = []
+
+        class InlinePool:
+            """Records its worker count and runs the cells in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out = tmp_path / "out"
+        rc = main([
+            "benchmark", "--scenario", STRAIGHT, "--modes", "dki", "--seeds", "0-1", "--jobs", jobs,
+            "--budget", "iters:50", "--set", "sim.duration=1.0", "--out", str(out),
+        ])
+        assert rc == 0
+        assert pools == ([] if workers is None else [workers])
+        assert [c["seed"] for c in strict_json(out / "cells.json")] == [0, 1]
 
     def test_failing_cell_exit_one(self, tmp_path, capsys):
         out = tmp_path / "out"

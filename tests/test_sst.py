@@ -6,12 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from urbansst import objects
 from urbansst.geometry import obb_overlap
 from urbansst.objects import ObjectPrediction, WorldModel
 from urbansst.road import PenaltyGrid
 from urbansst.sst import (
+    _FULL_PASS,
     InvalidStartError,
     PlannerConfig,
     PlannerTree,
@@ -565,6 +568,46 @@ class TestSelect:
                 assert picked_dist == pytest.approx(dists.min())
 
 
+def _brute_nearest(cols, pts):
+    """The oracle of PlannerTree._nearest: argmin over each point's full distance row."""
+    index, dist = [], []
+    for r in range(pts.shape[1]):
+        d = state_distance(cols, pts[:, r])
+        index.append(int(d.argmin()))
+        dist.append(d[index[-1]])
+    return index, np.array(dist)
+
+
+class TestNearest:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # n * w on both sides of _FULL_PASS, n = 0 a batch with no valid endpoint
+        n=st.sampled_from([0, 1, 5, 64]),
+        w=st.sampled_from([1, 2, 40, 128, 129, 400, 1500]),
+        # normalized xy near 1e4 make the product's error largest
+        offset=st.sampled_from([0.0, 1.0, 1e4]),
+        spread=st.sampled_from([1e-6, 0.05, 1.0, 8.0]),
+        n_dup=st.integers(0, 30),
+        n_hit=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=64, w=129, offset=1e4, spread=0.05, n_dup=30, n_hit=10, seed=0)
+    def test_equals_brute_force(self, n, w, offset, spread, n_dup, n_hit, seed):
+        rng = np.random.default_rng(seed)
+        cols = np.vstack((offset + spread * rng.random((2, w)), rng.random((2, w))))
+        pts = np.vstack((offset + spread * rng.random((2, n)), rng.random((2, n))))
+        # duplicate columns, earlier and later ones: the first index wins a tie
+        cols[:, rng.integers(0, w, n_dup)] = cols[:, rng.integers(0, w, n_dup)]
+        if n:
+            # points on a column, and points on a column's xy only
+            pts[:, rng.integers(0, n, n_hit)] = cols[:, rng.integers(0, w, n_hit)]
+            pts[:2, rng.integers(0, n, n_hit)] = cols[:2, rng.integers(0, w, n_hit)]
+        index, dist = PlannerTree._nearest(cols, pts)
+        want_index, want_dist = _brute_nearest(cols, pts)
+        assert index.tolist() == want_index
+        assert dist.tobytes() == want_dist.tobytes()
+
+
 def _assert_witnesses_sparse(tree):
     """No two witnesses of the tree lie within d_prune of each other."""
     norms = tree._table[:4, : len(tree._reps)].T
@@ -736,11 +779,17 @@ class TestBatchedLoop:
         trees = []
         run = PlannerTree.run
         select = PlannerTree.select
+        nearest = PlannerTree._nearest
         selects = Counter()
+        filtered = Counter()
 
         def counted_select(tree, x_rand):
             selects[len(trees)] += 1
             return select(tree, x_rand)
+
+        def counted_nearest(cols, pts):
+            filtered[len(trees)] += cols.shape[1] * pts.shape[1] > _FULL_PASS
+            return nearest(cols, pts)
 
         def grow(tree):
             trees.append(tree)
@@ -750,6 +799,7 @@ class TestBatchedLoop:
 
         monkeypatch.setattr(PlannerTree, "run", grow)
         monkeypatch.setattr(PlannerTree, "select", counted_select)
+        monkeypatch.setattr(PlannerTree, "_nearest", staticmethod(counted_nearest))
         # a budget that is not a multiple of the batch size; dki seeding
         # spends up to 1 400 of it
         batched, sequential = (
@@ -767,6 +817,9 @@ class TestBatchedLoop:
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
         # the batched loop redid some of its picks through the scalar path
         assert selects[1] > 0
+        # and ranked past the one-pass limit through the xy filter, except on
+        # III/dki, whose witness table stays small
+        assert filtered[1] > 0 or (name, mode) == ("scenario_iii_roundabout.json", "dki")
 
 
 class TestPruning:
