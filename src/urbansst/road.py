@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Point2, Polygon, point_in_polygon
 from .vehicle import VehicleState
@@ -42,11 +41,15 @@ class Lane:
                 raise ValueError(f"lane {self.id}: consecutive centerline points must differ")
 
 
+def _arc_lengths(points: np.ndarray) -> np.ndarray:
+    """Arc length of a polyline at each of its points."""
+    seg = np.diff(points, axis=0)
+    return np.concatenate(([0.0], np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))))
+
+
 def _resample_polyline(points: np.ndarray, spacing: float) -> np.ndarray:
     """Resample a polyline at most `spacing` apart, keeping original endpoints."""
-    seg = np.diff(points, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    arc = np.concatenate(([0.0], np.cumsum(seg_len)))
+    arc = _arc_lengths(points)
     total = arc[-1]
     n = max(2, int(math.ceil(total / spacing)) + 1)
     s = np.linspace(0.0, total, n)
@@ -72,41 +75,75 @@ class RoadNetwork:
         for cur, nxt in zip(self.route, self.route[1:]):
             if nxt not in self._by_id[cur].successors:
                 raise ValueError(f"route is not connected: {nxt!r} is not a successor of {cur!r}")
-        self._indices: dict = {}
+        self._lane_points: dict = {}
         self.route_path = RoutePath(self)
 
     def lane(self, lane_id) -> Lane:
         return self._by_id[lane_id]
 
-    def point_index(self, spacing: float):
-        """KD-tree over all lanes' densified centerline points, cached per spacing."""
+    def lane_points(self, spacing: float):
+        """Every lane's centerline densified at spacing, stacked in lane order,
+        and each point's lane index: (points (n, 2), owners (n,)), cached per spacing."""
         key = round(spacing, 9)
-        cached = self._indices.get(key)
+        cached = self._lane_points.get(key)
         if cached is None:
-            pts = []
-            owner = []
-            for i, lane in enumerate(self.lanes):
-                dense = _resample_polyline(np.asarray(lane.centerline, dtype=float), spacing)
-                pts.append(dense)
-                owner.append(np.full(len(dense), i, dtype=np.intp))
-            all_pts = np.vstack(pts)
-            owners = np.concatenate(owner)
-            cached = (cKDTree(all_pts), all_pts, owners)
-            self._indices[key] = cached
+            dense = [_resample_polyline(np.asarray(lane.centerline, dtype=float), spacing) for lane in self.lanes]
+            owners = np.repeat(np.arange(len(dense)), [len(d) for d in dense])
+            cached = (np.vstack(dense), owners)
+            self._lane_points[key] = cached
         return cached
 
 
 DEFAULT_GRID_RESOLUTION = 0.25
 
 
-def nearest_lane_center(net: RoadNetwork, p: Point2):
-    """Closest densified lane-center point to p: (point, distance, lane_id)."""
-    if not net.lanes:
-        raise ValueError("road network has no lanes")
-    tree, pts, owners = net.point_index(DEFAULT_GRID_RESOLUTION / 2)
-    dist, idx = tree.query([p[0], p[1]])
-    lane = net.lanes[owners[idx]]
-    return Point2(float(pts[idx, 0]), float(pts[idx, 1])), float(dist), lane.id
+def nearest_lane_points(net: RoadNetwork, spacing: float, x, y, reach=None):
+    """Distance to, and index into net.lane_points(spacing)[0] of, the nearest
+    densified lane point of every query (x, y): (dist, idx), shaped like x and
+    y broadcast together.
+
+    dist is sqrt(dx*dx + dy*dy) and idx the first point at that distance, as
+    a brute-force argmin over all points gives. Densified points sit on their
+    centerline segment at arc lengths j*h, so along one segment their
+    distance to a query is convex in j: the nearest are the points around
+    the query's clamped projection onto the segment, and each segment ranks
+    only three. Without reach every segment ranks every query. With reach, x
+    is a sorted row (1, C) and y a sorted column (R, 1), and each segment
+    ranks only the queries within reach of its bounding box; a query that no
+    segment reaches keeps dist inf and idx -1.
+    """
+    points, owners = net.lane_points(spacing)
+    dist = np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.inf)
+    idx = np.full(dist.shape, -1, dtype=np.intp)
+    bounds = np.searchsorted(owners, np.arange(len(net.lanes) + 1))
+    for lane, g0, g1 in zip(net.lanes, bounds[:-1], bounds[1:]):
+        line = np.asarray(lane.centerline, dtype=float)
+        arc = _arc_lengths(line)
+        h = arc[-1] / (g1 - g0 - 1)
+        for a, b, s0 in zip(line[:-1], line[1:], arc[:-1]):
+            win = ...
+            qx, qy = x, y
+            if reach is not None:
+                # one query of slack each side: an interpolated point may lie
+                # a rounding error outside its segment's bounding box
+                c0, c1 = np.searchsorted(x[0], (min(a[0], b[0]) - reach, max(a[0], b[0]) + reach))
+                r0, r1 = np.searchsorted(y[:, 0], (min(a[1], b[1]) - reach, max(a[1], b[1]) + reach))
+                c0, r0 = max(c0 - 1, 0), max(r0 - 1, 0)
+                win = (slice(r0, r1 + 1), slice(c0, c1 + 1))
+                qx, qy = x[:, win[1]], y[win[0], :]
+            d = b - a
+            t = np.clip(((qx - a[0]) * d[0] + (qy - a[1]) * d[1]) / (d @ d), 0.0, 1.0)
+            j = np.rint((s0 + t * math.hypot(d[0], d[1])) / h)
+            best_d, best_i = dist[win], idx[win]
+            for off in (-1.0, 0.0, 1.0):
+                g = g0 + np.clip(j + off, 0, g1 - g0 - 1).astype(np.intp)
+                dx = points[g, 0] - qx
+                dy = points[g, 1] - qy
+                dg = np.sqrt(dx * dx + dy * dy)
+                better = (dg < best_d) | ((dg == best_d) & (g < best_i))
+                np.copyto(best_d, dg, where=better)
+                np.copyto(best_i, g, where=better)
+    return dist, idx
 
 
 class PenaltyGrid:
@@ -155,13 +192,13 @@ def build_penalty_grid(
     n_rows = max(1, int(math.ceil((y_max - y_min) / resolution)))
     xs = x_min + (np.arange(n_cols) + 0.5) * resolution
     ys = y_min + (np.arange(n_rows) + 0.5) * resolution
-    gx, gy = np.meshgrid(xs, ys)
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
-    tree, _, owners = net.point_index(resolution / 2)
-    dist, idx = tree.query(centers)
-    widths = np.array([lane.width for lane in net.lanes])[owners[idx]]
+    # a cell farther than half the widest lane from every lane point is p_max
+    # whichever point is nearest
+    lane_widths = np.array([lane.width for lane in net.lanes])
+    dist, idx = nearest_lane_points(net, resolution / 2, xs[None, :], ys[:, None], reach=lane_widths.max() / 2)
+    widths = lane_widths[net.lane_points(resolution / 2)[1][idx]]
     cells = np.where(dist < widths / 2, 2.0 * p_max * dist / widths, p_max)
-    return PenaltyGrid((x_min, y_min), resolution, cells.reshape(n_rows, n_cols), p_max, p_invalid)
+    return PenaltyGrid((x_min, y_min), resolution, cells, p_max, p_invalid)
 
 
 class RoutePath:
@@ -286,9 +323,11 @@ def compute_goal_region(
             f"route ends at {route.length:.1f} m but goal center is at {s_goal:.1f} m"
         )
     window = route.slice(s_goal - goal_threshold, min(s_goal + goal_threshold, route.length))
+    points, owners = net.lane_points(0.2)
+    bounds = np.searchsorted(owners, np.arange(len(net.lanes) + 1))
     polygons = []
-    for lane in net.lanes:
-        dense = _resample_polyline(np.asarray(lane.centerline, dtype=float), 0.2)
+    for lane, g0, g1 in zip(net.lanes, bounds[:-1], bounds[1:]):
+        dense = points[g0:g1]
         # Contiguous runs of in-window points become quad strips of +-width/2.
         idx = np.flatnonzero(_window_membership(dense, window, lateral_band))
         splits = np.flatnonzero(np.diff(idx) > 1)

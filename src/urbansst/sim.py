@@ -29,7 +29,7 @@ from .road import (
     RouteExhaustedError,
     build_penalty_grid,
     compute_goal_region,
-    nearest_lane_center,
+    nearest_lane_points,
 )
 from .sst import InvalidStartError, PlannerConfig, PlanResult, plan
 from .vehicle import ControlInput, TimedState, Trajectory, VehicleParams, VehicleState, step
@@ -529,16 +529,16 @@ def compute_metrics(log: SimLog, sc: Scenario) -> MetricsReport:
         raise ValueError("cannot compute metrics for an empty log")
     accel_groups = []
     speed_groups = []
-    lane_groups = []
+    planned_xy = []
     for tick in log.ticks:
         if tick.planned is None:
             continue
         samples = tick.planned.samples
         accel_groups.append([abs(s.input.a) for s in samples if s.input is not None])
         speed_groups.append([abs(s.state.v - sc.weights.v_desired) for s in samples])
-        lane_groups.append(
-            [nearest_lane_center(sc.road, (s.state.x, s.state.y))[1] for s in samples]
-        )
+        planned_xy.extend((s.state.x, s.state.y) for s in samples)
+    xy = np.array(planned_xy, dtype=float).reshape(-1, 2)
+    lane_dist, _ = nearest_lane_points(sc.road, DEFAULT_GRID_RESOLUTION / 2, xy[:, 0], xy[:, 1])
     min_dist: Optional[float] = None
     if sc.world.objects:
         best = math.inf
@@ -559,7 +559,7 @@ def compute_metrics(log: SimLog, sc: Scenario) -> MetricsReport:
     return MetricsReport(
         mean_abs_acceleration=_pooled_mean(accel_groups),
         mean_speed_deviation=_pooled_mean(speed_groups),
-        mean_lane_deviation=_pooled_mean(lane_groups),
+        mean_lane_deviation=_pooled_mean([lane_dist.tolist()]),
         min_target_distance=min_dist,
         collision_count=len(log.collisions),
         progress_distance=s - s0,

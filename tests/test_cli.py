@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import urbansst
 from urbansst import cli
 from urbansst.cli import _parse_budget, _parse_seeds, main
 from urbansst.sim import ScenarioError, load_scenario, run_closed_loop
@@ -31,6 +36,15 @@ def strict_json(path):
     def reject(constant):
         raise ValueError(f"{path.name}: {constant} is not JSON")
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_import_loads_no_scipy():
+    # the package needs only numpy; scipy alone would double start-up time and memory
+    src = str(Path(urbansst.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, urbansst.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestArgHelpers:

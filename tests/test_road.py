@@ -1,10 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from urbansst.geometry import Point2
 from urbansst.road import (
+    DEFAULT_GRID_RESOLUTION,
     GoalRegion,
     Lane,
     PenaltyGrid,
@@ -12,11 +15,62 @@ from urbansst.road import (
     RouteExhaustedError,
     build_penalty_grid,
     compute_goal_region,
-    nearest_lane_center,
+    nearest_lane_points,
 )
+from urbansst.sim import build_scenario_grid, load_scenario
 from urbansst.vehicle import VehicleState
 
-from conftest import LANE_SPACING, LANE_WIDTH, make_straight_net
+from conftest import LANE_SPACING, LANE_WIDTH, SCENARIO_DIR, make_straight_net
+
+
+def nearest_lane_center(net, p, spacing=DEFAULT_GRID_RESOLUTION / 2):
+    """Brute-force oracle of nearest_lane_points: the smallest sqrt(dx*dx + dy*dy)
+    from p to a densified lane point, and the first point at that distance."""
+    points, _ = net.lane_points(spacing)
+    dx = points[:, 0] - p[0]
+    dy = points[:, 1] - p[1]
+    dist = np.sqrt(dx * dx + dy * dy)
+    i = int(np.argmin(dist))
+    return float(dist[i]), i
+
+
+def oracle_grid(net, bounds, resolution, p_max):
+    """Penalty cells of build_penalty_grid, from nearest_lane_center at every cell center."""
+    x_min, y_min, x_max, y_max = bounds
+    n_cols = max(1, int(math.ceil((x_max - x_min) / resolution)))
+    n_rows = max(1, int(math.ceil((y_max - y_min) / resolution)))
+    xs = x_min + (np.arange(n_cols) + 0.5) * resolution
+    ys = y_min + (np.arange(n_rows) + 0.5) * resolution
+    _, owners = net.lane_points(resolution / 2)
+    cells = np.empty((n_rows, n_cols))
+    for r, y in enumerate(ys.tolist()):
+        for c, x in enumerate(xs.tolist()):
+            d, i = nearest_lane_center(net, (x, y), resolution / 2)
+            w = net.lanes[owners[i]].width
+            cells[r, c] = 2.0 * p_max * d / w if d < w / 2 else p_max
+    return cells
+
+
+def two_width_net():
+    """Parallel lanes 2 m apart, 3 m and 4 m wide, with the same point abscissae:
+    every point on y = 1 is equidistant from both lanes, and the first lane's
+    width decides its penalty."""
+    lanes = [
+        Lane(id="narrow", width=3.0, centerline=[[0.0, 0.0], [6.0, 0.0]], successors=[]),
+        Lane(id="wide", width=4.0, centerline=[[0.0, 2.0], [6.0, 2.0]], successors=[]),
+    ]
+    return RoadNetwork(lanes, ["narrow"])
+
+
+def arc_net(n_seg=54, radius=12.0):
+    """A 3/4 circle of many short segments, like scenario III's ring, and a straight exit lane."""
+    th = np.linspace(0.0, 1.5 * math.pi, n_seg + 1)
+    ring = np.column_stack([radius * np.cos(th), radius * np.sin(th)]).tolist()
+    lanes = [
+        Lane(id="ring", width=3.5, centerline=ring, successors=["exit"]),
+        Lane(id="exit", width=3.0, centerline=[ring[-1], [4.0, -radius - 2.0]], successors=[]),
+    ]
+    return RoadNetwork(lanes, ["ring", "exit"])
 
 
 class TestLane:
@@ -48,14 +102,48 @@ class TestRoadNetwork:
             RoadNetwork([a, b], ["a", "b"])
 
     def test_nearest_lane_center(self, straight_net):
-        pt, dist, lane_id = nearest_lane_center(straight_net, Point2(20.0, 1.0))
-        assert dist == pytest.approx(1.0, abs=1e-6)
-        assert lane_id == "lane0"
-        assert pt.y == pytest.approx(0.0, abs=1e-9)
+        points, owners = straight_net.lane_points(DEFAULT_GRID_RESOLUTION / 2)
+        dist, idx = nearest_lane_points(straight_net, DEFAULT_GRID_RESOLUTION / 2, np.array([20.0, 20.0]), np.array([1.0, 3.0]))
+        assert dist[0] == pytest.approx(1.0, abs=1e-6)
+        assert owners[idx[0]] == 0
+        assert points[idx[0], 1] == pytest.approx(0.0, abs=1e-9)
         # closer to the second lane center
-        _, dist2, lane_id2 = nearest_lane_center(straight_net, Point2(20.0, 3.0))
-        assert lane_id2 == "lane1"
-        assert dist2 == pytest.approx(0.5, abs=1e-6)
+        assert owners[idx[1]] == 1
+        assert dist[1] == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("net", [make_straight_net(), two_width_net(), arc_net()], ids=["straight", "two_width", "arc"])
+    def test_nearest_lane_points_equal_brute_force(self, net):
+        # random queries over and around the network, plus every seventh densified point
+        points, _ = net.lane_points(DEFAULT_GRID_RESOLUTION / 2)
+        lo, hi = points.min(axis=0) - 3.0, points.max(axis=0) + 3.0
+        rng = np.random.default_rng(16)
+        q = np.vstack([rng.uniform(lo, hi, (1_500, 2)), points[::7]])
+        dist, idx = nearest_lane_points(net, DEFAULT_GRID_RESOLUTION / 2, q[:, 0], q[:, 1])
+        want = [nearest_lane_center(net, p) for p in q.tolist()]
+        assert list(zip(dist.tolist(), idx.tolist())) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lines=st.lists(
+            st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=2, max_size=6, unique=True),
+            min_size=1,
+            max_size=3,
+        ),
+        spacing=st.sampled_from([0.05, 0.125, 0.3, 0.7]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_nearest_lane_points_random_networks(self, lines, spacing, seed):
+        # quarter-metre vertices, so points, ties and queries fall on exact binary fractions
+        lanes = [
+            Lane(id=f"l{i}", width=3.0, centerline=[[x / 4, y / 4] for x, y in line], successors=[])
+            for i, line in enumerate(lines)
+        ]
+        net = RoadNetwork(lanes, ["l0"])
+        rng = np.random.default_rng(seed)
+        q = np.vstack([rng.integers(-48, 48, (100, 2)) / 4, rng.uniform(-12.0, 12.0, (100, 2))])
+        dist, idx = nearest_lane_points(net, spacing, q[:, 0], q[:, 1])
+        want = [nearest_lane_center(net, p, spacing) for p in q.tolist()]
+        assert list(zip(dist.tolist(), idx.tolist())) == want
 
 
 class TestPenaltyGrid:
@@ -108,6 +196,71 @@ class TestPenaltyGrid:
             if -10.0 <= cx <= 130.0:
                 want = 2.0 * 100.0 * d / LANE_WIDTH if d < LANE_WIDTH / 2 else 100.0
                 assert grid.cells[row, col] == pytest.approx(want, abs=1e-6), (cx, cy)
+
+    @pytest.mark.parametrize(
+        "net, bounds, resolution",
+        [
+            # cell centers at y = -3 + 0.25 i put a row exactly on y = 1, where the lanes tie
+            (two_width_net(), (-1.0, -3.125, 7.0, 5.0), 0.25),
+            (arc_net(), (-15.0, -17.0, 15.0, 15.0), 0.25),
+        ],
+        ids=["two_width", "arc"],
+    )
+    def test_grid_equals_brute_force(self, net, bounds, resolution):
+        grid = build_penalty_grid(net, bounds, resolution, 100.0, 99.0)
+        assert grid.cells.tobytes() == oracle_grid(net, bounds, resolution, 100.0).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lines=st.lists(
+            st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=2, max_size=5, unique=True),
+            min_size=1,
+            max_size=3,
+        ),
+        widths=st.lists(st.sampled_from([1.0, 2.5, 3.0, 4.0]), min_size=3, max_size=3),
+        resolution=st.sampled_from([0.25, 0.5]),
+    )
+    def test_grid_random_networks(self, lines, widths, resolution):
+        lanes = [
+            Lane(id=f"l{i}", width=w, centerline=[[x / 4, y / 4] for x, y in line], successors=[])
+            for i, (line, w) in enumerate(zip(lines, widths))
+        ]
+        net = RoadNetwork(lanes, ["l0"])
+        bounds = (-6.0, -6.5, 6.5, 6.0)
+        grid = build_penalty_grid(net, bounds, resolution, 100.0, 99.0)
+        assert grid.cells.tobytes() == oracle_grid(net, bounds, resolution, 100.0).tobytes()
+
+    def test_equidistant_tie_takes_the_first_lane(self):
+        grid = build_penalty_grid(two_width_net(), (-1.0, -3.125, 7.0, 5.0), 0.25, 100.0, 99.0)
+        # 1 m from both centerlines: the 3 m lane's ramp, not the 4 m lane's
+        assert grid.lookup(3.0, 1.0) == 2.0 * 100.0 * 1.0 / 3.0
+
+    def test_fine_straight_grid_equals_brute_force(self, straight_net):
+        # 0.05 m cells against 11 202 points: the oracle ranks every row of two
+        # columns and a random sample of cells
+        bounds = (0.0, -8.0, 40.0, 8.0)
+        grid = build_penalty_grid(straight_net, bounds, 0.05, 100.0, 99.0)
+        rng = np.random.default_rng(5)
+        rows = np.concatenate([np.arange(grid.n_rows), np.arange(grid.n_rows), rng.integers(0, grid.n_rows, 600)])
+        cols = np.concatenate([np.full(grid.n_rows, 0), np.full(grid.n_rows, 401), rng.integers(0, grid.n_cols, 600)])
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            d, _ = nearest_lane_center(straight_net, (0.0 + (c + 0.5) * 0.05, -8.0 + (r + 0.5) * 0.05), 0.025)
+            want = 2.0 * 100.0 * d / LANE_WIDTH if d < LANE_WIDTH / 2 else 100.0
+            assert grid.cells[r, c] == want, (r, c)
+
+    @pytest.mark.parametrize(
+        "stem, sha1",
+        [
+            ("scenario_i_straight_road", "62df5e2b859ff688a02fa90c635581a6e3a8d191"),
+            ("scenario_ii_static_overtake", "62df5e2b859ff688a02fa90c635581a6e3a8d191"),
+            ("scenario_iii_roundabout", "742503947e831585c455e1e6f63f2cd529a75a9c"),
+            ("scenario_iv_vru_steering", "62df5e2b859ff688a02fa90c635581a6e3a8d191"),
+            ("scenario_v_vru_braking", "62df5e2b859ff688a02fa90c635581a6e3a8d191"),
+        ],
+    )
+    def test_shipped_grid_hash(self, stem, sha1):
+        grid = build_scenario_grid(load_scenario(SCENARIO_DIR / f"{stem}.json"))
+        assert hashlib.sha1(grid.cells.tobytes()).hexdigest() == sha1
 
     def test_invalid_threshold_ordering(self):
         with pytest.raises(ValueError):
