@@ -101,6 +101,8 @@ def cmd_plan(args) -> int:
             lines.append(",".join((repr(s.t), *map(repr, s.state), *u)))
         _atomic_write(out / "trajectory.csv", "\n".join(lines) + "\n")
         return 0
+    # a plan of an earlier run into out would otherwise sit next to these stats
+    (out / "trajectory.csv").unlink(missing_ok=True)
     return 2
 
 
@@ -114,6 +116,8 @@ def cmd_simulate(args) -> int:
     _atomic_write(out / "simlog.csv", simlog_to_csv(log))
     if metrics is not None:
         _write_json(out / "metrics.json", asdict(metrics))
+    else:  # no tick ran: an earlier run's metrics must not stay
+        (out / "metrics.json").unlink(missing_ok=True)
     return 3 if log.termination == "collision" else 0
 
 
@@ -142,6 +146,8 @@ def cmd_benchmark(args) -> int:
     budget = _parse_budget(args.budget)
     seeds = _parse_seeds(args.seeds)
     modes = args.modes.split(",")
+    if not set(modes) <= {"base", "dki"}:
+        raise ScenarioError(f"--modes expects a comma list of base and dki, got {args.modes!r}")
     jobs = [
         (path, mode, seed, budget, args.set)
         for path in args.scenario

@@ -20,14 +20,14 @@ import numpy as np
 from .cost import CostWeights
 from .objects import WorldModel
 from .road import GoalRegion, PenaltyGrid, RoadNetwork
-from .sst import PlannerConfig, PlannerTree, PlanResult, norm_state, sample_inputs, state_distance
-from .vehicle import (
-    ControlInput,
-    Trajectory,
-    VehicleParams,
-    VehicleState,
-    normalize_angle,
-)
+from .sst import PlannerConfig, PlannerTree, PlanResult, norm_state, norm_states, normalize_angles
+from .sst import sample_inputs, state_distance
+from .vehicle import ControlInput, Trajectory, VehicleParams, VehicleState
+
+
+# The most inputs one lane-branch extension may draw: each is a row of several
+# (n, substeps + 1) arrays, so a huge count would ask for gigabytes at once.
+_MAX_CANDIDATES = 10_000
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class DkiConfig:
     def __post_init__(self) -> None:
         if min(self.d_lookahead, self.n_candidates, self.d_reuse) <= 0 or self.d_branch_max < 0:
             raise ValueError("seeding parameters must be positive")
+        if self.n_candidates > _MAX_CANDIDATES:
+            raise ValueError(f"n_candidates must not exceed {_MAX_CANDIDATES}, got {self.n_candidates}")
 
 
 def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int:
@@ -105,32 +107,26 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int
     return added
 
 
-def _interpolated_states(prev: Trajectory, t_step: float):
-    """Linear state-space interpolation of a solution at integration granularity.
+def _reuse_anchor(prev: Trajectory, root: VehicleState, config: PlannerConfig, params: VehicleParams):
+    """Planner-metric distance from root to the nearest state of prev, and
+    the index of the first sample to replay from that state.
 
-    Yields (state, index of the first original sample at or after it).
+    prev is interpolated at integration granularity: edge i-1 -> i holds
+    n = max(1, round(dt / t_step)) states at weights k / n, k < n, linear in
+    x, y and v and along the shorter arc in heading, and they replay from
+    sample i; the last sample replays nothing. The first nearest state wins.
     """
-    out = []
-    for i in range(1, len(prev.samples)):
-        a = prev.samples[i - 1]
-        b = prev.samples[i]
-        n = max(1, round((b.t - a.t) / t_step))
-        dth = normalize_angle(b.state.theta - a.state.theta)
-        for k in range(n):
-            w = k / n
-            out.append(
-                (
-                    VehicleState(
-                        a.state.x + w * (b.state.x - a.state.x),
-                        a.state.y + w * (b.state.y - a.state.y),
-                        normalize_angle(a.state.theta + w * dth),
-                        a.state.v + w * (b.state.v - a.state.v),
-                    ),
-                    i,
-                )
-            )
-    out.append((prev.samples[-1].state, len(prev.samples)))
-    return out
+    rows = np.array([s.state for s in prev.samples], dtype=float)
+    n = np.maximum(1, np.rint(np.diff([s.t for s in prev.samples]) / config.t_step)).astype(np.int64)
+    edge = np.repeat(np.arange(len(n)), n)
+    w = (np.arange(len(edge)) - np.repeat(np.cumsum(n) - n, n)) / n[edge]
+    a, b = rows[edge], rows[edge + 1]
+    states = a + w[:, None] * (b - a)
+    states[:, 2] = normalize_angles(a[:, 2] + w * normalize_angles(np.diff(rows[:, 2]))[edge])
+    norms = norm_states(np.vstack([states, rows[-1]]), config, params)
+    d = state_distance(norms, norm_state(root, config, params))
+    i = int(np.argmin(d))
+    return d[i], (int(edge[i]) + 1 if i < len(edge) else len(rows))
 
 
 def seed_previous_branch(tree: PlannerTree, prev: Trajectory, dki: DkiConfig) -> int:
@@ -143,18 +139,12 @@ def seed_previous_branch(tree: PlannerTree, prev: Trajectory, dki: DkiConfig) ->
     """
     if prev is None or len(prev.samples) < 2:
         return 0
-    states = _interpolated_states(prev, tree.config.t_step)
-    cfg = tree.config
-    params = tree.params
-    norms = np.transpose([norm_state(s, cfg, params) for s, _ in states])
-    d = state_distance(norms, norm_state(tree.root.state, cfg, params))
-    i = int(np.argmin(d))
-    if d[i] > dki.d_reuse:
+    d, first = _reuse_anchor(prev, tree.root.state, tree.config, tree.params)
+    if d > dki.d_reuse:
         return 0
-    best_next = states[i][1]
     tip = tree.root
     added = 0
-    for j in range(max(1, best_next), len(prev.samples)):
+    for j in range(first, len(prev.samples)):
         u = prev.samples[j].input
         if u is None:
             break
@@ -186,7 +176,6 @@ def plan_dki(
 ) -> PlanResult:
     """Seeded query: previous-solution branch, lane branch, then the base loop."""
     tree = PlannerTree(start, start_time, goal, grid, world, config, weights, params, rng)
-    if prev is not None:
-        seed_previous_branch(tree, prev, dki)
+    seed_previous_branch(tree, prev, dki)
     seed_lane_branch(tree, net, dki)
     return tree.run()

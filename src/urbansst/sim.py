@@ -464,19 +464,12 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
             result = PlanResult(False, None, math.inf, 0, 0, 0)
 
         if result.solved:
-            fallback = False
-            traj = result.trajectory
-            exec_states = rollout_inputs(
-                ego, t, span, lambda tau: _plan_input_at(traj, tau), ts, params
-            )
-            first_u = _plan_input_at(traj, t)
-            prev_traj = traj
+            prev_traj = result.trajectory
+            input_at = lambda tau: _plan_input_at(prev_traj, tau)
         else:
-            fallback = True
             brake = ControlInput(params.a_bounds[0], 0.0)
-            exec_states = rollout_inputs(ego, t, span, lambda tau: brake, ts, params)
-            first_u = brake
-
+            input_at = lambda tau: brake
+        exec_states = rollout_inputs(ego, t, span, input_at, ts, params)
         hit = _first_collision(exec_states, sc.world, params)
         if hit is not None:
             exec_states = exec_states[: hit[0] + 1]
@@ -485,12 +478,12 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
             t=t,
             state=ego,
             solved=result.solved,
-            fallback=fallback,
+            fallback=not result.solved,
             cost=result.cost,
             iterations=result.iterations,
             n_nodes=result.n_nodes,
-            a_cmd=first_u.a,
-            delta_cmd=first_u.delta,
+            a_cmd=exec_states[0].input.a,
+            delta_cmd=exec_states[0].input.delta,
             planned=result.trajectory,
             exec_states=exec_states,
         )
@@ -543,7 +536,7 @@ def compute_metrics(log: SimLog, sc: Scenario) -> MetricsReport:
     if sc.world.objects:
         best = math.inf
         for tick in log.ticks:
-            for ts_ in tick.exec_states or [TimedState(tick.state, tick.t)]:
+            for ts_ in tick.exec_states:
                 for obj in sc.world.objects:
                     ox, oy, _ = obj.pose_at(ts_.t)
                     d = math.hypot(ts_.state.x - ox, ts_.state.y - oy)

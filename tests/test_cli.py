@@ -86,6 +86,8 @@ class TestArgHelpers:
             ["benchmark", "--budget", "iters:0"],
             ["benchmark", "--jobs", "0"],
             ["benchmark", "--jobs", "-2"],
+            ["benchmark", "--modes", "dkii"],
+            ["benchmark", "--modes", "base,"],
         ],
         ids=" ".join,
     )
@@ -148,6 +150,15 @@ class TestPlan:
         stats = json.loads((out / "tree_stats.json").read_text())
         assert stats["solved"] is False
         assert not (out / "trajectory.csv").exists()
+
+    def test_unsolved_rerun_removes_old_plan(self, tmp_path):
+        # the plan of a solved run must not sit next to the stats of an unsolved one
+        argv = ["plan", "--scenario", STRAIGHT, "--mode", "base", "--out", str(tmp_path / "out")]
+        assert main(argv + ["--budget", "iters:2000"]) == 0
+        assert (tmp_path / "out" / "trajectory.csv").exists()
+        assert main(argv + ["--budget", "iters:1"]) == 2
+        assert json.loads((tmp_path / "out" / "tree_stats.json").read_text())["solved"] is False
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_missing_scenario_exit_one(self, tmp_path, capsys):
         rc = main(["plan", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
@@ -222,6 +233,8 @@ class TestPlan:
             ("road.lanes.0.centerline=5", "road.lanes[0].centerline"),
             ("objects.0.field=[]", "objects[0].field"),
             ("ego=3", "ego"),
+            # each lane-branch extension would allocate arrays of this many rows
+            ("dki.n_candidates=1000000000", "dki: n_candidates"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):
@@ -308,6 +321,16 @@ class TestSimulate:
         assert rc == 0
         assert strict_json(out / "metrics.json")["mean_abs_acceleration"] is None
         strict_json(out / "simlog.json")
+
+    def test_rerun_without_ticks_removes_old_metrics(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["simulate", "--scenario", STRAIGHT, "--budget", "iters:300", "--set", "sim.duration=1.0"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (out / "metrics.json").exists()
+        # a goal past the route's end ends the run before its first tick
+        assert main(argv + ["--set", "goal.distance=1000", "--out", str(out)]) == 0
+        assert json.loads((out / "simlog.json").read_text())["ticks"] == []
+        assert not (out / "metrics.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from urbansst.dki import DkiConfig, plan_dki, seed_lane_branch, seed_previous_branch
+from urbansst.dki import DkiConfig, _reuse_anchor, plan_dki, seed_lane_branch, seed_previous_branch
 from urbansst.objects import ObjectPrediction, WorldModel
-from urbansst.sst import PlannerTree, plan
-from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState, propagate
+from urbansst.sst import PlannerTree, norm_state, plan, state_distance
+from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState, normalize_angle, propagate
 
 from conftest import LANE_WIDTH, live_nodes, make_planner_config
 
@@ -117,6 +119,109 @@ class TestPreviousBranch:
         assert seed_previous_branch(tree, None, DkiConfig()) == 0
         one = Trajectory([TimedState(VehicleState(0, 0, 0, 5), 0.0, None)])
         assert seed_previous_branch(tree, one, DkiConfig()) == 0
+
+
+def _interpolated_states(prev: Trajectory, t_step: float):
+    """Linear state-space interpolation of a solution at integration granularity.
+
+    Yields (state, index of the first original sample at or after it).
+    """
+    out = []
+    for i in range(1, len(prev.samples)):
+        a = prev.samples[i - 1]
+        b = prev.samples[i]
+        n = max(1, round((b.t - a.t) / t_step))
+        dth = normalize_angle(b.state.theta - a.state.theta)
+        for k in range(n):
+            w = k / n
+            out.append(
+                (
+                    VehicleState(
+                        a.state.x + w * (b.state.x - a.state.x),
+                        a.state.y + w * (b.state.y - a.state.y),
+                        normalize_angle(a.state.theta + w * dth),
+                        a.state.v + w * (b.state.v - a.state.v),
+                    ),
+                    i,
+                )
+            )
+    out.append((prev.samples[-1].state, len(prev.samples)))
+    return out
+
+
+def _anchor_oracle(prev, root, cfg, params):
+    """The scalar form of _reuse_anchor: every interpolated state through norm_state."""
+    states = _interpolated_states(prev, cfg.t_step)
+    norms = np.transpose([norm_state(s, cfg, params) for s, _ in states])
+    d = state_distance(norms, norm_state(root, cfg, params))
+    i = int(np.argmin(d))
+    return d[i], states[i][1]
+
+
+# A pool of four states that edges visit; reusing one makes exact ties. Headings
+# near +-pi make an edge cross the wrap.
+_POOL = st.lists(
+    st.tuples(
+        st.floats(-20.0, 40.0), st.floats(-8.0, 8.0),
+        st.sampled_from([math.pi, -math.pi, 3.1, -3.1, 0.0]) | st.floats(-7.0, 7.0), st.floats(0.0, 15.0),
+    ),
+    min_size=4, max_size=4,
+)
+# two states 1 m apart on a line
+_LINE = [(0.0, 0.0, 0.0, 5.0), (1.0, 0.0, 0.0, 5.0)] * 2
+# two states on the line, then one off it
+_BENT = _LINE[:2] + [(3.0, 1.0, 0.5, 6.0), (0.0, 0.0, 0.0, 0.0)]
+
+
+class TestReuseAnchor:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        # 0.04 is the shipped step; a dyadic step keeps every edge duration exact
+        t_step=st.sampled_from([0.04, 0.0625]),
+        t0=st.sampled_from([0.0, 0.5, 7.25]),
+        # edge durations in steps: halves round to even, 0.25 rounds to zero
+        edges=st.lists(
+            st.tuples(st.sampled_from([0.25, 1.0, 1.5, 2.5, 2.7, 3.5, 4.5, 10.0]), st.integers(0, 3)),
+            min_size=1, max_size=6,
+        ),
+        start=st.integers(0, 3),
+        pool=_POOL,
+        # the root is an interpolated state (-1: the last sample), moved by offset
+        pick=st.integers(-1, 400),
+        offset=st.sampled_from([0.0, 1e-3, 50.0]),
+    )
+    # at t_step 0.04 a 0.1 s edge is 2.5 steps and a 0.06 s edge 1.5 steps: both round to 2
+    @example(t_step=0.04, t0=0.0, edges=[(2.5, 1)], start=0, pool=_LINE, pick=1, offset=0.0)
+    @example(t_step=0.04, t0=0.0, edges=[(1.5, 1)], start=0, pool=_LINE, pick=1, offset=0.0)
+    # an edge whose heading crosses +-pi
+    @example(
+        t_step=0.0625, t0=0.0, edges=[(4.5, 1), (2.5, 0)], start=0,
+        pool=[(0.0, 0.0, 3.0, 5.0), (2.0, 0.0, -3.0, 5.0)] * 2, pick=2, offset=0.0,
+    )
+    # a root on two equal states: the first wins
+    @example(
+        t_step=0.0625, t0=0.0, edges=[(2.5, 1), (2.5, 0), (2.5, 1)], start=0,
+        pool=_LINE, pick=4, offset=0.0,
+    )
+    # a root on the last sample replays nothing; one 50 m away lies beyond d_reuse
+    @example(t_step=0.0625, t0=0.5, edges=[(10.0, 1), (2.7, 2)], start=0, pool=_BENT, pick=-1, offset=0.0)
+    @example(t_step=0.0625, t0=0.5, edges=[(10.0, 1), (2.7, 2)], start=0, pool=_BENT, pick=3, offset=50.0)
+    def test_equals_scalar_interpolation(self, params, t_step, t0, edges, start, pool, pick, offset):
+        cfg = make_planner_config(t_step=t_step, t_prop=16 * t_step)
+        t = t0
+        samples = [TimedState(VehicleState(*pool[start]), t, None)]
+        for units, j in edges:
+            t += units * t_step
+            samples.append(TimedState(VehicleState(*pool[j]), t, ControlInput(0.0, 0.0)))
+        prev = Trajectory(samples)
+        states = _interpolated_states(prev, t_step)
+        x, y, theta, v = states[pick % len(states)][0]
+        root = VehicleState(x + offset, y, theta, v)
+        d, first = _reuse_anchor(prev, root, cfg, params)
+        want_d, want_first = _anchor_oracle(prev, root, cfg, params)
+        assert (d.tobytes(), first) == (want_d.tobytes(), want_first)
+        if offset == 50.0:
+            assert d > DkiConfig().d_reuse
 
 
 class TestPlanDki:
