@@ -2,7 +2,8 @@
 
 Exit codes are the machine contract: 0 success, 1 error, 2 query unsolved
 (plan), 3 collision (simulate). Output files are written atomically
-(write-then-rename) so interrupted runs never leave partial CSVs.
+(write-then-rename) so interrupted runs never leave partial CSVs, and a run
+first removes the files its command writes, so --out never mixes two runs.
 """
 
 from __future__ import annotations
@@ -29,8 +30,22 @@ from .sim import (
 )
 from .sst import PlannerConfig
 
+# command -> the files it writes into --out
+_OUTPUTS = {
+    "plan": ("tree_stats.json", "trajectory.csv"),
+    "simulate": ("simlog.json", "simlog.csv", "metrics.json"),
+    "benchmark": ("cells.json", "summary.csv"),
+}
+
+# the PlanResult fields of tree_stats.json, in file order
+_TREE_STATS = ("solved", "cost", "iterations", "n_nodes", "n_witnesses", "cost_history")
+
+# a benchmark runs at most this many seeds per scenario and mode
+_MAX_SEEDS = 100_000
+
 
 def _atomic_write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -45,6 +60,14 @@ def _write_json(path: Path, data) -> None:
             return {k: finite(x) for k, x in v.items()}
         return [finite(x) for x in v] if isinstance(v, (list, tuple)) else v
     _atomic_write(path, json.dumps(finite(data), indent=2, allow_nan=False) + "\n")
+
+
+def _clear_outputs(args) -> Path:
+    """--out without the files args.command writes, so a failed run leaves none of them."""
+    out = Path(args.out)
+    for name in _OUTPUTS[args.command]:
+        (out / name).unlink(missing_ok=True)
+    return out
 
 
 def _parse_budget(spec):
@@ -62,7 +85,7 @@ def _parse_budget(spec):
 
 
 def _parse_seeds(spec: str):
-    """--seeds "0,3,5-7" as a list of non-negative seeds; ranges are inclusive."""
+    """--seeds "0,3,5-7" as a list of at most _MAX_SEEDS non-negative seeds, ranges inclusive."""
     seeds = []
     for chunk in spec.split(","):
         lo, dash, hi = chunk.strip().partition("-")
@@ -73,60 +96,50 @@ def _parse_seeds(spec: str):
             raise ScenarioError(f"--seeds expects a comma list of N or LO-HI, got {spec!r}") from None
         if last < first:
             raise ScenarioError(f"--seeds: range {chunk.strip()!r} selects no seed")
+        if len(seeds) + (last - first + 1) > _MAX_SEEDS:
+            raise ScenarioError(f"--seeds {spec!r}: selects more than {_MAX_SEEDS} seeds")
         seeds.extend(range(first, last + 1))
     return seeds
 
 
 def cmd_plan(args) -> int:
+    budget = _parse_budget(args.budget)
+    out = _clear_outputs(args)
     sc = load_scenario(args.scenario, args.set)
-    result = plan_query(
-        sc, args.mode, build_scenario_grid(sc), sc.ego_state, 0.0, (args.seed, 0), _parse_budget(args.budget)
-    )
+    result = plan_query(sc, args.mode, build_scenario_grid(sc), sc.ego_state, 0.0, (args.seed, 0), budget)
+    _write_json(out / "tree_stats.json", {k: getattr(result, k) for k in _TREE_STATS})
+    if not result.solved:
+        return 2
+    lines = ["t,x,y,theta,v,a,delta"]
+    for s in result.trajectory.samples:
+        u = map(repr, s.input) if s.input else ("", "")
+        lines.append(",".join((repr(s.t), *map(repr, s.state), *u)))
+    _atomic_write(out / "trajectory.csv", "\n".join(lines) + "\n")
+    return 0
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stats = {
-        "solved": result.solved,
-        "cost": result.cost,
-        "iterations": result.iterations,
-        "n_nodes": result.n_nodes,
-        "n_witnesses": result.n_witnesses,
-        "cost_history": result.cost_history,
-    }
-    _write_json(out / "tree_stats.json", stats)
-    if result.solved:
-        lines = ["t,x,y,theta,v,a,delta"]
-        for s in result.trajectory.samples:
-            u = map(repr, s.input) if s.input else ("", "")
-            lines.append(",".join((repr(s.t), *map(repr, s.state), *u)))
-        _atomic_write(out / "trajectory.csv", "\n".join(lines) + "\n")
-        return 0
-    # a plan of an earlier run into out would otherwise sit next to these stats
-    (out / "trajectory.csv").unlink(missing_ok=True)
-    return 2
+
+def _closed_loop(path, mode, seed, budget, overrides):
+    """One closed-loop run: (scenario, log, metrics as a dict or None if no tick ran)."""
+    sc = load_scenario(path, overrides)
+    log = run_closed_loop(sc, mode, seed, budget=budget)
+    return sc, log, (asdict(compute_metrics(log, sc)) if log.ticks else None)
 
 
 def cmd_simulate(args) -> int:
-    sc = load_scenario(args.scenario, args.set)
-    log = run_closed_loop(sc, args.mode, args.seed, budget=_parse_budget(args.budget))
-    metrics = compute_metrics(log, sc) if log.ticks else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    budget = _parse_budget(args.budget)
+    out = _clear_outputs(args)
+    _, log, metrics = _closed_loop(args.scenario, args.mode, args.seed, budget, args.set)
     _write_json(out / "simlog.json", simlog_to_dict(log))
     _atomic_write(out / "simlog.csv", simlog_to_csv(log))
     if metrics is not None:
-        _write_json(out / "metrics.json", asdict(metrics))
-    else:  # no tick ran: an earlier run's metrics must not stay
-        (out / "metrics.json").unlink(missing_ok=True)
+        _write_json(out / "metrics.json", metrics)
     return 3 if log.termination == "collision" else 0
 
 
 def _run_cell(job):
-    path, mode, seed, budget, overrides = job
+    path, mode, seed, _, _ = job
     try:
-        sc = load_scenario(path, overrides)
-        log = run_closed_loop(sc, mode, seed, budget=budget)
-        metrics = asdict(compute_metrics(log, sc)) if log.ticks else None
+        sc, log, metrics = _closed_loop(*job)
         return (sc.name, mode, seed, metrics, log.termination, None)
     except Exception as exc:  # recorded per cell, matrix continues
         return (Path(path).stem, mode, seed, None, "", f"{type(exc).__name__}: {exc}")
@@ -148,6 +161,7 @@ def cmd_benchmark(args) -> int:
     modes = args.modes.split(",")
     if not set(modes) <= {"base", "dki"}:
         raise ScenarioError(f"--modes expects a comma list of base and dki, got {args.modes!r}")
+    out = _clear_outputs(args)
     jobs = [
         (path, mode, seed, budget, args.set)
         for path in args.scenario
@@ -163,47 +177,30 @@ def cmd_benchmark(args) -> int:
     else:
         results = [_run_cell(j) for j in jobs]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cells = []
-    failed = 0
-    for name, mode, seed, metrics, termination, error in results:
-        cells.append(
-            {
-                "scenario": name, "mode": mode, "seed": seed,
-                "metrics": metrics, "termination": termination, "error": error,
-            }
-        )
-        if error is not None:
-            failed += 1
-            print(f"cell failed: {name}/{mode}/seed{seed}: {error}", file=sys.stderr)
+    cells = [dict(zip(("scenario", "mode", "seed", "metrics", "termination", "error"), r)) for r in results]
+    # (scenario, mode, metric) -> the cells' finite values, in cell order
+    values = {}
+    for c in cells:
+        if c["error"] is not None:
+            print(f"cell failed: {c['scenario']}/{c['mode']}/seed{c['seed']}: {c['error']}", file=sys.stderr)
+        for k in _GAIN_METRICS:
+            v = (c["metrics"] or {}).get(k)
+            if v is not None and not (isinstance(v, float) and math.isnan(v)):
+                values.setdefault((c["scenario"], c["mode"], k), []).append(v)
     _write_json(out / "cells.json", cells)
 
+    means = {key: sum(v) / len(v) for key, v in values.items()}
     lines = ["scenario,metric,base,dki,gain_pct"]
     for name in sorted({c["scenario"] for c in cells}):
-        per_mode = {}
-        for mode in ("base", "dki"):
-            vals = {k: [] for k in _GAIN_METRICS}
-            for c in cells:
-                if c["scenario"] == name and c["mode"] == mode and c["metrics"]:
-                    for k in _GAIN_METRICS:
-                        v = c["metrics"].get(k)
-                        if v is not None and not (isinstance(v, float) and math.isnan(v)):
-                            vals[k].append(v)
-            per_mode[mode] = {k: (sum(v) / len(v) if v else None) for k, v in vals.items()}
         for metric, sense in _GAIN_METRICS.items():
-            b = per_mode.get("base", {}).get(metric)
-            d = per_mode.get("dki", {}).get(metric)
+            b, d = (means.get((name, mode, metric)) for mode in ("base", "dki"))
+            gain = ""
             if b is not None and d is not None and b != 0:
-                gain = (b - d) / b * 100.0 if sense == "lower" else (d - b) / b * 100.0
-                gain_s = f"{gain:.2f}"
-            else:
-                gain_s = ""
-            b_s = f"{b:.6f}" if b is not None else ""
-            d_s = f"{d:.6f}" if d is not None else ""
-            lines.append(f"{name},{metric},{b_s},{d_s},{gain_s}")
+                gain = f"{((b - d) if sense == 'lower' else (d - b)) / b * 100.0:.2f}"
+            b_s, d_s = ("" if v is None else f"{v:.6f}" for v in (b, d))
+            lines.append(f"{name},{metric},{b_s},{d_s},{gain}")
     _atomic_write(out / "summary.csv", "\n".join(lines) + "\n")
-    return 0 if failed == 0 else 1
+    return 0 if all(c["error"] is None for c in cells) else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,33 +214,25 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="urbansst", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of every command, and those of the two single-scenario commands
+    every = argparse.ArgumentParser(add_help=False)
+    every.add_argument("--budget", default=None, help="time:SECS or iters:N")
+    every.add_argument("--out", required=True)
+    every.add_argument("--set", action="append", default=[], help="dotted-path scenario override")
+    single = argparse.ArgumentParser(add_help=False)
+    single.add_argument("--scenario", required=True)
+    single.add_argument("--mode", choices=("base", "dki"), default="dki")
+    single.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("plan", help="run a single planning query from the scenario start")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--mode", choices=("base", "dki"), default="dki")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", default=None, help="time:SECS or iters:N")
-    p.add_argument("--out", required=True)
-    p.add_argument("--set", action="append", default=[], help="dotted-path scenario override")
+    p = sub.add_parser("plan", parents=[single, every], help="run a single planning query from the scenario start")
     p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("simulate", help="closed-loop run with replanning")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--mode", choices=("base", "dki"), default="dki")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--set", action="append", default=[])
+    p = sub.add_parser("simulate", parents=[single, every], help="closed-loop run with replanning")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("benchmark", help="scenario x mode x seed matrix with summary table")
+    p = sub.add_parser("benchmark", parents=[every], help="scenario x mode x seed matrix with summary table")
     p.add_argument("--scenario", action="append", required=True)
     p.add_argument("--modes", default="base,dki")
     p.add_argument("--seeds", default="0", help="comma list or lo-hi range")
-    p.add_argument("--budget", default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.add_argument("--set", action="append", default=[])
     p.set_defaults(func=cmd_benchmark)
     return parser
 

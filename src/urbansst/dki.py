@@ -74,9 +74,7 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int
             break
         if math.hypot(tip.state.x - root.x, tip.state.y - root.y) >= dki.d_branch_max:
             break
-        s_tip, _ = route.project(
-            tip.state.x, tip.state.y, s_window=(s_tip - 2.0, s_tip + 10.0)
-        )
+        s_tip = route.advance(s_tip, tip.state.x, tip.state.y)
         v_cmd = tip.state.v + gain * (v_des - tip.state.v)
         d_target = min(dki.d_lookahead, v_cmd * t_prop)
         target = route.point_at(min(s_tip + d_target, route.length))
@@ -98,7 +96,7 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int
             # previous-solution branch); continue the march from that
             # representative instead of abandoning the branch.
             node = tree.representative_near(best_end)
-            if node is None or node in visited:
+            if node in visited:
                 break
         else:
             added += 1

@@ -20,10 +20,24 @@ from .geometry import obb_overlap
 from .vehicle import normalize_angle
 
 
-class ObjectPrediction:
-    """Timestamped pose sequence with a rectangular footprint."""
+@dataclass(frozen=True)
+class FieldParams:
+    """Repulsive field shape of one object: amplitude and axis spreads."""
 
-    def __init__(self, obj_id, length: float, width: float, poses) -> None:
+    amplitude: float = 100.0
+    sigma_x: float = 3.0
+    sigma_y: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.amplitude < 0.0 or self.sigma_x <= 0.0 or self.sigma_y <= 0.0:
+            raise ValueError("field amplitude must be >= 0 and sigmas > 0")
+
+
+class ObjectPrediction:
+    """Timestamped pose sequence with a rectangular footprint and the object's
+    repulsive field."""
+
+    def __init__(self, obj_id, length: float, width: float, poses, field: FieldParams = FieldParams()) -> None:
         poses = [(float(t), float(x), float(y), float(th)) for t, x, y, th in poses]
         if not poses:
             raise ValueError(f"object {obj_id}: needs at least one pose")
@@ -36,6 +50,7 @@ class ObjectPrediction:
         self.length = float(length)
         self.width = float(width)
         self.poses = poses
+        self.field = field
         self._times = times
         # Unwrapped headings make linear interpolation follow the shortest arc.
         self._thetas = np.unwrap([p[3] for p in poses]).tolist()
@@ -65,29 +80,11 @@ class ObjectPrediction:
         )
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Repulsive field shape of one object: amplitude and axis spreads."""
-
-    amplitude: float = 100.0
-    sigma_x: float = 3.0
-    sigma_y: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.amplitude < 0.0 or self.sigma_x <= 0.0 or self.sigma_y <= 0.0:
-            raise ValueError("field amplitude must be >= 0 and sigmas > 0")
-
-
 class WorldModel:
-    """The perceived object set with per-object field parameters."""
+    """The perceived object set."""
 
-    def __init__(self, objects=(), fields=None) -> None:
+    def __init__(self, objects=()) -> None:
         self.objects = list(objects)
-        if fields is None:
-            fields = [FieldParams() for _ in self.objects]
-        self.fields = list(fields)
-        if len(self.fields) != len(self.objects):
-            raise ValueError("one field parameter set per object required")
 
 
 class PoseMemo:
@@ -130,16 +127,18 @@ def object_hit(x: float, y: float, theta: float, ego_length: float, ego_width: f
     return None
 
 
-def clearance_cost(x: float, y: float, poses, fields) -> float:
-    """Field of objects posed at (poses[i][0], poses[i][1]) with fields[i]."""
+def clearance_cost(x: float, y: float, poses) -> float:
+    """Field of the objects at (x, y), each posed as in poses (one PoseMemo entry)."""
     total = 0.0
-    for pose, fp in zip(poses, fields):
-        dx = x - pose[0]
-        dy = y - pose[1]
+    for ox, oy, _, obj, _ in poses:
+        fp = obj.field
+        dx = x - ox
+        dy = y - oy
         f = dx * dx / fp.sigma_x + dy * dy / fp.sigma_y
         total += fp.amplitude * math.exp(-f)
     return total
 
 
 def clearance_cost_xy(x: float, y: float, t: float, world: WorldModel) -> float:
-    return clearance_cost(x, y, [obj.pose_at(t) for obj in world.objects], world.fields)
+    """Field at (x, y) of the world's objects posed at time t (the field needs no reach2)."""
+    return clearance_cost(x, y, [(*obj.pose_at(t), obj, None) for obj in world.objects])

@@ -245,6 +245,11 @@ class RoutePath:
         s = self._arc[lo + i] + t[i] * seg_len[i]
         return float(s), float(math.sqrt(dist2[i]))
 
+    def advance(self, s: float, x: float, y: float) -> float:
+        """Arc length of (x, y) for a vehicle last at arc length s: its projection
+        on the route within 2 m behind and 10 m ahead of s."""
+        return self.project(x, y, s_window=(s - 2.0, s + 10.0))[0]
+
     def point_at(self, s: float) -> Point2:
         s = min(max(s, 0.0), self.length)
         x = float(np.interp(s, self._arc, self.points[:, 0]))

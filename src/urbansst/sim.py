@@ -214,7 +214,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         ego_params = _config("ego.params", VehicleParams, _section(ego, "params", "ego."))
 
         objects = []
-        field_params = []
         for i, od in enumerate(_read(data.get("objects", []), list[dict], "objects")):
             where = f"objects[{i}]"
             _known(od, ("id", "type", "footprint", "poses", "field"), f"{where}.")
@@ -227,9 +226,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             length = _read(fp.get("length", fl), float, f"{where}.footprint.length")
             width = _read(fp.get("width", fw), float, f"{where}.footprint.width")
             poses = _read(od.get("poses", []), list[tuple[float, float, float, float]], f"{where}.poses")
-            field_params.append(_config(f"{where}.field", FieldParams, _section(od, "field", f"{where}.")))
-            objects.append(_build(where, ObjectPrediction, obj_id=oid, length=length, width=width, poses=poses))
-        world = WorldModel(objects, field_params)
+            objects.append(_build(
+                where, ObjectPrediction, obj_id=oid, length=length, width=width, poses=poses,
+                field=_config(f"{where}.field", FieldParams, _section(od, "field", f"{where}.")),
+            ))
+        world = WorldModel(objects)
 
         weights = _config("weights", CostWeights, _section(data, "weights"))
         planner = _config("planner", PlannerConfig, _section(data, "planner"))
@@ -493,7 +494,7 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
             log.termination = "collision"
             break
         ego = exec_states[-1].state
-        s_prev, _ = route.project(ego.x, ego.y, s_window=(s_prev - 2.0, s_prev + 10.0))
+        s_prev = route.advance(s_prev, ego.x, ego.y)
         k += 1
     return log
 
@@ -548,7 +549,7 @@ def compute_metrics(log: SimLog, sc: Scenario) -> MetricsReport:
     s = s0
     for tick in log.ticks:
         for ts_ in tick.exec_states:
-            s, _ = route.project(ts_.state.x, ts_.state.y, s_window=(s - 2.0, s + 10.0))
+            s = route.advance(s, ts_.state.x, ts_.state.y)
     return MetricsReport(
         mean_abs_acceleration=_pooled_mean(accel_groups),
         mean_speed_deviation=_pooled_mean(speed_groups),

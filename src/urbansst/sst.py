@@ -442,8 +442,7 @@ class PlannerTree:
         return self._reps[i]
 
     def _state_cost_w(self, x: float, y: float, v: float, t: float) -> float:
-        world = self.world
-        clearance = clearance_cost(x, y, self._poses.at(t), world.fields) if world.objects else 0.0
+        clearance = clearance_cost(x, y, self._poses.at(t)) if self.world.objects else 0.0
         return state_cost(self.weights, v, self.grid.lookup(x, y), clearance)
 
     def _substep_row(self, t0: float) -> int:

@@ -61,7 +61,10 @@ class TestArgHelpers:
         assert _parse_seeds("2-5") == [2, 3, 4, 5]
         assert _parse_seeds("0-2,7") == [0, 1, 2, 7]
         assert _parse_seeds("4-4") == [4]
-        for spec in ("3-1", "0,3-1", "1-", "a", "-1", "0,,1", "2--1", ""):
+        assert len(_parse_seeds(f"0-{cli._MAX_SEEDS - 1}")) == cli._MAX_SEEDS
+        # too many seeds raise before any list of them is built
+        too_many = (f"0-{cli._MAX_SEEDS}", f"0-{cli._MAX_SEEDS // 2},1-{cli._MAX_SEEDS // 2}", f"0-{10**30}")
+        for spec in ("3-1", "0,3-1", "1-", "a", "-1", "0,,1", "2--1", "", *too_many):
             with pytest.raises(ScenarioError, match="--seeds"):
                 _parse_seeds(spec)
 
@@ -83,6 +86,8 @@ class TestArgHelpers:
             ["benchmark", "--seeds", "3-1"],
             ["benchmark", "--seeds", "1-"],
             ["benchmark", "--seeds", "a"],
+            # a billion seeds would not fit in memory
+            ["benchmark", "--seeds", "0-1000000000"],
             ["benchmark", "--budget", "iters:0"],
             ["benchmark", "--jobs", "0"],
             ["benchmark", "--jobs", "-2"],
@@ -118,10 +123,14 @@ class TestArgHelpers:
         assert not (tmp_path / "o").exists()
 
     def test_help_exit_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["plan", "--help"])
-        assert exc.value.code == 0
-        assert "--scenario" in capsys.readouterr().out
+        single = ("--scenario", "--mode", "--seed")
+        for command, flags in (("plan", single), ("simulate", single), ("benchmark", ("--scenario", "--seeds"))):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            for flag in ("--budget", "--out", "--set", *flags):
+                assert flag in out, (command, flag)
 
 
 class TestPlan:
@@ -159,6 +168,15 @@ class TestPlan:
         assert main(argv + ["--budget", "iters:1"]) == 2
         assert json.loads((tmp_path / "out" / "tree_stats.json").read_text())["solved"] is False
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_failed_rerun_removes_outputs(self, tmp_path):
+        # a run that fails after loading must not leave an earlier run's files
+        out = tmp_path / "out"
+        argv = ["plan", "--scenario", STRAIGHT, "--budget", "iters:50", "--out", str(out)]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(cli._OUTPUTS["plan"])
+        assert main(argv + ["--set", "goal.distance=1000"]) == 1
+        assert list(out.iterdir()) == []
 
     def test_missing_scenario_exit_one(self, tmp_path, capsys):
         rc = main(["plan", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
@@ -331,6 +349,15 @@ class TestSimulate:
         assert main(argv + ["--set", "goal.distance=1000", "--out", str(out)]) == 0
         assert json.loads((out / "simlog.json").read_text())["ticks"] == []
         assert not (out / "metrics.json").exists()
+
+    def test_failed_rerun_removes_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["simulate", "--scenario", STRAIGHT, "--budget", "iters:300", "--set", "sim.duration=1.0", "--out", str(out)]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(cli._OUTPUTS["simulate"])
+        # a grid of 1 mm cells is over the size limit
+        assert main(argv + ["--set", "grid.resolution=0.001"]) == 1
+        assert list(out.iterdir()) == []
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

@@ -52,12 +52,7 @@ class TestObjectPrediction:
 class TestWorldModel:
     def test_default_fields(self):
         wm = WorldModel([make_ped([(0, 0, 0, 0)])])
-        assert len(wm.fields) == 1
-        assert wm.fields[0] == FieldParams(100.0, 3.0, 2.0)
-
-    def test_field_count_mismatch(self):
-        with pytest.raises(ValueError):
-            WorldModel([make_ped([(0, 0, 0, 0)])], fields=[])
+        assert [obj.field for obj in wm.objects] == [FieldParams(100.0, 3.0, 2.0)]
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -94,6 +89,13 @@ class TestClearanceCost:
         lone_a = clearance_cost_xy(1.0, 1.0, 0.0, WorldModel([a]))
         lone_b = clearance_cost_xy(1.0, 1.0, 0.0, WorldModel([b]))
         assert clearance_cost_xy(1.0, 1.0, 0.0, wm) == pytest.approx(lone_a + lone_b)
+
+    def test_each_object_its_own_field(self):
+        a = ObjectPrediction("a", 0.6, 0.6, [(0, 0, 0, 0)], FieldParams(amplitude=10.0))
+        b = ObjectPrediction("b", 0.6, 0.6, [(0, 50, 0, 0)], FieldParams(amplitude=40.0))
+        wm = WorldModel([a, b])
+        assert clearance_cost_xy(0.0, 0.0, 0.0, wm) == pytest.approx(10.0)
+        assert clearance_cost_xy(50.0, 0.0, 0.0, wm) == pytest.approx(40.0)
 
     def test_tracks_moving_object(self):
         obj = make_ped([(0.0, 0.0, 0.0, 0.0), (10.0, 10.0, 0.0, 0.0)])

@@ -69,9 +69,9 @@ def scenario_to_dict(sc: Scenario) -> dict:
                 "id": obj.id,
                 "footprint": {"length": obj.length, "width": obj.width},
                 "poses": [list(p) for p in obj.poses],
-                "field": asdict(fp),
+                "field": asdict(obj.field),
             }
-            for obj, fp in zip(sc.world.objects, sc.world.fields)
+            for obj in sc.world.objects
         ],
         "weights": asdict(sc.weights),
         "planner": {k: v for k, v in asdict(sc.planner).items() if k not in _PER_QUERY},
@@ -115,7 +115,7 @@ class TestLoader:
         ped, car = sc.world.objects
         assert (ped.length, ped.width) == (0.6, 0.6)
         assert (car.length, car.width) == (4.0, 2.0)
-        fp = sc.world.fields[0]
+        fp = ped.field
         assert (fp.amplitude, fp.sigma_x, fp.sigma_y) == (100.0, 3.0, 2.0)
 
     def test_negative_lane_width_diagnostic(self):
