@@ -85,7 +85,7 @@ def _parse_budget(spec):
 
 
 def _parse_seeds(spec: str):
-    """--seeds "0,3,5-7" as a list of at most _MAX_SEEDS non-negative seeds, ranges inclusive."""
+    """--seeds "0,3,5-7" as a list of at most _MAX_SEEDS distinct non-negative seeds, ranges inclusive."""
     seeds = []
     for chunk in spec.split(","):
         lo, dash, hi = chunk.strip().partition("-")
@@ -99,7 +99,17 @@ def _parse_seeds(spec: str):
         if len(seeds) + (last - first + 1) > _MAX_SEEDS:
             raise ScenarioError(f"--seeds {spec!r}: selects more than {_MAX_SEEDS} seeds")
         seeds.extend(range(first, last + 1))
+    _once("--seeds", seeds)
     return seeds
+
+
+def _once(flag: str, values, keys=None) -> None:
+    """Reject a value of flag given twice (compared by keys): its cells would run and count twice."""
+    seen = set()
+    for value, key in zip(values, keys or values):
+        if key in seen:
+            raise ScenarioError(f"{flag}: {value} is given twice")
+        seen.add(key)
 
 
 def cmd_plan(args) -> int:
@@ -161,6 +171,8 @@ def cmd_benchmark(args) -> int:
     modes = args.modes.split(",")
     if not set(modes) <= {"base", "dki"}:
         raise ScenarioError(f"--modes expects a comma list of base and dki, got {args.modes!r}")
+    _once("--modes", modes)
+    _once("--scenario", args.scenario, [Path(p).resolve() for p in args.scenario])
     out = _clear_outputs(args)
     jobs = [
         (path, mode, seed, budget, args.set)

@@ -4,12 +4,16 @@ Path length is an intrinsic per-edge cost; desired-velocity deviation,
 penalty-grid and target-clearance terms are state costs integrated over
 time with the trapezoid rule between edge endpoints. state_cost and
 edge_cost are the only definitions of the two formulas; the planner's tree
-accumulates its costs through them.
+accumulates its costs through them. Both take floats or numpy arrays: they
+use only abs, +, * and /, which round the same way on either, so the
+planner prices a whole batch of endpoints at once with the scalar path's
+bits. The caller supplies the transcendental parts (math.hypot for the path
+length, math.exp inside the clearance field), as numpy's versions of them
+can differ in the last bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -32,7 +36,7 @@ def state_cost(w: CostWeights, v: float, penalty: float, clearance: float) -> fl
     return w.desired_velocity * abs(v - w.v_desired) + w.penalty_grid * penalty + w.target_clearance * clearance
 
 
-def edge_cost(w: CostWeights, x0: float, y0: float, c0: float, x1: float, y1: float, c1: float, dt: float) -> float:
-    """Cost of an edge from (x0, y0) with state cost c0 to (x1, y1) with state
-    cost c1, dt seconds later: path length plus the trapezoid state-cost integral."""
-    return w.path_length * math.hypot(x1 - x0, y1 - y0) + dt * (c0 + c1) / 2.0
+def edge_cost(w: CostWeights, length: float, c0: float, c1: float, dt: float) -> float:
+    """Cost of an edge of the given path length from a state of cost c0 to one
+    of cost c1, dt seconds later: path length plus the trapezoid state-cost integral."""
+    return w.path_length * length + dt * (c0 + c1) / 2.0

@@ -96,6 +96,27 @@ class RoadNetwork:
 
 DEFAULT_GRID_RESOLUTION = 0.25
 
+# cells per row block of a grid pass, so no temporary is grid-sized
+_BLOCK_CELLS = 65_536
+
+
+def _windows(x, y, a, b, reach):
+    """Index windows of the queries that segment a-b ranks: all of them without
+    reach; else those within reach of its bounding box, in row blocks of at
+    most _BLOCK_CELLS cells (or one row)."""
+    if reach is None:
+        yield ...
+        return
+    # one query of slack each side: an interpolated point may lie a rounding
+    # error outside its segment's bounding box
+    c0, c1 = np.searchsorted(x[0], (min(a[0], b[0]) - reach, max(a[0], b[0]) + reach))
+    r0, r1 = np.searchsorted(y[:, 0], (min(a[1], b[1]) - reach, max(a[1], b[1]) + reach))
+    cols = slice(max(c0 - 1, 0), min(c1 + 1, x.shape[1]))
+    r_end = min(r1 + 1, y.shape[0])
+    step = max(1, _BLOCK_CELLS // (cols.stop - cols.start))
+    for r in range(max(r0 - 1, 0), r_end, step):
+        yield slice(r, min(r + step, r_end)), cols
+
 
 def nearest_lane_points(net: RoadNetwork, spacing: float, x, y, reach=None):
     """Distance to, and index into net.lane_points(spacing)[0] of, the nearest
@@ -109,8 +130,9 @@ def nearest_lane_points(net: RoadNetwork, spacing: float, x, y, reach=None):
     the query's clamped projection onto the segment, and each segment ranks
     only three. Without reach every segment ranks every query. With reach, x
     is a sorted row (1, C) and y a sorted column (R, 1), and each segment
-    ranks only the queries within reach of its bounding box; a query that no
-    segment reaches keeps dist inf and idx -1.
+    ranks only the queries within reach of its bounding box, in row blocks
+    (_windows), as every cell is ranked on its own; a query that no segment
+    reaches keeps dist inf and idx -1.
     """
     points, owners = net.lane_points(spacing)
     dist = np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.inf)
@@ -121,28 +143,20 @@ def nearest_lane_points(net: RoadNetwork, spacing: float, x, y, reach=None):
         arc = _arc_lengths(line)
         h = arc[-1] / (g1 - g0 - 1)
         for a, b, s0 in zip(line[:-1], line[1:], arc[:-1]):
-            win = ...
-            qx, qy = x, y
-            if reach is not None:
-                # one query of slack each side: an interpolated point may lie
-                # a rounding error outside its segment's bounding box
-                c0, c1 = np.searchsorted(x[0], (min(a[0], b[0]) - reach, max(a[0], b[0]) + reach))
-                r0, r1 = np.searchsorted(y[:, 0], (min(a[1], b[1]) - reach, max(a[1], b[1]) + reach))
-                c0, r0 = max(c0 - 1, 0), max(r0 - 1, 0)
-                win = (slice(r0, r1 + 1), slice(c0, c1 + 1))
-                qx, qy = x[:, win[1]], y[win[0], :]
             d = b - a
-            t = np.clip(((qx - a[0]) * d[0] + (qy - a[1]) * d[1]) / (d @ d), 0.0, 1.0)
-            j = np.rint((s0 + t * math.hypot(d[0], d[1])) / h)
-            best_d, best_i = dist[win], idx[win]
-            for off in (-1.0, 0.0, 1.0):
-                g = g0 + np.clip(j + off, 0, g1 - g0 - 1).astype(np.intp)
-                dx = points[g, 0] - qx
-                dy = points[g, 1] - qy
-                dg = np.sqrt(dx * dx + dy * dy)
-                better = (dg < best_d) | ((dg == best_d) & (g < best_i))
-                np.copyto(best_d, dg, where=better)
-                np.copyto(best_i, g, where=better)
+            for win in _windows(x, y, a, b, reach):
+                qx, qy = (x, y) if win is ... else (x[:, win[1]], y[win[0], :])
+                t = np.clip(((qx - a[0]) * d[0] + (qy - a[1]) * d[1]) / (d @ d), 0.0, 1.0)
+                j = np.rint((s0 + t * math.hypot(d[0], d[1])) / h)
+                best_d, best_i = dist[win], idx[win]
+                for off in (-1.0, 0.0, 1.0):
+                    g = g0 + np.clip(j + off, 0, g1 - g0 - 1).astype(np.intp)
+                    dx = points[g, 0] - qx
+                    dy = points[g, 1] - qy
+                    dg = np.sqrt(dx * dx + dy * dy)
+                    better = (dg < best_d) | ((dg == best_d) & (g < best_i))
+                    np.copyto(best_d, dg, where=better)
+                    np.copyto(best_i, g, where=better)
     return dist, idx
 
 
@@ -196,9 +210,14 @@ def build_penalty_grid(
     # whichever point is nearest
     lane_widths = np.array([lane.width for lane in net.lanes])
     dist, idx = nearest_lane_points(net, resolution / 2, xs[None, :], ys[:, None], reach=lane_widths.max() / 2)
-    widths = lane_widths[net.lane_points(resolution / 2)[1][idx]]
-    cells = np.where(dist < widths / 2, 2.0 * p_max * dist / widths, p_max)
-    return PenaltyGrid((x_min, y_min), resolution, cells, p_max, p_invalid)
+    # each cell's penalty replaces its distance, row block by row block
+    point_widths = lane_widths[net.lane_points(resolution / 2)[1]]
+    step = max(1, _BLOCK_CELLS // n_cols)
+    for r in range(0, n_rows, step):
+        d = dist[r : r + step]
+        widths = point_widths[idx[r : r + step]]
+        d[...] = np.where(d < widths / 2, 2.0 * p_max * d / widths, p_max)
+    return PenaltyGrid((x_min, y_min), resolution, dist, p_max, p_invalid)
 
 
 class RoutePath:

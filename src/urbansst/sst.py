@@ -19,7 +19,10 @@ substate with _valid, the one validity predicate. The kernel,
 propagate_batch, gives its results bit for bit from one pass per quantity
 over all candidates and substeps: speeds and positions as running sums, the
 heading with its wrap, one validity pass over bounds and grid cells, then
-object checks up to each candidate's first failing substep.
+object checks up to each candidate's first failing substep. The batch's
+endpoints are then priced in one array pass (_price) with try_insert's
+bits, so that an endpoint its snapshot witness dominates is dropped after
+one compare, before any state, input or stale-tracking row is built for it.
 
 The state-space metric is Euclidean over components normalized by the
 sampling-bound extents (wrap-aware in heading), so that the unitless
@@ -445,6 +448,27 @@ class PlannerTree:
         clearance = clearance_cost(x, y, self._poses.at(t)) if self.world.objects else 0.0
         return state_cost(self.weights, v, self.grid.lookup(x, y), clearance)
 
+    def _price(self, parents: list, ends: np.ndarray):
+        """try_insert's state costs and costs of the end states ends[i] (rows x, y, theta, v)
+        from parents[i] as two arrays, bit for bit: math.exp (clearance_cost) and math.hypot
+        run per row, as there, and state_cost and edge_cost over whole arrays."""
+        t_prop = self.config.t_prop
+        x, y, _, v = ends.T
+        xy = list(zip(parents, x.tolist(), y.tolist()))
+        clearance = 0.0
+        if self.world.objects:
+            at = self._poses.at
+            clearance = np.array([clearance_cost(xe, ye, at(p.t + t_prop)) for p, xe, ye in xy])
+        scw = state_cost(self.weights, v, self.grid.lookups(x, y), clearance)
+        length = np.array([math.hypot(xe - p.state.x, ye - p.state.y) for p, xe, ye in xy])
+        c0, g0 = _rows([(p.state_cost_w, p.cost) for p in parents], 2).T
+        return scw, g0 + edge_cost(self.weights, length, c0, scw, t_prop)
+
+    @staticmethod
+    def _stale_by(norm, samples: np.ndarray, reach: np.ndarray) -> np.ndarray:
+        """The picks that a representative at norm makes stale: their sample is within their reach."""
+        return state_distance(norm, samples) <= reach
+
     def _substep_row(self, t0: float) -> int:
         """Row of the object poses at each substep time t0 + k*t_step of a propagation from t0.
 
@@ -543,20 +567,26 @@ class PlannerTree:
         idx = (first_bad == n_sub).nonzero()[0]
         return idx, np.column_stack((X[:, -1], Y[:, -1], TH[:, -1], V[:, -1]))[idx]
 
-    def try_insert(self, parent: TreeNode, state: VehicleState, u: ControlInput, near=_LOOK_UP) -> Optional[TreeNode]:
+    def try_insert(
+        self, parent: TreeNode, state: VehicleState, u: ControlInput, near=_LOOK_UP, priced=None
+    ) -> Optional[TreeNode]:
         """Witness-gated insertion of a propagation's end state.
 
         near is the index of the state's nearest witness if that lies
         within d_prune, else None; by default it is looked up in the table.
+        priced is the state's (state cost, cost, norm) if the caller has them
+        (_price and norm_states give them bit for bit).
         """
         x, y, _, v = state
-        x0, y0, _, _ = parent.state
         t_new = parent.t + self.config.t_prop
-        scw = self._state_cost_w(x, y, v, t_new)
-        cost = parent.cost + edge_cost(
-            self.weights, x0, y0, parent.state_cost_w, x, y, scw, self.config.t_prop
-        )
-        norm = norm_state(state, self.config, self.params)
+        if priced is None:
+            x0, y0, _, _ = parent.state
+            scw = self._state_cost_w(x, y, v, t_new)
+            length = math.hypot(x - x0, y - y0)
+            cost = parent.cost + edge_cost(self.weights, length, parent.state_cost_w, scw, self.config.t_prop)
+            norm = norm_state(state, self.config, self.params)
+        else:
+            scw, cost, norm = priced
         i = self._nearest_witness(norm) if near is _LOOK_UP else near
         if i is not None and cost >= self._table[_COST, i]:
             return None
@@ -602,6 +632,12 @@ class PlannerTree:
         redone on the current tree. Witnesses never move, so an endpoint's
         nearest witness is the snapshot's unless one appended in the batch
         is strictly nearer (argmin takes the first minimum).
+
+        Every endpoint is priced up front (_price). A witness's cost only falls
+        (a replacement is strictly cheaper), so an endpoint that its snapshot
+        witness dominates stays dominated unless an appended witness is
+        strictly nearer; only the others (live) get stale-tracking rows at
+        once, and a revived one gets its row when it commits.
         """
         cfg = self.config
         params = self.params
@@ -621,16 +657,21 @@ class PlannerTree:
         nodes = [reps[i] for i in pick]
 
         idx, ends = self.propagate_batch(nodes, *inputs.T)
-        m = len(idx)
+        scw, cost = self._price([nodes[j] for j in idx.tolist()], ends)
         ends_norm = norm_states(ends, cfg, params)
         wit, wit_d = self._nearest(table[_WIT], ends_norm)
-        # row e: the samples that endpoint e, made a representative, would
-        # make stale, and its distance to every endpoint as a witness
-        hits = state_distance(ends_norm[:, :, None], samples[:, None, :]) <= reach
-        to_ends = state_distance(ends_norm[:, :, None], ends_norm[:, None, :])
+        # the endpoints that their snapshot witness does not dominate
+        live = ((wit_d > cfg.d_prune) | (cost < table[_COST, wit])).nonzero()[0]
+        # row r: the samples that endpoint live[r], made a representative,
+        # would make stale, and its distance to every endpoint as a witness
+        hits = self._stale_by(ends_norm[:, live, None], samples[:, None, :], reach)
+        to_ends = state_distance(ends_norm[:, live, None], ends_norm[:, None, :])
 
-        row_of = dict(zip(idx.tolist(), range(m)))
+        row_of = dict(zip(idx.tolist(), range(len(idx))))
+        live_row = dict(zip(live.tolist(), range(len(live))))
         ends = ends.tolist()
+        scw = scw.tolist()
+        cost = cost.tolist()
         wit = wit.tolist()
         wit_d = wit_d.tolist()
         stale = np.zeros(k, dtype=bool)
@@ -651,7 +692,7 @@ class PlannerTree:
                 if new is None:
                     continue
                 norm = norm_state(new.state, cfg, params)
-                stale |= state_distance(norm, samples) <= reach
+                stale |= self._stale_by(norm, samples, reach)
                 if len(reps) > n_wit:
                     added.append((n_wit, state_distance(norm, ends_norm)))
                 continue
@@ -664,13 +705,21 @@ class PlannerTree:
                 if dist[e] < d_i:
                     i = col
                     d_i = dist[e]
+            r = live_row.get(e)
+            if r is None and i == wit[e]:
+                continue
             near = i if d_i <= cfg.d_prune else None
             u = ControlInput(*inputs[j].tolist())
-            if self.try_insert(node, VehicleState(*ends[e]), u, near) is None:
+            if self.try_insert(node, VehicleState(*ends[e]), u, near, (scw[e], cost[e], ends_norm[:, e])) is None:
                 continue
-            stale |= hits[e]
+            if r is None:
+                # revived by a nearer appended witness, whose representative
+                # it replaced: no live row holds its samples
+                stale |= self._stale_by(ends_norm[:, e], samples, reach)
+                continue
+            stale |= hits[r]
             if near is None:
-                added.append((len(reps) - 1, to_ends[e]))
+                added.append((len(reps) - 1, to_ends[r]))
 
     def run(self) -> PlanResult:
         """Exhaust the remaining budget; seeding work done beforehand counts

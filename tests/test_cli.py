@@ -64,7 +64,9 @@ class TestArgHelpers:
         assert len(_parse_seeds(f"0-{cli._MAX_SEEDS - 1}")) == cli._MAX_SEEDS
         # too many seeds raise before any list of them is built
         too_many = (f"0-{cli._MAX_SEEDS}", f"0-{cli._MAX_SEEDS // 2},1-{cli._MAX_SEEDS // 2}", f"0-{10**30}")
-        for spec in ("3-1", "0,3-1", "1-", "a", "-1", "0,,1", "2--1", "", *too_many):
+        # a repeated seed would run its cells twice and count them twice
+        repeated = ("0,0", "0,0-1", "1-3,2")
+        for spec in ("3-1", "0,3-1", "1-", "a", "-1", "0,,1", "2--1", "", *too_many, *repeated):
             with pytest.raises(ScenarioError, match="--seeds"):
                 _parse_seeds(spec)
 
@@ -93,8 +95,13 @@ class TestArgHelpers:
             ["benchmark", "--jobs", "-2"],
             ["benchmark", "--modes", "dkii"],
             ["benchmark", "--modes", "base,"],
+            # a repeated cell would run and count twice
+            ["benchmark", "--seeds", "0,0-1"],
+            ["benchmark", "--modes", "base,base"],
+            ["benchmark", "--scenario", OVERTAKE],
+            ["benchmark", "--scenario", str(SCENARIO_DIR / ".." / SCENARIO_DIR.name / Path(OVERTAKE).name)],
         ],
-        ids=" ".join,
+        ids=lambda argv: " ".join(argv).replace(str(SCENARIO_DIR), SCENARIO_DIR.name),
     )
     def test_bad_flag_exit_one(self, tmp_path, capsys, argv):
         command, flag, value = argv

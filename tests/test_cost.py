@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -21,7 +22,7 @@ def motion_cost(s_n, s_next, grid, world, w):
     b = s_next.state
     c0 = state_cost(w, a.v, grid.lookup(a.x, a.y), clearance_cost_xy(a.x, a.y, s_n.t, world))
     c1 = state_cost(w, b.v, grid.lookup(b.x, b.y), clearance_cost_xy(b.x, b.y, s_next.t, world))
-    return edge_cost(w, a.x, a.y, c0, b.x, b.y, c1, dt)
+    return edge_cost(w, math.hypot(b.x - a.x, b.y - a.y), c0, c1, dt)
 
 
 def trajectory_cost(traj, grid, world, w):

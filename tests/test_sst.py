@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urbansst import objects
+from urbansst.cost import CostWeights
 from urbansst.geometry import obb_overlap
 from urbansst.objects import ObjectPrediction, WorldModel
-from urbansst.road import PenaltyGrid
+from urbansst.road import PenaltyGrid, compute_goal_region
 from urbansst.sst import (
     _FULL_PASS,
     InvalidStartError,
@@ -516,6 +517,104 @@ class TestGridCells:
         assert idx.tolist() == np.flatnonzero(valid).tolist()
 
 
+# a 0.2 m grid of 100 x 50 cells from (0, -5), for the batch price test
+_RES = 0.2
+_PRICE_GRID = PenaltyGrid((0.0, -5.0), _RES, np.random.default_rng(0).uniform(0.0, 50.0, (50, 100)), 100.0, 99.0)
+
+
+def _coordinate(origin, n_cells):
+    """A coordinate on a cell edge origin + k * _RES, some past the grid's
+    ends (where lookup gives p_max), or anywhere around the grid."""
+    return st.one_of(
+        st.integers(-3, n_cells + 3).map(lambda k: origin + k * _RES),
+        st.floats(origin - 2.0, origin + (n_cells + 2) * _RES),
+    )
+
+
+# one endpoint: its parent's depth below the root, state, cost and state
+# cost, and the endpoint's (x, y, v)
+_PRICE_ROW = st.tuples(
+    st.integers(0, 40),
+    st.tuples(_coordinate(0.0, 100), _coordinate(-5.0, 50), st.floats(-3.0, 3.0), st.floats(0.0, 15.0)),
+    # large costs make near ties: the edge cost is then a few ulps of the sum
+    st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(1e12, 1e16)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    st.tuples(_coordinate(0.0, 100), _coordinate(-5.0, 50), st.floats(0.0, 15.0)),
+)
+
+
+def _price_tree(straight_net, params, start_time, with_objects, term):
+    """A tree on _PRICE_GRID, with or without moving objects, and the default
+    weights, or one term alone (no other term's rounding hides it)."""
+    weights = CostWeights()
+    if term is not None:
+        zero = dict(path_length=0.0, desired_velocity=0.0, penalty_grid=0.0, target_clearance=0.0)
+        weights = CostWeights(**{**zero, term: 1.0})
+    start = VehicleState(1.0, 0.0, 0.0, 5.0)
+    return PlannerTree(
+        start, start_time, compute_goal_region(straight_net, start, 30.0, 2.0, 6.0), _PRICE_GRID,
+        _crossing_world() if with_objects else WorldModel(), make_planner_config(), weights, params,
+        np.random.default_rng(0),
+    )
+
+
+def _assert_prices_equal(tree, parents, ends):
+    """_price gives try_insert's state cost and cost, row by row, as bytes."""
+    scw, cost = tree._price(parents, np.array(ends))
+    nodes = [tree.try_insert(p, VehicleState(*e), ControlInput(0.0, 0.0), None) for p, e in zip(parents, ends)]
+    assert scw.tobytes() == np.array([node.state_cost_w for node in nodes]).tobytes()
+    assert cost.tobytes() == np.array([node.cost for node in nodes]).tobytes()
+
+
+_TERMS = [None, "path_length", "penalty_grid", "target_clearance"]
+
+
+class TestBatchPrices:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.lists(_PRICE_ROW, min_size=1, max_size=24),
+        start_time=st.sampled_from([0.0, 0.3, 6.0]),
+        with_objects=st.booleans(),
+        n_ties=st.integers(0, 4),
+        term=st.sampled_from(_TERMS),
+    )
+    def test_equal_try_insert(self, straight_net, params, rows, start_time, with_objects, n_ties, term):
+        tree = _price_tree(straight_net, params, start_time, with_objects, term)
+        # a chain of nodes below the root: node k lies at depth k, with the
+        # timestamps the tree gives its nodes
+        chain = [tree.root]
+        for _ in range(40):
+            chain.append(TreeNode(tree.root.state, chain[-1].t + tree.config.t_prop, None, chain[-1], 0.0, 0.0))
+        parents = [
+            TreeNode(VehicleState(*state), chain[depth].t, None, chain[depth].parent, cost, scw)
+            for depth, state, cost, scw, _ in rows
+        ]
+        ends = [(x, y, 0.0, v) for *_, (x, y, v) in rows]
+        # endpoints one ulp apart from the same parent: their costs tie or
+        # differ by an ulp
+        for _ in range(n_ties):
+            x, y, th, v = ends[-1]
+            parents.append(parents[-1])
+            ends.append((float(np.nextafter(x, math.inf)), y, th, v))
+        _assert_prices_equal(tree, parents, ends)
+
+    @pytest.mark.parametrize("term", _TERMS)
+    def test_equal_try_insert_in_bulk(self, straight_net, params, term):
+        # numpy's hypot and exp differ from math's in about 0.5 % and 5 % of
+        # values; thousands of rows around the objects, from parents of zero
+        # cost, show such a difference in any one term
+        tree = _price_tree(straight_net, params, 0.3, True, term)
+        rng = np.random.default_rng(1)
+        starts = rng.uniform((0.0, -5.0), (30.0, 8.0), (4096, 2))
+        xy = starts + rng.uniform(-2.5, 2.5, starts.shape)
+        ends = np.column_stack((xy, np.zeros(4096), rng.uniform(0.0, 15.0, 4096)))
+        parents = [
+            TreeNode(VehicleState(x, y, 0.0, 5.0), 0.3 + (k % 20) * tree.config.t_prop, None, None, 0.0, 0.0)
+            for k, (x, y) in enumerate(starts.tolist())
+        ]
+        _assert_prices_equal(tree, parents, ends.tolist())
+
+
 def _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget, seed=0):
     cfg = make_planner_config(budget=budget)
     tree = PlannerTree(
@@ -780,16 +879,28 @@ class TestBatchedLoop:
         run = PlannerTree.run
         select = PlannerTree.select
         nearest = PlannerTree._nearest
+        stale_by = PlannerTree._stale_by
         selects = Counter()
         filtered = Counter()
+        revived = Counter()
+        # the iteration of the last select call
+        selected = [None]
 
         def counted_select(tree, x_rand):
             selects[len(trees)] += 1
+            selected[0] = tree.iterations_used
             return select(tree, x_rand)
 
         def counted_nearest(cols, pts):
             filtered[len(trees)] += cols.shape[1] * pts.shape[1] > _FULL_PASS
             return nearest(cols, pts)
+
+        def counted_stale_by(norm, samples, reach):
+            # one state's row, in an iteration that redid no pick: an endpoint
+            # that its snapshot witness dominated, revived by a nearer
+            # witness that the batch appended
+            revived[len(trees)] += np.ndim(norm) == 1 and trees[-1].iterations_used != selected[0]
+            return stale_by(norm, samples, reach)
 
         def grow(tree):
             trees.append(tree)
@@ -800,6 +911,7 @@ class TestBatchedLoop:
         monkeypatch.setattr(PlannerTree, "run", grow)
         monkeypatch.setattr(PlannerTree, "select", counted_select)
         monkeypatch.setattr(PlannerTree, "_nearest", staticmethod(counted_nearest))
+        monkeypatch.setattr(PlannerTree, "_stale_by", staticmethod(counted_stale_by))
         # a budget that is not a multiple of the batch size; dki seeding
         # spends up to 1 400 of it
         batched, sequential = (
@@ -820,6 +932,10 @@ class TestBatchedLoop:
         # and ranked past the one-pass limit through the xy filter, except on
         # III/dki, whose witness table stays small
         assert filtered[1] > 0 or (name, mode) == ("scenario_iii_roundabout.json", "dki")
+        # and, on II and IV/dki, committed an endpoint that its snapshot
+        # witness dominated
+        if name.startswith("scenario_ii_") or (name, mode) == ("scenario_iv_vru_steering.json", "dki"):
+            assert revived[1] > 0
 
 
 class TestPruning:
