@@ -2,15 +2,15 @@
 
 Lanes are polyline centerlines with a width. The penalty field grows
 linearly with distance to the closest lane-center point and saturates at
-p_max half a lane width out; lookups outside the grid also return p_max.
-"Closest lane center point" is evaluated against centerlines densified at
-half the grid resolution so that sparse waypoints do not scallop the field.
+p_max half that point's lane width out; lookups outside the grid also
+return p_max. Lane-center points are each lane's centerline densified at
+half the grid resolution, so that sparse waypoints do not scallop the field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,8 +27,8 @@ class RouteExhaustedError(Exception):
 class Lane:
     id: str
     width: float
-    centerline: list
-    successors: list
+    centerline: list[tuple] = field(default_factory=list)
+    successors: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.width <= 0.0:
@@ -81,15 +81,13 @@ class RoadNetwork:
     def lane(self, lane_id) -> Lane:
         return self._by_id[lane_id]
 
-    def lane_points(self, spacing: float):
-        """Every lane's centerline densified at spacing, stacked in lane order,
-        and each point's lane index: (points (n, 2), owners (n,)), cached per spacing."""
+    def lane_points(self, spacing: float) -> list:
+        """Each lane's centerline densified at spacing: one (n_i, 2) array per
+        lane, in lane order, cached per spacing."""
         key = round(spacing, 9)
         cached = self._lane_points.get(key)
         if cached is None:
-            dense = [_resample_polyline(np.asarray(lane.centerline, dtype=float), spacing) for lane in self.lanes]
-            owners = np.repeat(np.arange(len(dense)), [len(d) for d in dense])
-            cached = (np.vstack(dense), owners)
+            cached = [_resample_polyline(np.asarray(lane.centerline, dtype=float), spacing) for lane in self.lanes]
             self._lane_points[key] = cached
         return cached
 
@@ -119,12 +117,13 @@ def _windows(x, y, a, b, reach):
 
 
 def nearest_lane_points(net: RoadNetwork, spacing: float, x, y, reach=None):
-    """Distance to, and index into net.lane_points(spacing)[0] of, the nearest
-    densified lane point of every query (x, y): (dist, idx), shaped like x and
-    y broadcast together.
+    """Distance to the nearest densified lane point of every query (x, y), and
+    the index into net.lanes of its lane (narrowest signed dtype): (dist,
+    lane), shaped like x and y broadcast together.
 
-    dist is sqrt(dx*dx + dy*dy) and idx the first point at that distance, as
-    a brute-force argmin over all points gives. Densified points sit on their
+    dist is sqrt(dx*dx + dy*dy), and lane that of the first point at that
+    distance, as a brute-force argmin over net.lane_points(spacing) gives: a
+    later lane wins only when strictly nearer. Densified points sit on their
     centerline segment at arc lengths j*h, so along one segment their
     distance to a query is convex in j: the nearest are the points around
     the query's clamped projection onto the segment, and each segment ranks
@@ -132,32 +131,30 @@ def nearest_lane_points(net: RoadNetwork, spacing: float, x, y, reach=None):
     is a sorted row (1, C) and y a sorted column (R, 1), and each segment
     ranks only the queries within reach of its bounding box, in row blocks
     (_windows), as every cell is ranked on its own; a query that no segment
-    reaches keeps dist inf and idx -1.
+    reaches keeps dist inf and lane -1.
     """
-    points, owners = net.lane_points(spacing)
     dist = np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.inf)
-    idx = np.full(dist.shape, -1, dtype=np.intp)
-    bounds = np.searchsorted(owners, np.arange(len(net.lanes) + 1))
-    for lane, g0, g1 in zip(net.lanes, bounds[:-1], bounds[1:]):
+    nearest = np.full(dist.shape, -1, dtype=np.min_scalar_type(-len(net.lanes)))
+    for k, (lane, points) in enumerate(zip(net.lanes, net.lane_points(spacing))):
         line = np.asarray(lane.centerline, dtype=float)
         arc = _arc_lengths(line)
-        h = arc[-1] / (g1 - g0 - 1)
+        h = arc[-1] / (len(points) - 1)
         for a, b, s0 in zip(line[:-1], line[1:], arc[:-1]):
             d = b - a
             for win in _windows(x, y, a, b, reach):
                 qx, qy = (x, y) if win is ... else (x[:, win[1]], y[win[0], :])
                 t = np.clip(((qx - a[0]) * d[0] + (qy - a[1]) * d[1]) / (d @ d), 0.0, 1.0)
                 j = np.rint((s0 + t * math.hypot(d[0], d[1])) / h)
-                best_d, best_i = dist[win], idx[win]
+                best_d, best_lane = dist[win], nearest[win]
                 for off in (-1.0, 0.0, 1.0):
-                    g = g0 + np.clip(j + off, 0, g1 - g0 - 1).astype(np.intp)
+                    g = np.clip(j + off, 0, len(points) - 1).astype(np.intp)
                     dx = points[g, 0] - qx
                     dy = points[g, 1] - qy
                     dg = np.sqrt(dx * dx + dy * dy)
-                    better = (dg < best_d) | ((dg == best_d) & (g < best_i))
+                    better = dg < best_d
                     np.copyto(best_d, dg, where=better)
-                    np.copyto(best_i, g, where=better)
-    return dist, idx
+                    np.copyto(best_lane, k, where=better)
+    return dist, nearest
 
 
 class PenaltyGrid:
@@ -209,13 +206,12 @@ def build_penalty_grid(
     # a cell farther than half the widest lane from every lane point is p_max
     # whichever point is nearest
     lane_widths = np.array([lane.width for lane in net.lanes])
-    dist, idx = nearest_lane_points(net, resolution / 2, xs[None, :], ys[:, None], reach=lane_widths.max() / 2)
+    dist, lane = nearest_lane_points(net, resolution / 2, xs[None, :], ys[:, None], reach=lane_widths.max() / 2)
     # each cell's penalty replaces its distance, row block by row block
-    point_widths = lane_widths[net.lane_points(resolution / 2)[1]]
     step = max(1, _BLOCK_CELLS // n_cols)
     for r in range(0, n_rows, step):
         d = dist[r : r + step]
-        widths = point_widths[idx[r : r + step]]
+        widths = lane_widths[lane[r : r + step]]
         d[...] = np.where(d < widths / 2, 2.0 * p_max * d / widths, p_max)
     return PenaltyGrid((x_min, y_min), resolution, dist, p_max, p_invalid)
 
@@ -347,11 +343,8 @@ def compute_goal_region(
             f"route ends at {route.length:.1f} m but goal center is at {s_goal:.1f} m"
         )
     window = route.slice(s_goal - goal_threshold, min(s_goal + goal_threshold, route.length))
-    points, owners = net.lane_points(0.2)
-    bounds = np.searchsorted(owners, np.arange(len(net.lanes) + 1))
     polygons = []
-    for lane, g0, g1 in zip(net.lanes, bounds[:-1], bounds[1:]):
-        dense = points[g0:g1]
+    for lane, dense in zip(net.lanes, net.lane_points(0.2)):
         # Contiguous runs of in-window points become quad strips of +-width/2.
         idx = np.flatnonzero(_window_membership(dense, window, lateral_band))
         splits = np.flatnonzero(np.diff(idx) > 1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -176,11 +176,15 @@ def _build(where: str, cls, **kwargs):
 
 def _config(where: str, cls, sec: dict):
     """A config dataclass from its section: each field that the section
-    holds is read by its declared type, the others keep the class defaults."""
+    holds, or that has no default, is read by its declared type; the others
+    keep the class defaults."""
     hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls) if f.name not in _PER_QUERY]
-    _known(sec, names, f"{where}.")
-    kwargs = {name: _read(sec[name], hints[name], f"{where}.{name}") for name in names if name in sec}
+    own = [f for f in fields(cls) if f.name not in _PER_QUERY]
+    _known(sec, [f.name for f in own], f"{where}.")
+    kwargs = {
+        f.name: _read(sec.get(f.name), hints[f.name], f"{where}.{f.name}")
+        for f in own if f.name in sec or f.default is f.default_factory is MISSING
+    }
     return _build(where, cls, **kwargs)
 
 
@@ -194,17 +198,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         if "road" not in data:
             raise ScenarioError("road: section is required")
         road_sec = _section(data, "road", keys=("lanes", "route"))
-        lanes = []
-        for i, ld in enumerate(_read(road_sec.get("lanes", []), list[dict], "road.lanes")):
-            where = f"road.lanes[{i}]"
-            _known(ld, ("id", "width", "centerline", "successors"), f"{where}.")
-            lanes.append(_build(
-                where, Lane,
-                id=_read(ld.get("id"), str, f"{where}.id"),
-                width=_read(ld.get("width"), float, f"{where}.width"),
-                centerline=_read(ld.get("centerline", []), list[tuple], f"{where}.centerline"),
-                successors=_read(ld.get("successors", []), list[str], f"{where}.successors"),
-            ))
+        lanes = [
+            _config(f"road.lanes[{i}]", Lane, ld)
+            for i, ld in enumerate(_read(road_sec.get("lanes", []), list[dict], "road.lanes"))
+        ]
         route = _read(road_sec.get("route", []), list[str], "road.route")
         road = _build("road", RoadNetwork, lanes=lanes, route=route)
 

@@ -1,11 +1,16 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import urbansst
 from urbansst.road import (
     DEFAULT_GRID_RESOLUTION,
     GoalRegion,
@@ -25,13 +30,16 @@ from conftest import LANE_SPACING, LANE_WIDTH, SCENARIO_DIR, make_straight_net
 
 def nearest_lane_center(net, p, spacing=DEFAULT_GRID_RESOLUTION / 2):
     """Brute-force oracle of nearest_lane_points: the smallest sqrt(dx*dx + dy*dy)
-    from p to a densified lane point, and the first point at that distance."""
-    points, _ = net.lane_points(spacing)
+    from p to a densified lane point, and the lane of the first point at that
+    distance, all lanes' points taken in lane order."""
+    dense = net.lane_points(spacing)
+    points = np.vstack(dense)
+    owners = np.repeat(np.arange(len(dense)), [len(d) for d in dense])
     dx = points[:, 0] - p[0]
     dy = points[:, 1] - p[1]
     dist = np.sqrt(dx * dx + dy * dy)
     i = int(np.argmin(dist))
-    return float(dist[i]), i
+    return float(dist[i]), int(owners[i])
 
 
 def oracle_grid(net, bounds, resolution, p_max):
@@ -41,12 +49,11 @@ def oracle_grid(net, bounds, resolution, p_max):
     n_rows = max(1, int(math.ceil((y_max - y_min) / resolution)))
     xs = x_min + (np.arange(n_cols) + 0.5) * resolution
     ys = y_min + (np.arange(n_rows) + 0.5) * resolution
-    _, owners = net.lane_points(resolution / 2)
     cells = np.empty((n_rows, n_cols))
     for r, y in enumerate(ys.tolist()):
         for c, x in enumerate(xs.tolist()):
-            d, i = nearest_lane_center(net, (x, y), resolution / 2)
-            w = net.lanes[owners[i]].width
+            d, lane = nearest_lane_center(net, (x, y), resolution / 2)
+            w = net.lanes[lane].width
             cells[r, c] = 2.0 * p_max * d / w if d < w / 2 else p_max
     return cells
 
@@ -71,6 +78,17 @@ def arc_net(n_seg=54, radius=12.0):
         Lane(id="exit", width=3.0, centerline=[ring[-1], [4.0, -radius - 2.0]], successors=[]),
     ]
     return RoadNetwork(lanes, ["ring", "exit"])
+
+
+def many_lanes_net(n=130):
+    """n short lanes 0.5 m apart, four widths and slants in turn: from 129 lanes
+    on, the lane index of nearest_lane_points is int16."""
+    lanes = [
+        Lane(id=f"l{i}", width=(1.0, 2.5, 3.0, 4.0)[i % 4],
+             centerline=[[0.5 * i, 0.0], [0.5 * i + 0.25 * (i % 3), 1.0 + 0.25 * (i % 4)]], successors=[])
+        for i in range(n)
+    ]
+    return RoadNetwork(lanes, ["l0"])
 
 
 class TestLane:
@@ -102,25 +120,26 @@ class TestRoadNetwork:
             RoadNetwork([a, b], ["a", "b"])
 
     def test_nearest_lane_center(self, straight_net):
-        points, owners = straight_net.lane_points(DEFAULT_GRID_RESOLUTION / 2)
-        dist, idx = nearest_lane_points(straight_net, DEFAULT_GRID_RESOLUTION / 2, np.array([20.0, 20.0]), np.array([1.0, 3.0]))
+        dist, lane = nearest_lane_points(straight_net, DEFAULT_GRID_RESOLUTION / 2, np.array([20.0, 20.0]), np.array([1.0, 3.0]))
         assert dist[0] == pytest.approx(1.0, abs=1e-6)
-        assert owners[idx[0]] == 0
-        assert points[idx[0], 1] == pytest.approx(0.0, abs=1e-9)
+        assert lane[0] == 0
         # closer to the second lane center
-        assert owners[idx[1]] == 1
+        assert lane[1] == 1
         assert dist[1] == pytest.approx(0.5, abs=1e-6)
 
-    @pytest.mark.parametrize("net", [make_straight_net(), two_width_net(), arc_net()], ids=["straight", "two_width", "arc"])
+    @pytest.mark.parametrize(
+        "net", [make_straight_net(), two_width_net(), arc_net(), many_lanes_net()], ids=["straight", "two_width", "arc", "130_lanes"]
+    )
     def test_nearest_lane_points_equal_brute_force(self, net):
         # random queries over and around the network, plus every seventh densified point
-        points, _ = net.lane_points(DEFAULT_GRID_RESOLUTION / 2)
+        points = np.vstack(net.lane_points(DEFAULT_GRID_RESOLUTION / 2))
         lo, hi = points.min(axis=0) - 3.0, points.max(axis=0) + 3.0
         rng = np.random.default_rng(16)
         q = np.vstack([rng.uniform(lo, hi, (1_500, 2)), points[::7]])
-        dist, idx = nearest_lane_points(net, DEFAULT_GRID_RESOLUTION / 2, q[:, 0], q[:, 1])
+        dist, lane = nearest_lane_points(net, DEFAULT_GRID_RESOLUTION / 2, q[:, 0], q[:, 1])
         want = [nearest_lane_center(net, p) for p in q.tolist()]
-        assert list(zip(dist.tolist(), idx.tolist())) == want
+        assert list(zip(dist.tolist(), lane.tolist())) == want
+        assert lane.dtype == (np.int16 if len(net.lanes) > 128 else np.int8)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -141,9 +160,9 @@ class TestRoadNetwork:
         net = RoadNetwork(lanes, ["l0"])
         rng = np.random.default_rng(seed)
         q = np.vstack([rng.integers(-48, 48, (100, 2)) / 4, rng.uniform(-12.0, 12.0, (100, 2))])
-        dist, idx = nearest_lane_points(net, spacing, q[:, 0], q[:, 1])
+        dist, lane = nearest_lane_points(net, spacing, q[:, 0], q[:, 1])
         want = [nearest_lane_center(net, p, spacing) for p in q.tolist()]
-        assert list(zip(dist.tolist(), idx.tolist())) == want
+        assert list(zip(dist.tolist(), lane.tolist())) == want
 
 
 class TestPenaltyGrid:
@@ -203,8 +222,9 @@ class TestPenaltyGrid:
             # cell centers at y = -3 + 0.25 i put a row exactly on y = 1, where the lanes tie
             (two_width_net(), (-1.0, -3.125, 7.0, 5.0), 0.25),
             (arc_net(), (-15.0, -17.0, 15.0, 15.0), 0.25),
+            (many_lanes_net(), (-2.5, -2.5, 67.0, 3.5), 0.25),
         ],
-        ids=["two_width", "arc"],
+        ids=["two_width", "arc", "130_lanes"],
     )
     def test_grid_equals_brute_force(self, net, bounds, resolution):
         grid = build_penalty_grid(net, bounds, resolution, 100.0, 99.0)
@@ -247,6 +267,30 @@ class TestPenaltyGrid:
             d, _ = nearest_lane_center(straight_net, (0.0 + (c + 0.5) * 0.05, -8.0 + (r + 0.5) * 0.05), 0.025)
             want = 2.0 * 100.0 * d / LANE_WIDTH if d < LANE_WIDTH / 2 else 100.0
             assert grid.cells[r, c] == want, (r, c)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_grid_memory_at_the_cell_cap(self):
+        # scenario III at 0.031 m is 3.9 M cells, just under the cap: the 30 MB
+        # grid, the block temporaries and a one-byte lane index per cell. The
+        # peak is VmHWM, the high-water mark of ru_maxrss for this process image
+        # alone: a child's ru_maxrss starts at its parent's peak, here pytest's.
+        code = (
+            "import sys\n"
+            "from urbansst.sim import build_scenario_grid, load_scenario\n"
+            "def peak_kib():\n"
+            "    return int(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
+            "sc = load_scenario(sys.argv[1], ['grid.resolution=0.031'])\n"
+            "before = peak_kib()\n"
+            "cells = build_scenario_grid(sc).cells.size\n"
+            "print(cells, peak_kib() - before)\n"
+        )
+        src = str(Path(urbansst.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        path = str(SCENARIO_DIR / "scenario_iii_roundabout.json")
+        out = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True, text=True, timeout=120, check=True)
+        cells, rise_kib = map(int, out.stdout.split())
+        assert cells == 3_915_900
+        assert rise_kib < 50 * 1024
 
     @pytest.mark.parametrize(
         "stem, sha1",
