@@ -44,19 +44,20 @@ class DkiConfig:
             raise ValueError(f"n_candidates must not exceed {_MAX_CANDIDATES}, got {self.n_candidates}")
 
 
-def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int:
+def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, s_root: float, dki: DkiConfig) -> int:
     """Grow a branch that chases the lane center ahead of the branch tip.
 
-    Each extension draws n_candidates inputs, keeps the fully-valid
-    propagation whose endpoint is closest to the lane-center point
-    d_lookahead ahead of the tip, and stops at the goal, when no valid
+    The tip's route arc length is tracked with RoutePath.advance from s_root,
+    the root's. Each extension draws n_candidates inputs, keeps the
+    fully-valid propagation whose endpoint is closest to the lane-center
+    point d_lookahead ahead of the tip, and stops at the goal, when no valid
     candidate exists, or once the branch strays d_branch_max from the root.
     """
     rng = tree.rng
     route = net.route_path
     root = tree.root.state
     tip = tree.root
-    s_tip, _ = route.project(root.x, root.y)
+    s_tip = s_root
     # The rolling target sits at most one propagation step ahead: with a
     # farther target every candidate undershoots and the argmin rewards
     # maximum acceleration until the branch pins at v_max. Closing only a
@@ -77,7 +78,7 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, dki: DkiConfig) -> int
         s_tip = route.advance(s_tip, tip.state.x, tip.state.y)
         v_cmd = tip.state.v + gain * (v_des - tip.state.v)
         d_target = min(dki.d_lookahead, v_cmd * t_prop)
-        target = route.point_at(min(s_tip + d_target, route.length))
+        target = route.point_at(s_tip + d_target)
         tree.iterations_used += dki.n_candidates
         a, delta = sample_inputs(tree.config, rng, tree.params, dki.n_candidates)
         idx, ends = tree.propagate_batch([tip] * len(a), a, delta)
@@ -165,6 +166,7 @@ def plan_dki(
     grid: PenaltyGrid,
     world: WorldModel,
     net: RoadNetwork,
+    s: float,
     prev: Optional[Trajectory],
     config: PlannerConfig,
     dki: DkiConfig,
@@ -172,8 +174,8 @@ def plan_dki(
     params: VehicleParams,
     rng: np.random.Generator,
 ) -> PlanResult:
-    """Seeded query: previous-solution branch, lane branch, then the base loop."""
+    """Seeded query: previous-solution branch, lane branch from start's arc length s, then the base loop."""
     tree = PlannerTree(start, start_time, goal, grid, world, config, weights, params, rng)
     seed_previous_branch(tree, prev, dki)
-    seed_lane_branch(tree, net, dki)
+    seed_lane_branch(tree, net, s, dki)
     return tree.run()

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .geometry import Point2, Polygon, point_in_polygon
-from .vehicle import VehicleState
 
 
 class RouteExhaustedError(Exception):
@@ -286,8 +284,7 @@ class RoutePath:
 class GoalRegion:
     """Lateral band across the lanes around a route arc-length window."""
 
-    def __init__(self, arc_window, polygons) -> None:
-        self.arc_window = tuple(arc_window)
+    def __init__(self, polygons) -> None:
         self.polygons = list(polygons)
         xs = [v.x for poly in self.polygons for v in poly.vertices]
         ys = [v.y for poly in self.polygons for v in poly.vertices]
@@ -322,21 +319,13 @@ def _window_membership(pts: np.ndarray, window: np.ndarray, band: float) -> np.n
 
 
 def compute_goal_region(
-    net: RoadNetwork,
-    ego: VehicleState,
-    goal_distance: float,
-    goal_threshold: float,
-    lateral_band: float,
-    s_hint: Optional[float] = None,
+    net: RoadNetwork, s_ego: float, goal_distance: float, goal_threshold: float, lateral_band: float,
 ) -> GoalRegion:
-    """Goal band spanning all lanes that cross the route window at g_d ahead."""
+    """Goal band spanning all lanes that cross the route window goal_distance
+    ahead of s_ego, the ego's route arc length."""
     if goal_threshold <= 0.0:
         raise ValueError("goal threshold must be positive")
     route = net.route_path
-    if s_hint is None:
-        s_ego, _ = route.project(ego.x, ego.y)
-    else:
-        s_ego, _ = route.project(ego.x, ego.y, s_window=(s_hint - 5.0, s_hint + 15.0))
     s_goal = s_ego + goal_distance
     if s_goal > route.length:
         raise RouteExhaustedError(
@@ -361,4 +350,4 @@ def compute_goal_region(
             right = seg - half * np.column_stack([nx, ny])
             ring = np.vstack([left, right[::-1]])
             polygons.append(Polygon(ring))
-    return GoalRegion((s_goal - goal_threshold, s_goal + goal_threshold), polygons)
+    return GoalRegion(polygons)

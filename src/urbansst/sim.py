@@ -392,23 +392,24 @@ def _first_collision(states, world: WorldModel, params: VehicleParams):
 
 def plan_query(
     sc: Scenario, mode: str, grid: PenaltyGrid, ego: VehicleState, t: float, rng_key,
-    budget=None, prev: Optional[Trajectory] = None, s_hint: Optional[float] = None,
+    budget=None, prev: Optional[Trajectory] = None, s: Optional[float] = None,
 ) -> PlanResult:
     """One planning query of the scenario from ego at time t.
 
     This is the one query setup: the budget override (("iters", n) or
-    ("time", seconds)), the goal region ahead of ego (s_hint is its route
-    arc-length, if known), the sampling bounds around ego and the goal, an
-    rng seeded by rng_key and the base or dki planner; dki seeds from prev,
-    the previous solution. plan, plan_dki and compute_goal_region are this
-    module's globals at call time, so that a profiler or a query timer can
-    replace them here. Raises RouteExhaustedError when the goal lies past the
-    route's end and InvalidStartError when ego is not a valid state.
+    ("time", seconds)), ego's route arc length s (by default its projection
+    on the whole route), the goal region ahead of s, the sampling bounds
+    around ego and the goal, an rng seeded by rng_key and the base or dki
+    planner; dki seeds from s and from prev, the previous solution. plan,
+    plan_dki and compute_goal_region are this module's globals at call time,
+    so that a profiler or a query timer can replace them here. Raises
+    RouteExhaustedError when the goal lies past the route's end and
+    InvalidStartError when ego is not a valid state.
     """
     cfg = sc.planner if budget is None else sc.planner.with_budget(*budget)
-    goal = compute_goal_region(
-        sc.road, ego, sc.goal_distance, sc.goal_threshold, sc.goal_lateral_band, s_hint=s_hint,
-    )
+    if s is None:
+        s, _ = sc.road.route_path.project(ego.x, ego.y)
+    goal = compute_goal_region(sc.road, s, sc.goal_distance, sc.goal_threshold, sc.goal_lateral_band)
     bx0, by0, bx1, by1 = goal.bbox
     m = sc.sampling_margin
     cfg = cfg.with_bounds(
@@ -418,7 +419,7 @@ def plan_query(
     rng = np.random.default_rng(np.random.SeedSequence(rng_key))
     if mode == "dki":
         return plan_dki(
-            ego, t, goal, grid, sc.world, sc.road, prev, cfg, sc.dki, sc.weights, sc.ego_params, rng,
+            ego, t, goal, grid, sc.world, sc.road, s, prev, cfg, sc.dki, sc.weights, sc.ego_params, rng,
         )
     return plan(ego, t, goal, grid, sc.world, cfg, sc.weights, sc.ego_params, rng)
 
@@ -441,7 +442,7 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
     dt_tick = 1.0 / sc.replan_rate
 
     ego = sc.ego_state
-    s_prev, _ = route.project(ego.x, ego.y)
+    s_ego, _ = route.project(ego.x, ego.y)
     prev_traj: Optional[Trajectory] = None
     k = 0
     log.termination = "duration"
@@ -454,7 +455,7 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
             log.termination = "collision"
             break
         try:
-            result = plan_query(sc, mode, grid, ego, t, (seed, k), budget, prev_traj, s_prev)
+            result = plan_query(sc, mode, grid, ego, t, (seed, k), budget, prev_traj, s_ego)
         except RouteExhaustedError:
             log.termination = "route_exhausted"
             break
@@ -491,7 +492,7 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
             log.termination = "collision"
             break
         ego = exec_states[-1].state
-        s_prev = route.advance(s_prev, ego.x, ego.y)
+        s_ego = route.advance(s_ego, ego.x, ego.y)
         k += 1
     return log
 

@@ -46,7 +46,6 @@ from .vehicle import (
     ControlInput, TimedState, Trajectory, VehicleParams, VehicleState, normalize_angle, step, substep_count,
 )
 
-_TWO_PI = 2.0 * math.pi
 
 # Row blocks of PlannerTree's witness table.
 _WIT = slice(0, 4)
@@ -132,7 +131,7 @@ def _normalized(x, y, th, v, config: PlannerConfig, params: VehicleParams) -> tu
     return (
         (x - config.x_bounds[0]) * inv_xy,
         (y - config.y_bounds[0]) * inv_xy,
-        (th + math.pi) / _TWO_PI,
+        (th + math.pi) / math.tau,
         (v - v_lo) * (1.0 / (v_hi - v_lo)),
     )
 
@@ -167,9 +166,9 @@ def normalize_angles(th: np.ndarray) -> np.ndarray:
     within a factor of two), so the result is the one value th - k * 2 pi in
     (-pi, pi] that math.remainder and its <= -pi fix give.
     """
-    th = np.fmod(th, _TWO_PI)
-    th[th > math.pi] -= _TWO_PI
-    th[th <= -math.pi] += _TWO_PI
+    th = np.fmod(th, math.tau)
+    th[th > math.pi] -= math.tau
+    th[th <= -math.pi] += math.tau
     return th
 
 
@@ -190,7 +189,7 @@ def sample_state(config: PlannerConfig, rng: np.random.Generator, params: Vehicl
     return VehicleState(
         x_lo + (x_hi - x_lo) * ux,
         y_lo + (y_hi - y_lo) * uy,
-        -math.pi + _TWO_PI * uth,
+        -math.pi + math.tau * uth,
         v_lo + (v_hi - v_lo) * uv,
     )
 
@@ -235,7 +234,7 @@ def sample_batch(config: PlannerConfig, rng: np.random.Generator, params: Vehicl
                 break
     (x_lo, x_hi), (y_lo, y_hi) = config.x_bounds, config.y_bounds
     v_lo, v_hi = params.v_bounds
-    u *= (x_hi - x_lo, y_hi - y_lo, _TWO_PI, v_hi - v_lo)
+    u *= (x_hi - x_lo, y_hi - y_lo, math.tau, v_hi - v_lo)
     u += (x_lo, y_lo, -math.pi, v_lo)
     z *= (sigma_a, sigma_d)
     z += 0.0

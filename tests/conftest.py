@@ -32,6 +32,17 @@ def make_straight_net(n_lanes=2, x0=-10.0, x1=130.0):
     return RoadNetwork(lanes, ["lane0"])
 
 
+def make_crossing_net(width=3.5):
+    """A route east along y = 0 from x = -10, back west along y = 30 and
+    south along x = 20, one lane per leg: it crosses its own first leg at
+    (20, 0), 30 m and 169.7 m along it."""
+    corners = [(-10.0, 0.0), (60.0, 0.0), (60.0, 30.0), (20.0, 30.0), (20.0, -40.0)]
+    ids = ["a", "b", "c", "d"]
+    legs = zip(ids, corners, corners[1:])
+    lanes = [Lane(lid, width, [p, q], ids[i + 1 : i + 2]) for i, (lid, p, q) in enumerate(legs)]
+    return RoadNetwork(lanes, ids)
+
+
 @pytest.fixture(scope="session")
 def straight_net():
     return make_straight_net()
@@ -84,8 +95,9 @@ def make_planner_config(budget=2000, **kw):
 
 
 @pytest.fixture()
-def straight_goal(straight_net, ego_start):
-    return compute_goal_region(straight_net, ego_start, 30.0, 2.0, 6.0)
+def straight_goal(straight_net):
+    # ego_start, at x = 0, is 10 m along the route from x = -10
+    return compute_goal_region(straight_net, 10.0, 30.0, 2.0, 6.0)
 
 
 @pytest.fixture()

@@ -146,7 +146,8 @@ class TestAcceptance:
         params = sc.ego_params
         weights = sc.weights
         ego = sc.ego_state
-        goal = compute_goal_region(net, ego, sc.goal_distance, sc.goal_threshold,
+        s_ego, _ = net.route_path.project(ego.x, ego.y)
+        goal = compute_goal_region(net, s_ego, sc.goal_distance, sc.goal_threshold,
                                    lateral_band=sc.goal_lateral_band)
         bx0, by0, bx1, by1 = goal.bbox
         m = sc.sampling_margin
@@ -251,7 +252,7 @@ class TestAcceptance:
         for seed in range(20):
             cfg_s = replace(cfg, iteration_budget=2000)
             base = plan(ego, 0.0, goal, grid, world, cfg_s, weights, params, np.random.default_rng(seed))
-            dki = plan_dki(ego, 0.0, goal, grid, world, net20, None,
+            dki = plan_dki(ego, 0.0, goal, grid, world, net20, s_ego, None,
                            cfg_s, DkiConfig(), weights, params, np.random.default_rng(seed))
             if dki.solved and (not base.solved or dki.cost <= base.cost + 1e-9):
                 wins += 1

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from urbansst.dki import DkiConfig, _reuse_anchor, plan_dki, seed_lane_branch, seed_previous_branch
 from urbansst.objects import ObjectPrediction, WorldModel
+from urbansst.road import build_penalty_grid, compute_goal_region
 from urbansst.sst import PlannerTree, norm_state, plan, state_distance
 from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState, normalize_angle, propagate
 
-from conftest import LANE_WIDTH, live_nodes, make_planner_config
+from conftest import LANE_WIDTH, live_nodes, make_crossing_net, make_planner_config
 
 
 def make_tree(goal, grid, world, weights, params, budget=2000, seed=0, start=None):
@@ -34,7 +35,7 @@ class TestDkiConfig:
 class TestLaneBranch:
     def test_reaches_goal_near_center(self, node_refs, straight_net, straight_goal, straight_grid, empty_world, weights, params):
         tree = make_tree(straight_goal, straight_grid, empty_world, weights, params)
-        added = seed_lane_branch(tree, straight_net, DkiConfig())
+        added = seed_lane_branch(tree, straight_net, 10.0, DkiConfig())
         assert added > 10
         in_goal = [
             n for n in live_nodes(node_refs) if straight_goal.contains_xy(n.state.x, n.state.y)
@@ -50,14 +51,31 @@ class TestLaneBranch:
         # runs into the wall (braking cannot stop 5 m/s within a meter)
         wall = WorldModel([ObjectPrediction("wall", 1.5, 40.0, [(0.0, 3.75, 0.0, 0.0)])])
         tree = make_tree(straight_goal, straight_grid, wall, weights, params)
-        added = seed_lane_branch(tree, straight_net, DkiConfig())
+        added = seed_lane_branch(tree, straight_net, 10.0, DkiConfig())
         assert added == 0
         assert tree.n_nodes == 1
 
     def test_zero_branch_extent(self, straight_net, straight_goal, straight_grid, empty_world, weights, params):
         tree = make_tree(straight_goal, straight_grid, empty_world, weights, params)
-        added = seed_lane_branch(tree, straight_net, DkiConfig(d_branch_max=0.0))
+        added = seed_lane_branch(tree, straight_net, 10.0, DkiConfig(d_branch_max=0.0))
         assert added == 0
+
+    def test_follows_tracked_arc_on_crossing_route(self, node_refs, empty_world, weights, params):
+        # The root sits on the first leg (tracked arc 30 m), but the whole
+        # route projects it onto the last one (arc 169.7 m), whose lookahead
+        # points lead south, off the first lane.
+        net = make_crossing_net(width=3.5)
+        root = VehicleState(20.0, 0.3, 0.0, 5.0)
+        assert net.route_path.project(root.x, root.y)[0] == pytest.approx(169.7)
+        grid = build_penalty_grid(net, (-15.0, -45.0, 65.0, 35.0), 0.25, 100.0, 99.0)
+        goal = compute_goal_region(net, 30.0, 30.0, 2.0, 6.0)
+        cfg = make_planner_config(budget=2000).with_bounds((-15.0, 65.0), (-45.0, 35.0))
+        tree = PlannerTree(root, 0.0, goal, grid, empty_world, cfg, weights, params, np.random.default_rng(0))
+        added = seed_lane_branch(tree, net, 30.0, DkiConfig())
+        seeded = [n for n in live_nodes(node_refs) if n is not tree.root]
+        assert added == len(seeded) > 0
+        assert any(goal.contains_xy(n.state.x, n.state.y) for n in seeded)
+        assert all(abs(n.state.y) < 1.75 for n in seeded)
 
 
 def _straight_prev(params, n_edges=6, start=None):
@@ -228,7 +246,7 @@ class TestPlanDki:
     def test_budget_accounting(self, straight_net, straight_goal, straight_grid, empty_world, weights, params, ego_start):
         cfg = make_planner_config(budget=3000)
         result = plan_dki(
-            ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net,
+            ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net, 10.0,
             None, cfg, DkiConfig(), weights, params, np.random.default_rng(1),
         )
         assert result.solved
@@ -239,7 +257,7 @@ class TestPlanDki:
         gc.disable()
         try:
             result = plan_dki(
-                ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net,
+                ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net, 10.0,
                 None, cfg, DkiConfig(), weights, params, np.random.default_rng(1),
             )
             alive = sum(ref() is not None for ref in node_refs)
@@ -258,7 +276,7 @@ class TestPlanDki:
                 np.random.default_rng(seed),
             )
             dki = plan_dki(
-                ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net,
+                ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net, 10.0,
                 None, cfg, DkiConfig(), weights, params, np.random.default_rng(seed),
             )
             assert dki.solved

@@ -25,7 +25,7 @@ from urbansst.road import (
 from urbansst.sim import build_scenario_grid, load_scenario
 from urbansst.vehicle import VehicleState
 
-from conftest import LANE_SPACING, LANE_WIDTH, SCENARIO_DIR, make_straight_net
+from conftest import LANE_SPACING, LANE_WIDTH, SCENARIO_DIR, make_crossing_net, make_straight_net
 
 
 def nearest_lane_center(net, p, spacing=DEFAULT_GRID_RESOLUTION / 2):
@@ -313,12 +313,10 @@ class TestPenaltyGrid:
 
 class TestGoalRegion:
     def test_window_extent(self, straight_goal):
-        # ego at x = 0 projects to s = 10 on a route starting at x = -10;
-        # goal 30 m ahead with 2 m threshold -> arc window [38, 42]
-        lo, hi = straight_goal.arc_window
-        assert hi - lo == pytest.approx(4.0)
-        # route starts at x = -10, ego at x = 0 -> s_ego = 10
-        assert lo == pytest.approx(38.0)
+        # ego at s = 10 on a route starting at x = -10; goal 30 m ahead with
+        # 2 m threshold -> arc window [38, 42], which is x in [28, 32]
+        x0, _, x1, _ = straight_goal.bbox
+        assert (x0, x1) == pytest.approx((28.0, 32.0), abs=0.2)
 
     def test_contains_goal_band(self, straight_goal):
         # points near the route 30 m ahead, across the lane width
@@ -333,10 +331,14 @@ class TestGoalRegion:
         assert straight_goal.contains_xy(30.0, LANE_SPACING)
 
     def test_projection_invariance(self, straight_net):
-        # lateral offset of the ego does not move the goal window
-        g0 = compute_goal_region(straight_net, VehicleState(0, 0, 0, 5), 30.0, 2.0, 6.0)
-        g1 = compute_goal_region(straight_net, VehicleState(0, 1.5, 0.2, 3), 30.0, 2.0, 6.0)
-        assert g0.arc_window == pytest.approx(g1.arc_window)
+        # lateral offset of the ego moves neither its arc nor the goal window
+        route = straight_net.route_path
+        s0, _ = route.project(0.0, 0.0)
+        s1, _ = route.project(0.0, 1.5)
+        assert s0 == pytest.approx(s1)
+        g0 = compute_goal_region(straight_net, s0, 30.0, 2.0, 6.0)
+        g1 = compute_goal_region(straight_net, s1, 30.0, 2.0, 6.0)
+        assert g0.bbox == pytest.approx(g1.bbox)
 
     def test_wrong_way_heading_still_in_goal(self, straight_goal):
         # membership is positional only
@@ -345,20 +347,20 @@ class TestGoalRegion:
 
     def test_route_exhausted(self, straight_net):
         with pytest.raises(RouteExhaustedError):
-            compute_goal_region(straight_net, VehicleState(125.0, 0, 0, 5), 30.0, 2.0, 6.0)
+            compute_goal_region(straight_net, 135.0, 30.0, 2.0, 6.0)
 
     def test_threshold_validation(self, straight_net):
         with pytest.raises(ValueError):
-            compute_goal_region(straight_net, VehicleState(0, 0, 0, 5), 30.0, 0.0, 6.0)
+            compute_goal_region(straight_net, 10.0, 30.0, 0.0, 6.0)
 
-    def test_s_hint_disambiguation(self):
-        # self-crossing route: figure-eight style overlap at x ~ 0
-        net = make_straight_net(n_lanes=1)
-        route = net.route_path
-        s, _ = route.project(20.0, 0.0, s_window=(25.0, 40.0))
-        # window forces the projection onto the clamped segment start
-        assert s >= 25.0 - 1e-9
+    def test_s_window_disambiguation(self):
+        # (20, 0.3) is 0.3 m from the route's first leg (s = 30) and on its
+        # last leg (s = 169.7); a window around the first pass picks the first
+        route = make_crossing_net().route_path
+        assert route.project(20.0, 0.3)[0] == pytest.approx(169.7)
+        s, lateral = route.project(20.0, 0.3, s_window=(25.0, 40.0))
+        assert (s, lateral) == pytest.approx((30.0, 0.3))
 
     def test_degenerate_region_rejected(self):
         with pytest.raises(ValueError):
-            GoalRegion((0, 1), [])
+            GoalRegion([])

@@ -552,7 +552,7 @@ def _price_tree(straight_net, params, start_time, with_objects, term):
         weights = CostWeights(**{**zero, term: 1.0})
     start = VehicleState(1.0, 0.0, 0.0, 5.0)
     return PlannerTree(
-        start, start_time, compute_goal_region(straight_net, start, 30.0, 2.0, 6.0), _PRICE_GRID,
+        start, start_time, compute_goal_region(straight_net, 11.0, 30.0, 2.0, 6.0), _PRICE_GRID,
         _crossing_world() if with_objects else WorldModel(), make_planner_config(), weights, params,
         np.random.default_rng(0),
     )
@@ -804,7 +804,7 @@ class TestPlan:
     def test_goal_outside_bounds_unsolved(self, straight_net, straight_grid, empty_world, weights, params, ego_start):
         from urbansst.road import compute_goal_region
 
-        goal = compute_goal_region(straight_net, ego_start, 30.0, 2.0, 6.0)
+        goal = compute_goal_region(straight_net, 10.0, 30.0, 2.0, 6.0)
         cfg = PlannerConfig(iteration_budget=2_000).with_bounds((-15.0, 10.0), (-10.0, 12.0))
         result = plan(ego_start, 0.0, goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(0))
         assert not result.solved
