@@ -87,14 +87,12 @@ class WorldModel:
         self.objects = list(objects)
 
 
-class PoseMemo:
-    """Every object's predicted pose by exact timestamp, for one ego footprint.
+class WorldPoser:
+    """Every object's predicted pose at one time, for one ego footprint.
 
-    An entry is a tuple with one (x, y, theta, object, reach2) per object,
+    at(t) gives a tuple with one (x, y, theta, object, reach2) per object,
     where reach2 is the squared centre distance beyond which the ego box
     cannot touch the object: the bound of the two circumscribed circles.
-    Keys are the exact floats asked for, so an entry holds exactly what
-    pose_at returns for them.
     """
 
     def __init__(self, world: WorldModel, ego_length: float, ego_width: float) -> None:
@@ -102,19 +100,15 @@ class PoseMemo:
         # r * r, as r ** 2 raises OverflowError where the square leaves the float range
         reach = [(obj, r_ego + 0.5 * math.hypot(obj.length, obj.width)) for obj in world.objects]
         self._reach = [(obj, r * r) for obj, r in reach]
-        self._memo: dict = {}
 
     def at(self, t: float) -> tuple:
-        poses = self._memo.get(t)
-        if poses is None:
-            poses = self._memo[t] = tuple((*obj.pose_at(t), obj, r2) for obj, r2 in self._reach)
-        return poses
+        return tuple((*obj.pose_at(t), obj, r2) for obj, r2 in self._reach)
 
 
 def object_hit(x: float, y: float, theta: float, ego_length: float, ego_width: float, poses):
     """The first object whose box overlaps the ego box at (x, y, theta), else None.
 
-    poses is one PoseMemo entry. The circle test rejects most pairs here, and
+    poses is one WorldPoser.at entry. The circle test rejects most pairs here, and
     only the rest go through the separating-axis test.
     """
     for ox, oy, oth, obj, reach2 in poses:
@@ -128,7 +122,7 @@ def object_hit(x: float, y: float, theta: float, ego_length: float, ego_width: f
 
 
 def clearance_cost(x: float, y: float, poses) -> float:
-    """Field of the objects at (x, y), each posed as in poses (one PoseMemo entry)."""
+    """Field of the objects at (x, y), each posed as in poses (one WorldPoser.at entry)."""
     total = 0.0
     for ox, oy, _, obj, _ in poses:
         fp = obj.field

@@ -329,7 +329,7 @@ def compute_goal_region(
     s_goal = s_ego + goal_distance
     if s_goal > route.length:
         raise RouteExhaustedError(
-            f"route ends at {route.length:.1f} m but goal center is at {s_goal:.1f} m"
+            f"route ends at {route.length:.6g} m but goal center is at {s_goal:.6g} m"
         )
     window = route.slice(s_goal - goal_threshold, min(s_goal + goal_threshold, route.length))
     polygons = []

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cost import CostWeights
 from .dki import DkiConfig, plan_dki
-from .objects import FieldParams, ObjectPrediction, PoseMemo, WorldModel, object_hit
+from .objects import FieldParams, ObjectPrediction, WorldModel, WorldPoser, object_hit
 from .road import (
     DEFAULT_GRID_RESOLUTION,
     Lane,
@@ -381,10 +381,10 @@ def rollout_inputs(
 
 
 def _first_collision(states, world: WorldModel, params: VehicleParams):
-    poses = PoseMemo(world, params.length, params.width)
+    poser = WorldPoser(world, params.length, params.width)
     for i, ts_ in enumerate(states):
         s = ts_.state
-        obj = object_hit(s.x, s.y, s.theta, params.length, params.width, poses.at(ts_.t))
+        obj = object_hit(s.x, s.y, s.theta, params.length, params.width, poser.at(ts_.t))
         if obj is not None:
             return i, obj
     return None

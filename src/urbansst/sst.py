@@ -12,10 +12,11 @@ looks up witnesses for all of them against the tree as it stood at batch
 start, commits the results in order and redoes through the scalar path each
 iteration that an earlier commit may have changed. The two nearest-neighbour
 passes rank exactly only the table columns that an xy lower bound, one
-matrix product, cannot rule out. Object poses at each substep are memoized
-per propagation start time, as one row of one array that the kernel
-gathers. The scalar path integrates with vehicle.step and checks each
-substate with _valid, the one validity predicate. The kernel,
+matrix product, cannot rule out. Every edge lasts t_prop, so a node's time
+is its depth's: the object poses at each substep time of a propagation from
+depth d are row d of one pose table, which the kernel gathers as one array.
+The scalar path integrates with vehicle.step and checks each substate with
+_valid, the one validity predicate. The kernel,
 propagate_batch, gives its results bit for bit from one pass per quantity
 over all candidates and substeps: speeds and positions as running sums, the
 heading with its wrap, one validity pass over bounds and grid cells, then
@@ -40,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .cost import CostWeights, edge_cost, state_cost
-from .objects import PoseMemo, WorldModel, clearance_cost, object_hit
+from .objects import WorldModel, WorldPoser, clearance_cost, object_hit
 from .road import GoalRegion, PenaltyGrid
 from .vehicle import (
     ControlInput, TimedState, Trajectory, VehicleParams, VehicleState, normalize_angle, step, substep_count,
@@ -267,7 +268,7 @@ def sample_inputs(config: PlannerConfig, rng: np.random.Generator, params: Vehic
 def _valid(s: VehicleState, grid: PenaltyGrid, poses, config: PlannerConfig, params: VehicleParams) -> bool:
     """The validity rule: s lies in the sampling bounds and the vehicle's
     speed range, on a grid cell below p_invalid, and overlaps no object
-    posed as in poses (one PoseMemo entry)."""
+    posed as in poses (one WorldPoser.at entry)."""
     x, y, theta, v = s
     return (
         config.x_bounds[0] <= x <= config.x_bounds[1]
@@ -279,11 +280,13 @@ def _valid(s: VehicleState, grid: PenaltyGrid, poses, config: PlannerConfig, par
 
 
 class TreeNode:
-    __slots__ = ("state", "t", "input", "parent", "cost", "state_cost_w")
+    """A tree node; its time is PlannerTree._times[depth], as every edge lasts t_prop."""
 
-    def __init__(self, state, t, u, parent, cost, state_cost_w) -> None:
+    __slots__ = ("state", "depth", "input", "parent", "cost", "state_cost_w")
+
+    def __init__(self, state, u, parent, cost, state_cost_w) -> None:
         self.state = state
-        self.t = t
+        self.depth = 0 if parent is None else parent.depth + 1
         self.input = u
         self.parent = parent
         self.cost = cost
@@ -344,11 +347,11 @@ class PlannerTree:
         self.best_trajectory: Optional[Trajectory] = None
         self.cost_history: list = []
         self._n_sub = substep_count(config.t_prop, config.t_step)
-        # Object poses by timestamp, and the substep poses of a propagation
-        # as one row per start time: every node at one depth shares one row.
-        self._poses = PoseMemo(world, params.length, params.width)
-        self._step_rows: dict = {}
-        self._step_poses: list = []
+        # The pose table: _times[d] is the time of every node at depth d, and
+        # _pose_rows[d] the object poses at each substep time from it.
+        self._poser = WorldPoser(world, params.length, params.width)
+        self._times = [start_time]
+        self._pose_rows: list = []
         self._xyr = np.empty((16, self._n_sub, len(world.objects), 3))
 
         # Column i: witness i's norm, its representative's norm and cost
@@ -356,10 +359,10 @@ class PlannerTree:
         self._table = np.empty((9, 1024))
         self._reps: list = []
 
-        if not _valid(start, grid, self._poses.at(start_time), config, params):
+        if not _valid(start, grid, self._pose_row(0)[0], config, params):
             raise InvalidStartError("start state is invalid")
-        scw = self._state_cost_w(start.x, start.y, start.v, start_time)
-        self.root = TreeNode(start, start_time, None, None, 0.0, scw)
+        scw = self._state_cost_w(start.x, start.y, start.v, self._pose_row(0)[0])
+        self.root = TreeNode(start, None, None, 0.0, scw)
         self._add_witness(self.root, norm_state(start, config, params))
         if goal.contains_xy(start.x, start.y):
             self._record_solution(self.root)
@@ -443,8 +446,8 @@ class PlannerTree:
             i = int(np.where(d <= self.config.d_near, table[_COST], math.inf).argmin())
         return self._reps[i]
 
-    def _state_cost_w(self, x: float, y: float, v: float, t: float) -> float:
-        clearance = clearance_cost(x, y, self._poses.at(t)) if self.world.objects else 0.0
+    def _state_cost_w(self, x: float, y: float, v: float, poses) -> float:
+        clearance = clearance_cost(x, y, poses) if self.world.objects else 0.0
         return state_cost(self.weights, v, self.grid.lookup(x, y), clearance)
 
     def _price(self, parents: list, ends: np.ndarray):
@@ -456,8 +459,8 @@ class PlannerTree:
         xy = list(zip(parents, x.tolist(), y.tolist()))
         clearance = 0.0
         if self.world.objects:
-            at = self._poses.at
-            clearance = np.array([clearance_cost(xe, ye, at(p.t + t_prop)) for p, xe, ye in xy])
+            row = self._pose_row
+            clearance = np.array([clearance_cost(xe, ye, row(p.depth + 1)[0]) for p, xe, ye in xy])
         scw = state_cost(self.weights, v, self.grid.lookups(x, y), clearance)
         length = np.array([math.hypot(xe - p.state.x, ye - p.state.y) for p, xe, ye in xy])
         c0, g0 = _rows([(p.state_cost_w, p.cost) for p in parents], 2).T
@@ -468,26 +471,24 @@ class PlannerTree:
         """The picks that a representative at norm makes stale: their sample is within their reach."""
         return state_distance(norm, samples) <= reach
 
-    def _substep_row(self, t0: float) -> int:
-        """Row of the object poses at each substep time t0 + k*t_step of a propagation from t0.
-
-        _step_poses[row] holds them as n_sub PoseMemo entries, and
-        _xyr[row] as an (n_sub, n_obj, 3) array of their (x, y, reach2) for
-        the kernel; _xyr doubles its rows when full, as the witness table does.
-        """
-        row = self._step_rows.get(t0)
-        if row is None:
-            row = self._step_rows[t0] = len(self._step_poses)
-            at = self._poses.at
-            ts = self.config.t_step
-            poses = [at(t0 + k * ts) for k in range(1, self._n_sub + 1)]
-            self._step_poses.append(poses)
-            if row == len(self._xyr):
+    def _pose_row(self, d: int) -> list:
+        """Every object's pose at each substep time _times[d] + k*t_step, k = 0..n_sub, of a
+        propagation from depth d, as n_sub + 1 WorldPoser.at entries; builds the rows up to d
+        the first time one is asked for. _xyr[d] holds entries 1..n_sub as an (n_sub, n_obj, 3)
+        array of their (x, y, reach2) for the kernel, and doubles its rows when full."""
+        rows = self._pose_rows
+        while len(rows) <= d:
+            if rows:
+                self._times.append(self._times[-1] + self.config.t_prop)
+            t0, ts = self._times[-1], self.config.t_step
+            row = [self._poser.at(t0 + k * ts) for k in range(self._n_sub + 1)]
+            if len(rows) == len(self._xyr):
                 self._xyr = np.concatenate((self._xyr, np.empty_like(self._xyr)))
             # reshape, so that a world without objects fills (n_sub, 0, 3) too
-            xyr = [[(q[0], q[1], q[4]) for q in entry] for entry in poses]
-            self._xyr[row] = np.reshape(xyr, self._xyr.shape[1:])
-        return row
+            xyr = [[(q[0], q[1], q[4]) for q in entry] for entry in row[1:]]
+            self._xyr[len(rows)] = np.reshape(xyr, self._xyr.shape[1:])
+            rows.append(row)
+        return rows[d]
 
     def propagate_checked(self, node: TreeNode, u: ControlInput):
         """Propagate a constant input from a node, validating every substate.
@@ -497,7 +498,7 @@ class PlannerTree:
         """
         cfg = self.config
         s = node.state
-        for poses in self._step_poses[self._substep_row(node.t)]:
+        for poses in self._pose_row(node.depth)[1:]:
             s = step(s, u, cfg.t_step, self.params)
             if not _valid(s, self.grid, poses, cfg, self.params):
                 return None
@@ -523,8 +524,8 @@ class PlannerTree:
           comes from math once per candidate.
         One (n, n_sub) pass checks the sampling bounds and the grid cells;
         first_bad[i] is candidate i's first failing substep, n_sub if none.
-        One circle test over all objects, posed from each candidate's start
-        time, picks the substeps before first_bad that object_hit checks, in
+        One circle test over all objects, posed from each candidate's depth
+        (_xyr), picks the substeps before first_bad that object_hit checks, in
         substep order up to the first hit: the calls propagate_checked makes.
         """
         cfg = self.config
@@ -552,8 +553,9 @@ class PlannerTree:
         ok &= self.grid.lookups(xs, ys) < self.grid.p_invalid
         first_bad = np.where(ok.all(axis=1), n_sub, ok.argmin(axis=1))
         if self.world.objects:
-            rows = [self._substep_row(node.t) for node in nodes]
-            at = self._xyr[rows]
+            depths = [node.depth for node in nodes]
+            self._pose_row(max(depths))
+            at = self._xyr[depths]
             dx = at[..., 0] - xs[:, :, None]
             dy = at[..., 1] - ys[:, :, None]
             near = (dx * dx + dy * dy <= at[..., 2]).any(axis=2) & (np.arange(n_sub) < first_bad[:, None])
@@ -561,7 +563,7 @@ class PlannerTree:
             for i, k in zip(*(ix.tolist() for ix in near.nonzero())):
                 if k < first_bad[i]:
                     pose = float(xs[i, k]), float(ys[i, k]), float(TH[i, k + 1])
-                    if object_hit(*pose, p.length, p.width, self._step_poses[rows[i]][k]) is not None:
+                    if object_hit(*pose, p.length, p.width, self._pose_rows[depths[i]][k + 1]) is not None:
                         first_bad[i] = k
         idx = (first_bad == n_sub).nonzero()[0]
         return idx, np.column_stack((X[:, -1], Y[:, -1], TH[:, -1], V[:, -1]))[idx]
@@ -577,10 +579,11 @@ class PlannerTree:
         (_price and norm_states give them bit for bit).
         """
         x, y, _, v = state
-        t_new = parent.t + self.config.t_prop
+        # every insert makes its depth's time, which _chain_trajectory reads
+        poses = self._pose_row(parent.depth + 1)[0]
         if priced is None:
             x0, y0, _, _ = parent.state
-            scw = self._state_cost_w(x, y, v, t_new)
+            scw = self._state_cost_w(x, y, v, poses)
             length = math.hypot(x - x0, y - y0)
             cost = parent.cost + edge_cost(self.weights, length, parent.state_cost_w, scw, self.config.t_prop)
             norm = norm_state(state, self.config, self.params)
@@ -589,7 +592,7 @@ class PlannerTree:
         i = self._nearest_witness(norm) if near is _LOOK_UP else near
         if i is not None and cost >= self._table[_COST, i]:
             return None
-        node = TreeNode(state, t_new, u, parent, cost, scw)
+        node = TreeNode(state, u, parent, cost, scw)
         if i is None:
             self._add_witness(node, norm)
         else:
@@ -602,7 +605,7 @@ class PlannerTree:
 
     def _record_solution(self, node: TreeNode) -> None:
         self.best_cost = node.cost
-        self.best_trajectory = _chain_trajectory(node)
+        self.best_trajectory = _chain_trajectory(node, self._times)
         self.cost_history.append((self.iterations_used, node.cost))
 
     # -- main loop ----------------------------------------------------------
@@ -750,10 +753,10 @@ class PlannerTree:
         )
 
 
-def _chain_trajectory(node: TreeNode) -> Trajectory:
+def _chain_trajectory(node: TreeNode, times: list) -> Trajectory:
     samples = []
     while node is not None:
-        samples.append(TimedState(node.state, node.t, node.input))
+        samples.append(TimedState(node.state, times[node.depth], node.input))
         node = node.parent
     samples.reverse()
     return Trajectory(samples)

@@ -8,7 +8,7 @@ import pytest
 
 from urbansst import sst
 from urbansst.cost import CostWeights
-from urbansst.objects import PoseMemo, WorldModel
+from urbansst.objects import WorldModel, WorldPoser
 from urbansst.road import Lane, RoadNetwork, build_penalty_grid, compute_goal_region
 from urbansst.sst import PlannerConfig
 from urbansst.vehicle import VehicleParams, VehicleState
@@ -85,8 +85,8 @@ def wrap_dist(a, b):
 
 
 def is_state_valid(s, t, grid, world, config, params):
-    """The planner's validity rule for s at time t, over a fresh PoseMemo."""
-    return sst._valid(s, grid, PoseMemo(world, params.length, params.width).at(t), config, params)
+    """The planner's validity rule for s at time t, over a fresh WorldPoser."""
+    return sst._valid(s, grid, WorldPoser(world, params.length, params.width).at(t), config, params)
 
 
 def make_planner_config(budget=2000, **kw):

@@ -199,6 +199,14 @@ class TestPlan:
         assert rc == 1
         assert "route" in capsys.readouterr().err
 
+    def test_goal_far_past_route_end_has_a_short_message(self, tmp_path, capsys):
+        # both arc lengths in a bounded width: {:.1f} printed 1e300 as 301 digits
+        rc = main(["plan", "--scenario", STRAIGHT, "--set", "goal.distance=1e300", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and len(err[0]) < 120, err
+        assert "route ends at 140 m" in err[0] and "goal center is at 1e+300 m" in err[0]
+
     @pytest.mark.parametrize(
         "override, field",
         [

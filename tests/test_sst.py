@@ -212,14 +212,23 @@ def _crossing_world():
     ])
 
 
+def _chained_time(tree, depth):
+    """The time of a node at depth: the start time plus depth chained additions of t_prop."""
+    t = tree._times[0]
+    for _ in range(depth):
+        t += tree.config.t_prop
+    return t
+
+
 def _propagation_oracle(tree, node, u):
     """Endpoint of u from node, or None, by the uncached reference model, and
     why: "road" (bounds or grid), "object" or "valid"."""
     cfg, params, grid, world = tree.config, tree.params, tree.grid, tree.world
     empty = WorldModel()
     states = propagate(node.state, u, cfg.t_prop, cfg.t_step, params)
+    t0 = _chained_time(tree, node.depth)
     for k, s in enumerate(states, start=1):
-        t = node.t + k * cfg.t_step
+        t = t0 + k * cfg.t_step
         on_road = is_state_valid(s, t, grid, empty, cfg, params)
         hit = any(
             obb_overlap(s.x, s.y, s.theta, params.length, params.width, *obj.pose_at(t), obj.length, obj.width)
@@ -258,9 +267,9 @@ class TestPropagationKernel:
         )
         tree.run()
 
-        # every node at every depth, so that nodes of one depth share memo entries
+        # every node at every depth, so that nodes of one depth share pose rows
         nodes = live_nodes(node_refs)
-        assert len({node.t for node in nodes}) >= 10
+        assert len({node.depth for node in nodes}) >= 10
         rng = np.random.default_rng(23)
         outcomes = Counter()
         for node in nodes:
@@ -283,7 +292,7 @@ class TestPropagationKernel:
     )
     def test_batch_matches_scalar_path(self, node_refs, monkeypatch, name, ego, t):
         tree, nodes = _scenario_tree(node_refs, monkeypatch, name, ego, t)
-        assert len({node.t for node in nodes}) >= 10
+        assert len({node.depth for node in nodes}) >= 10
         rng = np.random.default_rng(37)
         # one kernel call for candidates from every node, in mixed order
         starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 8)).tolist()]
@@ -296,24 +305,49 @@ class TestPropagationKernel:
             outcomes[_propagation_oracle(tree, node, u)[1]] += 1
         assert min(outcomes[w] for w in ("road", "object", "valid")) >= 10, outcomes
 
-    def test_batch_matches_scalar_path_past_the_pose_memo_rows(self, node_refs, monkeypatch):
-        # a fresh tree's substep pose memo has fewer rows than the IV tree has
-        # start times, so that it grows within one kernel call
+    def test_pose_table_equals_uncached_poses(self, node_refs, monkeypatch):
+        # the IV tree has more depths than _xyr's first 16 rows, so that _xyr doubled
+        tree, nodes = _scenario_tree(
+            node_refs, monkeypatch, "scenario_iv_vru_steering.json", VehicleState(47.0, 0.0, 0.0, 5.0), 6.0,
+        )
+        n = len(tree._pose_rows)
+        assert max(node.depth for node in nodes) < n == len(tree._times) and 16 < n <= len(tree._xyr)
+        assert len(tree.world.objects) == 2
+        cfg, params = tree.config, tree.params
+        r_ego = 0.5 * math.hypot(params.length, params.width)
+        reach = [r_ego + 0.5 * math.hypot(o.length, o.width) for o in tree.world.objects]
+        reach2 = [r * r for r in reach]
+        # bytes, so that the sign of a zero counts too
+        times = [_chained_time(tree, d) for d in range(n)]
+        assert times[0] == 6.0 and np.array(tree._times).tobytes() == np.array(times).tobytes()
+        for d, row in enumerate(tree._pose_rows):
+            assert len(row) == tree._n_sub + 1
+            for k, entry in enumerate(row):
+                t = times[d] + k * cfg.t_step
+                want = [(*obj.pose_at(t), r2) for obj, r2 in zip(tree.world.objects, reach2)]
+                assert [e[3] for e in entry] == tree.world.objects
+                assert np.array([e[:3] + e[4:] for e in entry]).tobytes() == np.array(want).tobytes(), (d, k)
+            xyr = [[(e[0], e[1], e[4]) for e in entry] for entry in row[1:]]
+            assert tree._xyr[d].tobytes() == np.array(xyr).tobytes(), d
+
+    def test_batch_matches_scalar_path_past_the_pose_rows(self, node_refs, monkeypatch):
+        # a fresh tree has the root's pose row alone, and _xyr fewer rows than
+        # the IV tree has depths, so that both grow within one kernel call
         tree, nodes = _scenario_tree(
             node_refs, monkeypatch, "scenario_iv_vru_steering.json", VehicleState(47.0, 0.0, 0.0, 5.0), 6.0,
         )
         fresh = PlannerTree(
-            tree.root.state, tree.root.t, tree.goal, tree.grid, tree.world, tree.config, tree.weights, tree.params,
+            tree.root.state, tree._times[0], tree.goal, tree.grid, tree.world, tree.config, tree.weights, tree.params,
             np.random.default_rng(0),
         )
         rows = len(fresh._xyr)
-        times = {node.t for node in nodes}
-        assert len(times) > rows
+        depth = max(node.depth for node in nodes)
+        assert len(fresh._pose_rows) == 1 and depth >= rows
         rng = np.random.default_rng(61)
         starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 4)).tolist()]
         a, delta = sample_inputs(fresh.config, rng, fresh.params, len(starts))
         idx, ends = fresh.propagate_batch(starts, a, delta)
-        assert len(fresh._step_rows) == len(times) and len(fresh._xyr) > rows
+        assert len(fresh._pose_rows) == depth + 1 and len(fresh._xyr) > rows
         got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
         outcomes = Counter()
         for i, (node, u) in enumerate(zip(starts, map(ControlInput, a.tolist(), delta.tolist()))):
@@ -347,7 +381,7 @@ class TestPropagationKernel:
             np.random.default_rng(0),
         )
         cases = [(v, acc, d) for v in speeds for acc in accels for d in (0.0, 0.1)]
-        starts = [TreeNode(VehicleState(20.0, 0.0, 0.0, v), 0.0, None, None, 0.0, 0.0) for v, _, _ in cases]
+        starts = [TreeNode(VehicleState(20.0, 0.0, 0.0, v), None, None, 0.0, 0.0) for v, _, _ in cases]
         got = self._assert_rows_equal_scalar(tree, starts, [c[1] for c in cases], [c[2] for c in cases])
         assert len(got) == len(cases)
         ends = {float(row[3]) for row in got.values()}
@@ -363,7 +397,7 @@ class TestPropagationKernel:
         )
         headings = [math.pi, -math.pi, math.pi - 0.15, -math.pi + 0.15, 3.0 * math.pi, -7.0, 0.01, -0.01]
         cases = [(th, d) for th in headings for d in (0.4, 0.0, -0.4)]
-        starts = [TreeNode(VehicleState(30.0, 1.75, th, 6.0), 0.0, None, None, 0.0, 0.0) for th, _ in cases]
+        starts = [TreeNode(VehicleState(30.0, 1.75, th, 6.0), None, None, 0.0, 0.0) for th, _ in cases]
         got = self._assert_rows_equal_scalar(tree, starts, [0.5] * len(cases), [d for _, d in cases])
         assert len(got) == len(cases)
         # a start 0.15 short of pi, steered left, crosses it after a few substeps
@@ -506,7 +540,7 @@ class TestGridCells:
             VehicleState(0.1, 0.0, 0.0, 0.0), 0.0, straight_goal, grid, empty_world, cfg, weights, params,
             np.random.default_rng(0),
         )
-        nodes = [TreeNode(VehicleState(k * res, 0.0, 0.0, 0.0), 0.0, None, None, 0.0, 0.0) for k in range(n_cols)]
+        nodes = [TreeNode(VehicleState(k * res, 0.0, 0.0, 0.0), None, None, 0.0, 0.0) for k in range(n_cols)]
         valid = [is_state_valid(node.state, 0.0, grid, empty_world, cfg, params) for node in nodes]
         assert 200 < sum(valid) < n_cols - 200
         # at v = 0 a zero input leaves every substate at its start
@@ -580,13 +614,13 @@ class TestBatchPrices:
     )
     def test_equal_try_insert(self, straight_net, params, rows, start_time, with_objects, n_ties, term):
         tree = _price_tree(straight_net, params, start_time, with_objects, term)
-        # a chain of nodes below the root: node k lies at depth k, with the
-        # timestamps the tree gives its nodes
+        # a chain of nodes below the root: node k lies at depth k, and so does
+        # a parent that shares its parent
         chain = [tree.root]
         for _ in range(40):
-            chain.append(TreeNode(tree.root.state, chain[-1].t + tree.config.t_prop, None, chain[-1], 0.0, 0.0))
+            chain.append(TreeNode(tree.root.state, None, chain[-1], 0.0, 0.0))
         parents = [
-            TreeNode(VehicleState(*state), chain[depth].t, None, chain[depth].parent, cost, scw)
+            TreeNode(VehicleState(*state), None, chain[depth].parent, cost, scw)
             for depth, state, cost, scw, _ in rows
         ]
         ends = [(x, y, 0.0, v) for *_, (x, y, v) in rows]
@@ -608,10 +642,15 @@ class TestBatchPrices:
         starts = rng.uniform((0.0, -5.0), (30.0, 8.0), (4096, 2))
         xy = starts + rng.uniform(-2.5, 2.5, starts.shape)
         ends = np.column_stack((xy, np.zeros(4096), rng.uniform(0.0, 15.0, 4096)))
+        # parents at depths 0-19, so that the objects are posed at 20 times
+        chain = [tree.root]
+        for _ in range(19):
+            chain.append(TreeNode(tree.root.state, None, chain[-1], 0.0, 0.0))
         parents = [
-            TreeNode(VehicleState(x, y, 0.0, 5.0), 0.3 + (k % 20) * tree.config.t_prop, None, None, 0.0, 0.0)
+            TreeNode(VehicleState(x, y, 0.0, 5.0), None, chain[k % 20].parent, 0.0, 0.0)
             for k, (x, y) in enumerate(starts.tolist())
         ]
+        assert {p.depth for p in parents} == set(range(20))
         _assert_prices_equal(tree, parents, ends.tolist())
 
 
@@ -632,7 +671,7 @@ class TestSelect:
         sample = VehicleState(20.0, 0.0, 0.0, 3.0)
 
         def add(state, cost):
-            node = TreeNode(state, 0.4, None, tree.root, cost, 0.0)
+            node = TreeNode(state, None, tree.root, cost, 0.0)
             tree._add_witness(node, norm_state(state, tree.config, params))
             return node
 
@@ -793,6 +832,19 @@ class TestPlan:
         assert iters == sorted(iters)
         assert all(c1 < c0 for c0, c1 in zip(costs, costs[1:]))
 
+    def test_every_insert_makes_its_depths_time(self, straight_goal, straight_grid, empty_world, weights, params):
+        # the batch commits an endpoint with its prices; without objects
+        # nothing else makes a new depth's time, which _chain_trajectory reads
+        tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=0)
+        node, u = tree.root, ControlInput(0.5, 0.0)
+        for depth in range(1, 6):
+            s = node.state
+            end = VehicleState(s.x + 2.0, s.y, s.theta, s.v)
+            node = tree.try_insert(node, end, u, None, (0.0, float(depth), norm_state(end, tree.config, params)))
+            assert node.depth == depth and len(tree._times) == depth + 1
+        tree._record_solution(node)
+        assert [sample.t for sample in tree.best_trajectory.samples] == [_chained_time(tree, d) for d in range(6)]
+
     def test_zero_budget_unsolved(self, straight_goal, straight_grid, empty_world, weights, params, ego_start):
         cfg = make_planner_config(budget=0)
         result = plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(0))
@@ -925,7 +977,7 @@ class TestBatchedLoop:
         a, b = trees
         w = a.n_witnesses
         assert a._table[:, :w].tobytes() == b._table[:, :w].tobytes()
-        assert [(r.state, r.t, r.cost) for r in a._reps] == [(r.state, r.t, r.cost) for r in b._reps]
+        assert [(r.state, r.depth, r.cost) for r in a._reps] == [(r.state, r.depth, r.cost) for r in b._reps]
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
         # the batched loop redid some of its picks through the scalar path
         assert selects[1] > 0
