@@ -5,6 +5,7 @@ linearly with distance to the closest lane-center point and saturates at
 p_max half that point's lane width out; lookups outside the grid also
 return p_max. Lane-center points are each lane's centerline densified at
 half the grid resolution, so that sparse waypoints do not scallop the field.
+A scenario's grid and goal sections are GridConfig and GoalConfig.
 """
 
 from __future__ import annotations
@@ -92,6 +93,22 @@ class RoadNetwork:
 
 DEFAULT_GRID_RESOLUTION = 0.25
 
+
+@dataclass(frozen=True)
+class GridConfig:
+    """The grid section: cell size (m), the penalty off the lanes, and the least undrivable one."""
+
+    resolution: float = DEFAULT_GRID_RESOLUTION
+    p_max: float = 100.0
+    p_invalid: float = 99.0
+
+    def __post_init__(self) -> None:
+        if self.resolution <= 0.0:
+            raise ValueError("resolution must be positive")
+        if self.p_invalid > self.p_max:
+            raise ValueError("p_invalid must not exceed p_max")
+
+
 # cells per row block of a grid pass, so no temporary is grid-sized
 _BLOCK_CELLS = 65_536
 
@@ -158,17 +175,12 @@ def nearest_lane_points(net: RoadNetwork, spacing: float, x, y, reach=None):
 class PenaltyGrid:
     """Rasterized lane-deviation penalty field, row-major cells."""
 
-    def __init__(self, origin, resolution, cells, p_max, p_invalid) -> None:
-        if resolution <= 0.0:
-            raise ValueError("resolution must be positive")
-        if p_invalid > p_max:
-            raise ValueError("p_invalid must not exceed p_max")
+    def __init__(self, origin, cells, config: GridConfig) -> None:
         self.origin = Point2(float(origin[0]), float(origin[1]))
-        self.resolution = float(resolution)
+        self.resolution = float(config.resolution)
         self.cells = np.asarray(cells, dtype=float)
         self.n_rows, self.n_cols = self.cells.shape
-        self.p_max = float(p_max)
-        self.p_invalid = float(p_invalid)
+        self.p_max, self.p_invalid = float(config.p_max), float(config.p_invalid)
 
     def lookup(self, x: float, y: float) -> float:
         col = int((x - self.origin.x) / self.resolution)
@@ -185,17 +197,14 @@ class PenaltyGrid:
         return np.where(inside, self.cells.ravel()[np.where(inside, row * self.n_cols + col, 0)], self.p_max)
 
 
-def build_penalty_grid(
-    net: RoadNetwork, bounds, resolution: float, p_max: float, p_invalid: float
-) -> PenaltyGrid:
+def build_penalty_grid(net: RoadNetwork, bounds, config: GridConfig) -> PenaltyGrid:
     """Rasterize the lane-deviation penalty over a rectangle.
 
     bounds is (x_min, y_min, x_max, y_max); each cell's penalty is computed
     from the cell center distance to the closest densified lane-center
     point, using the width of the lane owning that point.
     """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    resolution, p_max = config.resolution, config.p_max
     x_min, y_min, x_max, y_max = (float(b) for b in bounds)
     n_cols = max(1, int(math.ceil((x_max - x_min) / resolution)))
     n_rows = max(1, int(math.ceil((y_max - y_min) / resolution)))
@@ -211,7 +220,7 @@ def build_penalty_grid(
         d = dist[r : r + step]
         widths = lane_widths[lane[r : r + step]]
         d[...] = np.where(d < widths / 2, 2.0 * p_max * d / widths, p_max)
-    return PenaltyGrid((x_min, y_min), resolution, dist, p_max, p_invalid)
+    return PenaltyGrid((x_min, y_min), dist, config)
 
 
 class RoutePath:
@@ -281,6 +290,20 @@ class RoutePath:
         return _resample_polyline(pts, 0.5)
 
 
+@dataclass(frozen=True)
+class GoalConfig:
+    """The goal section: the goal's route distance ahead, its window's half length and lateral band."""
+
+    distance: float = 30.0
+    threshold: float = 2.0
+    lateral_band: float = 6.0
+
+    def __post_init__(self) -> None:
+        for name in ("distance", "threshold", "lateral_band"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+
+
 class GoalRegion:
     """Lateral band across the lanes around a route arc-length window."""
 
@@ -318,24 +341,19 @@ def _window_membership(pts: np.ndarray, window: np.ndarray, band: float) -> np.n
     return mask
 
 
-def compute_goal_region(
-    net: RoadNetwork, s_ego: float, goal_distance: float, goal_threshold: float, lateral_band: float,
-) -> GoalRegion:
-    """Goal band spanning all lanes that cross the route window goal_distance
-    ahead of s_ego, the ego's route arc length."""
-    if goal_threshold <= 0.0:
-        raise ValueError("goal threshold must be positive")
+def compute_goal_region(net: RoadNetwork, s_ego: float, config: GoalConfig) -> GoalRegion:
+    """Goal band of every lane that crosses the route window config.distance ahead of arc length s_ego."""
     route = net.route_path
-    s_goal = s_ego + goal_distance
+    s_goal = s_ego + config.distance
     if s_goal > route.length:
         raise RouteExhaustedError(
             f"route ends at {route.length:.6g} m but goal center is at {s_goal:.6g} m"
         )
-    window = route.slice(s_goal - goal_threshold, min(s_goal + goal_threshold, route.length))
+    window = route.slice(s_goal - config.threshold, min(s_goal + config.threshold, route.length))
     polygons = []
     for lane, dense in zip(net.lanes, net.lane_points(0.2)):
         # Contiguous runs of in-window points become quad strips of +-width/2.
-        idx = np.flatnonzero(_window_membership(dense, window, lateral_band))
+        idx = np.flatnonzero(_window_membership(dense, window, config.lateral_band))
         splits = np.flatnonzero(np.diff(idx) > 1)
         half = lane.width / 2
         for run in np.split(idx, splits + 1):

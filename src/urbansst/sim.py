@@ -2,7 +2,8 @@
 
 A scenario is a JSON document with sections road / ego / objects /
 weights / planner / dki / goal / grid / sim; omitted parameters fall back
-to the tuned defaults baked into the config dataclasses. The closed loop
+to the tuned defaults baked into the config dataclasses; _config reads every
+section but sim into one, and sim's keys are Scenario fields. The closed loop
 replans at a fixed rate and executes the planned inputs open-loop on the
 same kinematic model the planner uses, which isolates planner quality
 from tracking-controller effects.
@@ -23,6 +24,8 @@ from .dki import DkiConfig, plan_dki
 from .objects import FieldParams, ObjectPrediction, WorldModel, WorldPoser, object_hit
 from .road import (
     DEFAULT_GRID_RESOLUTION,
+    GoalConfig,
+    GridConfig,
     Lane,
     PenaltyGrid,
     RoadNetwork,
@@ -61,21 +64,16 @@ class Scenario:
     weights: CostWeights
     planner: PlannerConfig
     dki: DkiConfig
-    goal_distance: float = 30.0
-    goal_threshold: float = 2.0
-    goal_lateral_band: float = 6.0
+    goal: GoalConfig = GoalConfig()
+    grid: GridConfig = GridConfig()
     duration: float = 10.0
     replan_rate: float = 2.0
-    grid_resolution: float = DEFAULT_GRID_RESOLUTION
-    p_max: float = 100.0
-    p_invalid: float = 99.0
     sampling_margin: float = 15.0
 
     def __post_init__(self) -> None:
-        for name in ("goal_distance", "goal_threshold", "goal_lateral_band", "grid_resolution",
-                     "duration", "replan_rate"):
+        for name in ("duration", "replan_rate"):
             if getattr(self, name) <= 0.0:
-                raise ScenarioError("{}.{}: must be positive".format(*_SECTION_FIELDS[name]))
+                raise ScenarioError(f"sim.{name}: must be positive")
         if 1.0 / self.replan_rate < self.planner.t_step:
             # a tick shorter than one integration step plans for less than
             # one edge, and one of 1e-12 s or less executes no state at all
@@ -83,8 +81,6 @@ class Scenario:
                 f"sim.replan_rate: its period of {1.0 / self.replan_rate:.3g} s is shorter than "
                 f"planner.t_step ({self.planner.t_step!r} s)"
             )
-        if self.p_invalid > self.p_max:
-            raise ScenarioError("grid.p_invalid: must not exceed grid.p_max")
         if self.sampling_margin < 0.0:
             raise ScenarioError("sim.sampling_margin: must not be negative")
         # sst.sample_input, sst.sample_batch and sst.sample_inputs redraw
@@ -102,18 +98,8 @@ class Scenario:
             raise ScenarioError(f"ego.params.{name}: input draws fall in bounds with chance {accept:.3g} < 0.001")
 
 
-# Scenario fields that the goal, grid and sim sections set: field -> (section, key)
-_SECTION_FIELDS = {
-    "goal_distance": ("goal", "distance"),
-    "goal_threshold": ("goal", "threshold"),
-    "goal_lateral_band": ("goal", "lateral_band"),
-    "grid_resolution": ("grid", "resolution"),
-    "p_max": ("grid", "p_max"),
-    "p_invalid": ("grid", "p_invalid"),
-    "duration": ("sim", "duration"),
-    "replan_rate": ("sim", "replan_rate"),
-    "sampling_margin": ("sim", "sampling_margin"),
-}
+# The sim section's keys: each is the Scenario field of its name.
+_SIM_FIELDS = ("duration", "replan_rate", "sampling_margin")
 # The largest penalty grid a scenario may ask for. The shipped ones need at
 # most 61 901 cells (scenario III at 0.25 m); this many cells are 32 MB of
 # floats, and building them takes several times that.
@@ -237,16 +223,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError("planner: a zero budget runs no iteration")
         dki = _config("dki", DkiConfig, _section(data, "dki"))
 
-        sections = {
-            sec: _section(data, sec, keys=[k for s, k in _SECTION_FIELDS.values() if s == sec])
-            for sec in ("goal", "grid", "sim")
-        }
-        hints = get_type_hints(Scenario)
-        flat = {
-            name: _read(sections[sec][key], hints[name], f"{sec}.{key}")
-            for name, (sec, key) in _SECTION_FIELDS.items()
-            if key in sections[sec]
-        }
+        sim = _section(data, "sim", keys=_SIM_FIELDS)
         return Scenario(
             name=_read(data.get("name", "scenario"), str, "name"),
             road=road,
@@ -256,7 +233,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             weights=weights,
             planner=planner,
             dki=dki,
-            **flat,
+            goal=_config("goal", GoalConfig, _section(data, "goal")),
+            grid=_config("grid", GridConfig, _section(data, "grid")),
+            **{key: _read(sim[key], float, f"sim.{key}") for key in _SIM_FIELDS if key in sim},
         )
     except ScenarioError:
         raise
@@ -308,7 +287,7 @@ def build_scenario_grid(sc: Scenario) -> PenaltyGrid:
     A resolution that needs more than _MAX_GRID_CELLS cells is an error
     before anything is allocated.
     """
-    res = sc.grid_resolution
+    res = sc.grid.resolution
     xs = [p.x for lane in sc.road.lanes for p in lane.centerline]
     ys = [p.y for lane in sc.road.lanes for p in lane.centerline]
     margin = max(lane.width for lane in sc.road.lanes) / 2 + 2 * res
@@ -317,7 +296,7 @@ def build_scenario_grid(sc: Scenario) -> PenaltyGrid:
     cells = (bounds[2] - bounds[0]) / res * ((bounds[3] - bounds[1]) / res)
     if cells > _MAX_GRID_CELLS:
         raise ScenarioError(f"grid.resolution: {res!r} m needs {cells:.3g} grid cells, more than {_MAX_GRID_CELLS}")
-    return build_penalty_grid(sc.road, bounds, res, sc.p_max, sc.p_invalid)
+    return build_penalty_grid(sc.road, bounds, sc.grid)
 
 
 @dataclass
@@ -409,7 +388,7 @@ def plan_query(
     cfg = sc.planner if budget is None else sc.planner.with_budget(*budget)
     if s is None:
         s, _ = sc.road.route_path.project(ego.x, ego.y)
-    goal = compute_goal_region(sc.road, s, sc.goal_distance, sc.goal_threshold, sc.goal_lateral_band)
+    goal = compute_goal_region(sc.road, s, sc.goal)
     bx0, by0, bx1, by1 = goal.bbox
     m = sc.sampling_margin
     cfg = cfg.with_bounds(

@@ -12,9 +12,9 @@ looks up witnesses for all of them against the tree as it stood at batch
 start, commits the results in order and redoes through the scalar path each
 iteration that an earlier commit may have changed. The two nearest-neighbour
 passes rank exactly only the table columns that an xy lower bound, one
-matrix product, cannot rule out. Every edge lasts t_prop, so a node's time
-is its depth's: the object poses at each substep time of a propagation from
-depth d are row d of one pose table, which the kernel gathers as one array.
+matrix product, cannot rule out. Every edge takes n_sub substeps, so a node's
+time is its depth's: the object poses at the substep times of a propagation
+from depth d are row d of one pose table, gathered by the kernel as one array.
 The scalar path integrates with vehicle.step and checks each substate with
 _valid, the one validity predicate. The kernel,
 propagate_batch, gives its results bit for bit from one pass per quantity
@@ -93,6 +93,8 @@ class PlannerConfig:
             raise ValueError(f"iteration_budget must not be negative, got {self.iteration_budget!r}")
         if self.query_time is not None and not (math.isfinite(self.query_time) and self.query_time >= 0.0):
             raise ValueError(f"query_time must be finite and not negative, got {self.query_time!r}")
+        if self.iteration_budget is not None and self.query_time is not None:
+            raise ValueError("iteration_budget and query_time must not both be set")
         if self.d_prune > self.d_near:
             raise ValueError("d_prune must not exceed d_near")
         if self.sigma_a <= 0.0 or self.sigma_delta <= 0.0:
@@ -280,7 +282,7 @@ def _valid(s: VehicleState, grid: PenaltyGrid, poses, config: PlannerConfig, par
 
 
 class TreeNode:
-    """A tree node; its time is PlannerTree._times[depth], as every edge lasts t_prop."""
+    """A tree node; its time is PlannerTree._times[depth], that of its edge's last substep."""
 
     __slots__ = ("state", "depth", "input", "parent", "cost", "state_cost_w")
 
@@ -348,7 +350,7 @@ class PlannerTree:
         self.cost_history: list = []
         self._n_sub = substep_count(config.t_prop, config.t_step)
         # The pose table: _times[d] is the time of every node at depth d, and
-        # _pose_rows[d] the object poses at each substep time from it.
+        # _pose_rows[d] the object poses at each substep time after it.
         self._poser = WorldPoser(world, params.length, params.width)
         self._times = [start_time]
         self._pose_rows: list = []
@@ -359,9 +361,10 @@ class PlannerTree:
         self._table = np.empty((9, 1024))
         self._reps: list = []
 
-        if not _valid(start, grid, self._pose_row(0)[0], config, params):
+        poses = self._poser.at(start_time)
+        if not _valid(start, grid, poses, config, params):
             raise InvalidStartError("start state is invalid")
-        scw = self._state_cost_w(start.x, start.y, start.v, self._pose_row(0)[0])
+        scw = self._state_cost_w(start.x, start.y, start.v, poses)
         self.root = TreeNode(start, None, None, 0.0, scw)
         self._add_witness(self.root, norm_state(start, config, params))
         if goal.contains_xy(start.x, start.y):
@@ -460,7 +463,7 @@ class PlannerTree:
         clearance = 0.0
         if self.world.objects:
             row = self._pose_row
-            clearance = np.array([clearance_cost(xe, ye, row(p.depth + 1)[0]) for p, xe, ye in xy])
+            clearance = np.array([clearance_cost(xe, ye, row(p.depth)[-1]) for p, xe, ye in xy])
         scw = state_cost(self.weights, v, self.grid.lookups(x, y), clearance)
         length = np.array([math.hypot(xe - p.state.x, ye - p.state.y) for p, xe, ye in xy])
         c0, g0 = _rows([(p.state_cost_w, p.cost) for p in parents], 2).T
@@ -472,20 +475,19 @@ class PlannerTree:
         return state_distance(norm, samples) <= reach
 
     def _pose_row(self, d: int) -> list:
-        """Every object's pose at each substep time _times[d] + k*t_step, k = 0..n_sub, of a
-        propagation from depth d, as n_sub + 1 WorldPoser.at entries; builds the rows up to d
-        the first time one is asked for. _xyr[d] holds entries 1..n_sub as an (n_sub, n_obj, 3)
-        array of their (x, y, reach2) for the kernel, and doubles its rows when full."""
+        """Every object's pose at each substep time _times[d] + k*t_step, k = 1..n_sub, of a
+        propagation from depth d (the last is _times[d + 1]), as n_sub WorldPoser.at entries;
+        builds the rows up to d the first time one is asked for. _xyr[d] holds the row as an
+        (n_sub, n_obj, 3) array of (x, y, reach2) for the kernel, and doubles its rows when full."""
         rows = self._pose_rows
         while len(rows) <= d:
-            if rows:
-                self._times.append(self._times[-1] + self.config.t_prop)
             t0, ts = self._times[-1], self.config.t_step
-            row = [self._poser.at(t0 + k * ts) for k in range(self._n_sub + 1)]
+            row = [self._poser.at(t0 + k * ts) for k in range(1, self._n_sub + 1)]
+            self._times.append(t0 + self._n_sub * ts)
             if len(rows) == len(self._xyr):
                 self._xyr = np.concatenate((self._xyr, np.empty_like(self._xyr)))
             # reshape, so that a world without objects fills (n_sub, 0, 3) too
-            xyr = [[(q[0], q[1], q[4]) for q in entry] for entry in row[1:]]
+            xyr = [[(q[0], q[1], q[4]) for q in entry] for entry in row]
             self._xyr[len(rows)] = np.reshape(xyr, self._xyr.shape[1:])
             rows.append(row)
         return rows[d]
@@ -498,7 +500,7 @@ class PlannerTree:
         """
         cfg = self.config
         s = node.state
-        for poses in self._pose_row(node.depth)[1:]:
+        for poses in self._pose_row(node.depth):
             s = step(s, u, cfg.t_step, self.params)
             if not _valid(s, self.grid, poses, cfg, self.params):
                 return None
@@ -563,7 +565,7 @@ class PlannerTree:
             for i, k in zip(*(ix.tolist() for ix in near.nonzero())):
                 if k < first_bad[i]:
                     pose = float(xs[i, k]), float(ys[i, k]), float(TH[i, k + 1])
-                    if object_hit(*pose, p.length, p.width, self._pose_rows[depths[i]][k + 1]) is not None:
+                    if object_hit(*pose, p.length, p.width, self._pose_rows[depths[i]][k]) is not None:
                         first_bad[i] = k
         idx = (first_bad == n_sub).nonzero()[0]
         return idx, np.column_stack((X[:, -1], Y[:, -1], TH[:, -1], V[:, -1]))[idx]
@@ -580,7 +582,7 @@ class PlannerTree:
         """
         x, y, _, v = state
         # every insert makes its depth's time, which _chain_trajectory reads
-        poses = self._pose_row(parent.depth + 1)[0]
+        poses = self._pose_row(parent.depth)[-1]
         if priced is None:
             x0, y0, _, _ = parent.state
             scw = self._state_cost_w(x, y, v, poses)
@@ -732,8 +734,8 @@ class PlannerTree:
         by up to one batch.
         """
         cfg = self.config
-        if (cfg.iteration_budget is None) == (cfg.query_time is None):
-            raise ValueError("exactly one of iteration_budget and query_time must be set")
+        if cfg.iteration_budget is None and cfg.query_time is None:
+            raise ValueError("one of iteration_budget and query_time must be set")
         if cfg.iteration_budget is not None:
             while self.iterations_used < cfg.iteration_budget:
                 self._run_batch(min(_BATCH, cfg.iteration_budget - self.iterations_used))

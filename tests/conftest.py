@@ -9,7 +9,7 @@ import pytest
 from urbansst import sst
 from urbansst.cost import CostWeights
 from urbansst.objects import WorldModel, WorldPoser
-from urbansst.road import Lane, RoadNetwork, build_penalty_grid, compute_goal_region
+from urbansst.road import GoalConfig, GridConfig, Lane, RoadNetwork, build_penalty_grid, compute_goal_region
 from urbansst.sst import PlannerConfig
 from urbansst.vehicle import VehicleParams, VehicleState
 
@@ -50,7 +50,7 @@ def straight_net():
 
 @pytest.fixture(scope="session")
 def straight_grid(straight_net):
-    return build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0), 0.25, 100.0, 99.0)
+    return build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0), GridConfig())
 
 
 @pytest.fixture(scope="session")
@@ -97,7 +97,7 @@ def make_planner_config(budget=2000, **kw):
 @pytest.fixture()
 def straight_goal(straight_net):
     # ego_start, at x = 0, is 10 m along the route from x = -10
-    return compute_goal_region(straight_net, 10.0, 30.0, 2.0, 6.0)
+    return compute_goal_region(straight_net, 10.0, GoalConfig())
 
 
 @pytest.fixture()

@@ -91,7 +91,7 @@ class TestAcceptance:
         for seed in SEEDS:
             log = run_closed_loop(sc, "dki", seed)
             states = [ts.state for ts in _exec_states(log)]
-            invalid = sum(1 for s in states if grid.lookup(s.x, s.y) >= sc.p_invalid)
+            invalid = sum(1 for s in states if grid.lookup(s.x, s.y) >= sc.grid.p_invalid)
             reached_exit = bool(states) and states[-1].x < -5.0 and states[-1].y < -5.0
             if (
                 log.termination == "route_exhausted"
@@ -147,8 +147,7 @@ class TestAcceptance:
         weights = sc.weights
         ego = sc.ego_state
         s_ego, _ = net.route_path.project(ego.x, ego.y)
-        goal = compute_goal_region(net, s_ego, sc.goal_distance, sc.goal_threshold,
-                                   lateral_band=sc.goal_lateral_band)
+        goal = compute_goal_region(net, s_ego, sc.goal)
         bx0, by0, bx1, by1 = goal.bbox
         m = sc.sampling_margin
         cfg = sc.planner.with_bounds(
@@ -181,7 +180,7 @@ class TestAcceptance:
             cy = grid.origin.y + (row + 0.5) * grid.resolution
             if -10.0 <= cx <= 130.0:
                 d = min(abs(cy), abs(cy - 3.5))
-                want = 2.0 * sc.p_max * d / 3.75 if d < 3.75 / 2 else sc.p_max
+                want = 2.0 * sc.grid.p_max * d / 3.75 if d < 3.75 / 2 else sc.grid.p_max
                 assert grid.cells[row, col] == pytest.approx(want, abs=1e-6)
         done("grid_oracle")
 

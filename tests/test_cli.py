@@ -234,15 +234,17 @@ class TestPlan:
             ("bogus.x=1", "bogus"),
             ("planner.rng_seed=3", "planner.rng_seed"),
             ("planner.x_bounds=[0,50]", "planner.x_bounds"),
-            ("goal.lateral_band=-1", "goal.lateral_band"),
-            ("goal.distance=-5", "goal.distance"),
-            ("goal.threshold=0", "goal.threshold"),
-            ("grid.resolution=0", "grid.resolution"),
+            ("goal.lateral_band=-1", "goal: lateral_band"),
+            ("goal.distance=-5", "goal: distance"),
+            ("goal.threshold=0", "goal: threshold"),
+            ("goal.distanse=3", "goal.distanse"),
+            ("grid.resolution=0", "grid: resolution"),
+            ("grid.p_maxx=1", "grid.p_maxx"),
             # 1e15 cells: the grid would not fit in memory
             ("grid.resolution=1e-6", "grid.resolution"),
             # a replan period of 1e-12 s executes no state
             ("sim.replan_rate=1e12", "sim.replan_rate"),
-            ("grid.p_invalid=200", "grid.p_invalid"),
+            ("grid.p_invalid=200", "grid: p_invalid"),
             ("road.route=5", "road.route"),
             ("road.route=[5]", "road.route[0]"),
             ('objects.0.type="bike"', "objects[0].type"),
@@ -256,9 +258,12 @@ class TestPlan:
             ("objects.0.type=[1]", "objects[0].type"),
             ("planner.iteration_budget=-5", "planner: iteration_budget"),
             ("planner.iteration_budget=0", "planner: a zero budget"),
-            ("planner.query_time=0", "planner: a zero budget"),
+            # in place of the iteration budget: with it, both budgets would be set
+            ('planner={"query_time":0}', "planner: a zero budget"),
             ("planner.query_time=-1", "planner: query_time"),
             ("planner.query_time=Infinity", "planner.query_time"),
+            # scenario II sets an iteration budget
+            ("planner.query_time=0.2", "planner: "),
             ("planner.t_step=1e-300", "planner"),
             ("road.lanes.0.width=null", "road.lanes[0].width"),
             ("objects.0.poses.0=[1,2,3]", "objects[0].poses[0]"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from urbansst.dki import DkiConfig, _reuse_anchor, plan_dki, seed_lane_branch, seed_previous_branch
 from urbansst.objects import ObjectPrediction, WorldModel
-from urbansst.road import build_penalty_grid, compute_goal_region
+from urbansst.road import GoalConfig, GridConfig, build_penalty_grid, compute_goal_region
 from urbansst.sst import PlannerTree, norm_state, plan, state_distance
 from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState, normalize_angle, propagate
 
@@ -67,8 +67,8 @@ class TestLaneBranch:
         net = make_crossing_net(width=3.5)
         root = VehicleState(20.0, 0.3, 0.0, 5.0)
         assert net.route_path.project(root.x, root.y)[0] == pytest.approx(169.7)
-        grid = build_penalty_grid(net, (-15.0, -45.0, 65.0, 35.0), 0.25, 100.0, 99.0)
-        goal = compute_goal_region(net, 30.0, 30.0, 2.0, 6.0)
+        grid = build_penalty_grid(net, (-15.0, -45.0, 65.0, 35.0), GridConfig())
+        goal = compute_goal_region(net, 30.0, GoalConfig())
         cfg = make_planner_config(budget=2000).with_bounds((-15.0, 65.0), (-45.0, 35.0))
         tree = PlannerTree(root, 0.0, goal, grid, empty_world, cfg, weights, params, np.random.default_rng(0))
         added = seed_lane_branch(tree, net, 30.0, DkiConfig())

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import urbansst
 from urbansst.road import (
     DEFAULT_GRID_RESOLUTION,
+    GoalConfig,
     GoalRegion,
+    GridConfig,
     Lane,
-    PenaltyGrid,
     RoadNetwork,
     RouteExhaustedError,
     build_penalty_grid,
@@ -175,12 +176,12 @@ class TestPenaltyGrid:
 
     def test_linear_ramp_quarter_width(self, straight_net):
         # fine grid so cell-center quantization is negligible
-        grid = build_penalty_grid(straight_net, (0.0, -4.0, 40.0, 8.0), resolution=0.01, p_max=100.0, p_invalid=99.0)
+        grid = build_penalty_grid(straight_net, (0.0, -4.0, 40.0, 8.0), GridConfig(resolution=0.01))
         d = LANE_WIDTH / 4
         assert grid.lookup(20.0, -d) == pytest.approx(50.0, abs=1.0)
 
     def test_saturates_at_half_width(self, straight_net):
-        grid = build_penalty_grid(straight_net, (0.0, -8.0, 40.0, 8.0), resolution=0.05, p_max=100.0, p_invalid=99.0)
+        grid = build_penalty_grid(straight_net, (0.0, -8.0, 40.0, 8.0), GridConfig(resolution=0.05))
         assert grid.lookup(20.0, -LANE_WIDTH / 2 - 0.5) == pytest.approx(100.0)
 
     def test_out_of_bounds_returns_p_max(self, straight_grid):
@@ -204,7 +205,7 @@ class TestPenaltyGrid:
     def test_analytic_oracle_random_cells(self, straight_net):
         # straight two-lane road: distance to nearest center is
         # min(|y|, |y - 3.5|) exactly, and the owning lane has width 3.75
-        grid = build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0), 0.25, 100.0, 99.0)
+        grid = build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0), GridConfig())
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             col = rng.integers(0, grid.n_cols)
@@ -227,7 +228,7 @@ class TestPenaltyGrid:
         ids=["two_width", "arc", "130_lanes"],
     )
     def test_grid_equals_brute_force(self, net, bounds, resolution):
-        grid = build_penalty_grid(net, bounds, resolution, 100.0, 99.0)
+        grid = build_penalty_grid(net, bounds, GridConfig(resolution))
         assert grid.cells.tobytes() == oracle_grid(net, bounds, resolution, 100.0).tobytes()
 
     @settings(max_examples=25, deadline=None)
@@ -247,11 +248,11 @@ class TestPenaltyGrid:
         ]
         net = RoadNetwork(lanes, ["l0"])
         bounds = (-6.0, -6.5, 6.5, 6.0)
-        grid = build_penalty_grid(net, bounds, resolution, 100.0, 99.0)
+        grid = build_penalty_grid(net, bounds, GridConfig(resolution))
         assert grid.cells.tobytes() == oracle_grid(net, bounds, resolution, 100.0).tobytes()
 
     def test_equidistant_tie_takes_the_first_lane(self):
-        grid = build_penalty_grid(two_width_net(), (-1.0, -3.125, 7.0, 5.0), 0.25, 100.0, 99.0)
+        grid = build_penalty_grid(two_width_net(), (-1.0, -3.125, 7.0, 5.0), GridConfig())
         # 1 m from both centerlines: the 3 m lane's ramp, not the 4 m lane's
         assert grid.lookup(3.0, 1.0) == 2.0 * 100.0 * 1.0 / 3.0
 
@@ -259,7 +260,7 @@ class TestPenaltyGrid:
         # 0.05 m cells against 11 202 points: the oracle ranks every row of two
         # columns and a random sample of cells
         bounds = (0.0, -8.0, 40.0, 8.0)
-        grid = build_penalty_grid(straight_net, bounds, 0.05, 100.0, 99.0)
+        grid = build_penalty_grid(straight_net, bounds, GridConfig(0.05))
         rng = np.random.default_rng(5)
         rows = np.concatenate([np.arange(grid.n_rows), np.arange(grid.n_rows), rng.integers(0, grid.n_rows, 600)])
         cols = np.concatenate([np.full(grid.n_rows, 0), np.full(grid.n_rows, 401), rng.integers(0, grid.n_cols, 600)])
@@ -307,8 +308,8 @@ class TestPenaltyGrid:
         assert hashlib.sha1(grid.cells.tobytes()).hexdigest() == sha1
 
     def test_invalid_threshold_ordering(self):
-        with pytest.raises(ValueError):
-            PenaltyGrid((0, 0), 0.25, np.zeros((2, 2)), p_max=100.0, p_invalid=150.0)
+        with pytest.raises(ValueError, match="p_invalid must not exceed p_max"):
+            GridConfig(p_max=100.0, p_invalid=150.0)
 
 
 class TestGoalRegion:
@@ -336,8 +337,8 @@ class TestGoalRegion:
         s0, _ = route.project(0.0, 0.0)
         s1, _ = route.project(0.0, 1.5)
         assert s0 == pytest.approx(s1)
-        g0 = compute_goal_region(straight_net, s0, 30.0, 2.0, 6.0)
-        g1 = compute_goal_region(straight_net, s1, 30.0, 2.0, 6.0)
+        g0 = compute_goal_region(straight_net, s0, GoalConfig())
+        g1 = compute_goal_region(straight_net, s1, GoalConfig())
         assert g0.bbox == pytest.approx(g1.bbox)
 
     def test_wrong_way_heading_still_in_goal(self, straight_goal):
@@ -347,11 +348,11 @@ class TestGoalRegion:
 
     def test_route_exhausted(self, straight_net):
         with pytest.raises(RouteExhaustedError):
-            compute_goal_region(straight_net, 135.0, 30.0, 2.0, 6.0)
+            compute_goal_region(straight_net, 135.0, GoalConfig())
 
-    def test_threshold_validation(self, straight_net):
-        with pytest.raises(ValueError):
-            compute_goal_region(straight_net, 10.0, 30.0, 0.0, 6.0)
+    def test_threshold_validation(self):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            GoalConfig(threshold=0.0)
 
     def test_s_window_disambiguation(self):
         # (20, 0.3) is 0.3 m from the route's first leg (s = 30) and on its

@@ -7,9 +7,10 @@ from typing import Optional
 
 import pytest
 
+from urbansst.road import GoalConfig, GridConfig
 from urbansst.sim import (
     _PER_QUERY,
-    _SECTION_FIELDS,
+    _SIM_FIELDS,
     _read,
     Scenario,
     ScenarioError,
@@ -43,9 +44,6 @@ MINIMAL = {
 def scenario_to_dict(sc: Scenario) -> dict:
     """The scenario as a document that scenario_from_dict reads back; every
     field is written, the defaulted ones included."""
-    sections = {"goal": {}, "grid": {}, "sim": {}}
-    for name, (sec, key) in _SECTION_FIELDS.items():
-        sections[sec][key] = getattr(sc, name)
     return {
         "name": sc.name,
         "road": {
@@ -76,7 +74,9 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "weights": asdict(sc.weights),
         "planner": {k: v for k, v in asdict(sc.planner).items() if k not in _PER_QUERY},
         "dki": asdict(sc.dki),
-        **sections,
+        "goal": asdict(sc.goal),
+        "grid": asdict(sc.grid),
+        "sim": {key: getattr(sc, key) for key in _SIM_FIELDS},
     }
 
 
@@ -99,7 +99,8 @@ class TestLoader:
         assert sc.planner.iteration_budget == 2000
         assert sc.planner.query_time is None
         assert sc.weights.v_desired == 5.0
-        assert sc.goal_distance == 30.0
+        assert sc.goal == GoalConfig()
+        assert sc.grid == GridConfig()
         assert sc.duration == 10.0
         assert sc.replan_rate == 2.0
         assert sc.dki.d_lookahead == 3.0
@@ -230,10 +231,10 @@ class TestGrid:
         sc = scenario_from_dict(copy.deepcopy(MINIMAL))
         grid = build_scenario_grid(sc)
         # on-lane lookups are far below the invalid threshold for both lanes
-        assert grid.lookup(50.0, 0.0) < sc.p_invalid / 2
-        assert grid.lookup(50.0, 3.5) < sc.p_invalid / 2
+        assert grid.lookup(50.0, 0.0) < sc.grid.p_invalid / 2
+        assert grid.lookup(50.0, 3.5) < sc.grid.p_invalid / 2
         # well off-road saturates
-        assert grid.lookup(50.0, -30.0) == sc.p_max
+        assert grid.lookup(50.0, -30.0) == sc.grid.p_max
 
 
 class TestRollout:

@@ -13,7 +13,7 @@ from urbansst import objects
 from urbansst.cost import CostWeights
 from urbansst.geometry import obb_overlap
 from urbansst.objects import ObjectPrediction, WorldModel
-from urbansst.road import PenaltyGrid, compute_goal_region
+from urbansst.road import GoalConfig, GridConfig, PenaltyGrid, compute_goal_region
 from urbansst.sst import (
     _FULL_PASS,
     InvalidStartError,
@@ -70,9 +70,8 @@ class TestConfig:
             PlannerConfig(**budget)
 
     def test_exactly_one_budget(self, straight_grid, empty_world, weights, params, straight_goal, ego_start):
-        both = make_planner_config(budget=10, query_time=0.01)
-        with pytest.raises(ValueError):
-            plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, both, weights, params, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="must not both be set"):
+            make_planner_config(budget=10, query_time=0.01)
         neither = PlannerConfig().with_bounds((-15.0, 50.0), (-10.0, 12.0))
         with pytest.raises(ValueError):
             plan(ego_start, 0.0, straight_goal, straight_grid, empty_world, neither, weights, params, np.random.default_rng(0))
@@ -213,10 +212,11 @@ def _crossing_world():
 
 
 def _chained_time(tree, depth):
-    """The time of a node at depth: the start time plus depth chained additions of t_prop."""
+    """The time of a node at depth: the start time plus depth chained additions of
+    n_sub*t_step, the time from an edge's start to its last substep."""
     t = tree._times[0]
     for _ in range(depth):
-        t += tree.config.t_prop
+        t += tree._n_sub * tree.config.t_step
     return t
 
 
@@ -311,28 +311,29 @@ class TestPropagationKernel:
             node_refs, monkeypatch, "scenario_iv_vru_steering.json", VehicleState(47.0, 0.0, 0.0, 5.0), 6.0,
         )
         n = len(tree._pose_rows)
-        assert max(node.depth for node in nodes) < n == len(tree._times) and 16 < n <= len(tree._xyr)
+        assert max(node.depth for node in nodes) < n == len(tree._times) - 1 and 16 < n <= len(tree._xyr)
         assert len(tree.world.objects) == 2
         cfg, params = tree.config, tree.params
         r_ego = 0.5 * math.hypot(params.length, params.width)
         reach = [r_ego + 0.5 * math.hypot(o.length, o.width) for o in tree.world.objects]
         reach2 = [r * r for r in reach]
         # bytes, so that the sign of a zero counts too
-        times = [_chained_time(tree, d) for d in range(n)]
+        times = [_chained_time(tree, d) for d in range(n + 1)]
         assert times[0] == 6.0 and np.array(tree._times).tobytes() == np.array(times).tobytes()
         for d, row in enumerate(tree._pose_rows):
-            assert len(row) == tree._n_sub + 1
-            for k, entry in enumerate(row):
+            # the substeps after depth d's time, the last one at depth d + 1's
+            assert len(row) == tree._n_sub
+            for k, entry in enumerate(row, start=1):
                 t = times[d] + k * cfg.t_step
                 want = [(*obj.pose_at(t), r2) for obj, r2 in zip(tree.world.objects, reach2)]
                 assert [e[3] for e in entry] == tree.world.objects
                 assert np.array([e[:3] + e[4:] for e in entry]).tobytes() == np.array(want).tobytes(), (d, k)
-            xyr = [[(e[0], e[1], e[4]) for e in entry] for entry in row[1:]]
+            xyr = [[(e[0], e[1], e[4]) for e in entry] for entry in row]
             assert tree._xyr[d].tobytes() == np.array(xyr).tobytes(), d
 
     def test_batch_matches_scalar_path_past_the_pose_rows(self, node_refs, monkeypatch):
-        # a fresh tree has the root's pose row alone, and _xyr fewer rows than
-        # the IV tree has depths, so that both grow within one kernel call
+        # a fresh tree has no pose row, and _xyr fewer rows than the IV tree
+        # has depths, so that both grow within one kernel call
         tree, nodes = _scenario_tree(
             node_refs, monkeypatch, "scenario_iv_vru_steering.json", VehicleState(47.0, 0.0, 0.0, 5.0), 6.0,
         )
@@ -342,7 +343,7 @@ class TestPropagationKernel:
         )
         rows = len(fresh._xyr)
         depth = max(node.depth for node in nodes)
-        assert len(fresh._pose_rows) == 1 and depth >= rows
+        assert not fresh._pose_rows and depth >= rows
         rng = np.random.default_rng(61)
         starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 4)).tolist()]
         a, delta = sample_inputs(fresh.config, rng, fresh.params, len(starts))
@@ -354,6 +355,26 @@ class TestPropagationKernel:
             assert got.get(i) == fresh.propagate_checked(node, u)
             outcomes[_propagation_oracle(fresh, node, u)[1]] += 1
         assert min(outcomes[w] for w in ("road", "object", "valid")) >= 10, outcomes
+
+    def test_node_time_is_its_edges_last_substep_time(self, node_refs, straight_goal, straight_grid, weights, params):
+        # 3 substeps of 0.1 s do not add up to t_prop = 0.3 s: a node's time is
+        # that of its edge's last substep, at which its endpoint was checked
+        cfg = make_planner_config(budget=600, t_prop=0.3, t_step=0.1)
+        assert 3 * cfg.t_step != cfg.t_prop
+        tree = PlannerTree(
+            VehicleState(0.0, 0.0, 0.0, 5.0), 0.0, straight_goal, straight_grid, _crossing_world(), cfg, weights,
+            params, np.random.default_rng(4),
+        )
+        tree.run()
+        nodes = [node for node in live_nodes(node_refs) if node.parent is not None]
+        assert len({node.depth for node in nodes}) >= 5
+        poser = objects.WorldPoser(tree.world, params.length, params.width)
+        for node in nodes:
+            t = tree._times[node.parent.depth] + 3 * cfg.t_step
+            assert tree._times[node.depth] == t
+            # and the node is priced with the objects posed at that time
+            s = node.state
+            assert node.state_cost_w == tree._state_cost_w(s.x, s.y, s.v, poser.at(t))
 
     @staticmethod
     def _assert_rows_equal_scalar(tree, starts, a, delta):
@@ -534,7 +555,7 @@ class TestGridCells:
         res = 0.2
         n_cols = 484
         cells = np.tile(np.arange(n_cols) % 2 * 100.0, (50, 1))
-        grid = PenaltyGrid((0.0, -5.0), res, cells, 100.0, 99.0)
+        grid = PenaltyGrid((0.0, -5.0), cells, GridConfig(res))
         cfg = PlannerConfig(iteration_budget=1).with_bounds((0.0, n_cols * res), (-5.0, 5.0))
         tree = PlannerTree(
             VehicleState(0.1, 0.0, 0.0, 0.0), 0.0, straight_goal, grid, empty_world, cfg, weights, params,
@@ -553,7 +574,7 @@ class TestGridCells:
 
 # a 0.2 m grid of 100 x 50 cells from (0, -5), for the batch price test
 _RES = 0.2
-_PRICE_GRID = PenaltyGrid((0.0, -5.0), _RES, np.random.default_rng(0).uniform(0.0, 50.0, (50, 100)), 100.0, 99.0)
+_PRICE_GRID = PenaltyGrid((0.0, -5.0), np.random.default_rng(0).uniform(0.0, 50.0, (50, 100)), GridConfig(_RES))
 
 
 def _coordinate(origin, n_cells):
@@ -586,7 +607,7 @@ def _price_tree(straight_net, params, start_time, with_objects, term):
         weights = CostWeights(**{**zero, term: 1.0})
     start = VehicleState(1.0, 0.0, 0.0, 5.0)
     return PlannerTree(
-        start, start_time, compute_goal_region(straight_net, 11.0, 30.0, 2.0, 6.0), _PRICE_GRID,
+        start, start_time, compute_goal_region(straight_net, 11.0, GoalConfig()), _PRICE_GRID,
         _crossing_world() if with_objects else WorldModel(), make_planner_config(), weights, params,
         np.random.default_rng(0),
     )
@@ -856,7 +877,7 @@ class TestPlan:
     def test_goal_outside_bounds_unsolved(self, straight_net, straight_grid, empty_world, weights, params, ego_start):
         from urbansst.road import compute_goal_region
 
-        goal = compute_goal_region(straight_net, 10.0, 30.0, 2.0, 6.0)
+        goal = compute_goal_region(straight_net, 10.0, GoalConfig())
         cfg = PlannerConfig(iteration_budget=2_000).with_bounds((-15.0, 10.0), (-10.0, 12.0))
         result = plan(ego_start, 0.0, goal, straight_grid, empty_world, cfg, weights, params, np.random.default_rng(0))
         assert not result.solved
