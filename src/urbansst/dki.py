@@ -5,8 +5,9 @@ follows the route's lane center with a rolling lookahead target, and one
 that replays the previous query's solution when the new start state is
 close enough to it. Both insert nodes through the standard witness path
 and validate every integration substate, so seeded nodes obey the same
-contracts as sampled ones. Seeding work is charged against the query
-budget (propagation count in iteration mode, elapsed time in wall mode).
+contracts as sampled ones. Each propagation counts in the tree's
+iterations_used (n_candidates per lane-branch extension), but neither branch
+checks what is left of the budget or reads the clock.
 """
 
 from __future__ import annotations

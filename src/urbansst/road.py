@@ -105,6 +105,8 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.resolution <= 0.0:
             raise ValueError("resolution must be positive")
+        if self.p_max <= 0.0:
+            raise ValueError("p_max must be positive")
         if self.p_invalid > self.p_max:
             raise ValueError("p_invalid must not exceed p_max")
 

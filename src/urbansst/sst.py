@@ -633,15 +633,17 @@ class PlannerTree:
         node it picked, or placed a representative within reach[j] of its
         sample: within d_near it may be cheaper, and when nothing was within
         d_near, one as near as the pick may be the nearest. A stale pick is
-        redone on the current tree. Witnesses never move, so an endpoint's
-        nearest witness is the snapshot's unless one appended in the batch
-        is strictly nearer (argmin takes the first minimum).
+        redone on the current tree. Witnesses never move and appended ones
+        come after the snapshot's, so an endpoint's nearest witness is the
+        snapshot's (argmin takes the first minimum) unless one the batch
+        appended is strictly nearer: then try_insert looks it up in the table.
 
         Every endpoint is priced up front (_price). A witness's cost only falls
         (a replacement is strictly cheaper), so an endpoint that its snapshot
         witness dominates stays dominated unless an appended witness is
-        strictly nearer; only the others (live) get stale-tracking rows at
-        once, and a revived one gets its row when it commits.
+        strictly nearer; only the others (live) get stale-tracking rows and
+        distances to the endpoints at once. A dominated endpoint's witness,
+        and so any nearer one, lies within d_prune: its lookup never appends.
         """
         cfg = self.config
         params = self.params
@@ -679,8 +681,8 @@ class PlannerTree:
         wit = wit.tolist()
         wit_d = wit_d.tolist()
         stale = np.zeros(k, dtype=bool)
-        # (column, distances to every endpoint) of each witness the batch appended
-        added = []
+        # each endpoint's distance to the nearest witness the batch appended
+        added = np.full(len(idx), math.inf)
         base = self.iterations_used
         for j in range(k):
             self.iterations_used = base + j + 1
@@ -698,32 +700,23 @@ class PlannerTree:
                 norm = norm_state(new.state, cfg, params)
                 stale |= self._stale_by(norm, samples, reach)
                 if len(reps) > n_wit:
-                    added.append((n_wit, state_distance(norm, ends_norm)))
+                    np.minimum(added, state_distance(norm, ends_norm), out=added)
                 continue
             e = row_of.get(j)
             if e is None:
                 continue
-            i = wit[e]
-            d_i = wit_d[e]
-            for col, dist in added:
-                if dist[e] < d_i:
-                    i = col
-                    d_i = dist[e]
+            moved = added[e] < wit_d[e]
             r = live_row.get(e)
-            if r is None and i == wit[e]:
+            if r is None and not moved:
                 continue
-            near = i if d_i <= cfg.d_prune else None
+            near = _LOOK_UP if moved else (wit[e] if wit_d[e] <= cfg.d_prune else None)
+            n_wit = len(reps)
             u = ControlInput(*inputs[j].tolist())
             if self.try_insert(node, VehicleState(*ends[e]), u, near, (scw[e], cost[e], ends_norm[:, e])) is None:
                 continue
-            if r is None:
-                # revived by a nearer appended witness, whose representative
-                # it replaced: no live row holds its samples
-                stale |= self._stale_by(ends_norm[:, e], samples, reach)
-                continue
-            stale |= hits[r]
-            if near is None:
-                added.append((len(reps) - 1, to_ends[r]))
+            stale |= self._stale_by(ends_norm[:, e], samples, reach) if r is None else hits[r]
+            if len(reps) > n_wit:
+                np.minimum(added, to_ends[r], out=added)
 
     def run(self) -> PlanResult:
         """Exhaust the remaining budget; seeding work done beforehand counts

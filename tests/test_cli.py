@@ -245,6 +245,9 @@ class TestPlan:
             # a replan period of 1e-12 s executes no state
             ("sim.replan_rate=1e12", "sim.replan_rate"),
             ("grid.p_invalid=200", "grid: p_invalid"),
+            # a zero p_max makes the grid 0 * inf where no lane reaches
+            ('grid={"p_max":0,"p_invalid":0}', "grid: p_max must be positive"),
+            ('grid={"p_max":-100,"p_invalid":-101}', "grid: p_max must be positive"),
             ("road.route=5", "road.route"),
             ("road.route=[5]", "road.route[0]"),
             ('objects.0.type="bike"', "objects[0].type"),

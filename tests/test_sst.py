@@ -16,6 +16,7 @@ from urbansst.objects import ObjectPrediction, WorldModel
 from urbansst.road import GoalConfig, GridConfig, PenaltyGrid, compute_goal_region
 from urbansst.sst import (
     _FULL_PASS,
+    _LOOK_UP,
     InvalidStartError,
     PlannerConfig,
     PlannerTree,
@@ -30,7 +31,7 @@ from urbansst.sst import (
     sample_state,
     state_distance,
 )
-from urbansst.sim import build_scenario_grid, load_scenario, plan_query
+from urbansst.sim import build_scenario_grid, load_scenario, plan_query, run_closed_loop, simlog_to_csv
 from urbansst.vehicle import ControlInput, VehicleParams, VehicleState, normalize_angle, propagate
 
 from conftest import SCENARIO_DIR, is_state_valid, live_nodes, make_planner_config, wrap_dist
@@ -953,9 +954,11 @@ class TestBatchedLoop:
         select = PlannerTree.select
         nearest = PlannerTree._nearest
         stale_by = PlannerTree._stale_by
+        try_insert = PlannerTree.try_insert
         selects = Counter()
         filtered = Counter()
         revived = Counter()
+        looked_up = Counter()
         # the iteration of the last select call
         selected = [None]
 
@@ -975,6 +978,12 @@ class TestBatchedLoop:
             revived[len(trees)] += np.ndim(norm) == 1 and trees[-1].iterations_used != selected[0]
             return stale_by(norm, samples, reach)
 
+        def counted_try_insert(tree, parent, state, u, near=_LOOK_UP, priced=None):
+            # a kernel endpoint that a witness the batch appended is nearer to
+            # than its snapshot witness: the table gives its witness
+            looked_up[len(trees)] += priced is not None and near is _LOOK_UP
+            return try_insert(tree, parent, state, u, near, priced)
+
         def grow(tree):
             trees.append(tree)
             if len(trees) == 2:
@@ -985,6 +994,7 @@ class TestBatchedLoop:
         monkeypatch.setattr(PlannerTree, "select", counted_select)
         monkeypatch.setattr(PlannerTree, "_nearest", staticmethod(counted_nearest))
         monkeypatch.setattr(PlannerTree, "_stale_by", staticmethod(counted_stale_by))
+        monkeypatch.setattr(PlannerTree, "try_insert", counted_try_insert)
         # a budget that is not a multiple of the batch size; dki seeding
         # spends up to 1 400 of it
         batched, sequential = (
@@ -1009,6 +1019,29 @@ class TestBatchedLoop:
         # witness dominated
         if name.startswith("scenario_ii_") or (name, mode) == ("scenario_iv_vru_steering.json", "dki"):
             assert revived[1] > 0
+        # and looked an endpoint's witness up in the table
+        assert looked_up[1] > 0
+
+    @pytest.mark.parametrize(
+        "name, mode",
+        [
+            ("scenario_ii_static_overtake.json", "dki"),
+            ("scenario_ii_static_overtake.json", "base"),
+            ("scenario_iv_vru_steering.json", "dki"),
+        ],
+    )
+    def test_closed_loop_equals_sequential_loop(self, monkeypatch, name, mode):
+        # after the first tick, a dki tree is seeded from the previous solution
+        sc = replace(load_scenario(SCENARIO_DIR / name), duration=3.0)
+        batched = simlog_to_csv(run_closed_loop(sc, mode, 0, budget=("iters", 3037)))
+        run = PlannerTree.run
+
+        def run_sequentially(tree):
+            _run_sequentially(tree)
+            return run(tree)
+
+        monkeypatch.setattr(PlannerTree, "run", run_sequentially)
+        assert simlog_to_csv(run_closed_loop(sc, mode, 0, budget=("iters", 3037))) == batched
 
 
 class TestPruning:
