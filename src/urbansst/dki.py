@@ -146,8 +146,6 @@ def seed_previous_branch(tree: PlannerTree, prev: Trajectory, dki: DkiConfig) ->
     added = 0
     for j in range(first, len(prev.samples)):
         u = prev.samples[j].input
-        if u is None:
-            break
         tree.iterations_used += 1
         end = tree.propagate_checked(tip, u)
         if end is None:

@@ -35,7 +35,7 @@ from .road import (
     nearest_lane_points,
 )
 from .sst import InvalidStartError, PlannerConfig, PlanResult, plan
-from .vehicle import ControlInput, TimedState, Trajectory, VehicleParams, VehicleState, step
+from .vehicle import ControlInput, TimedState, Trajectory, VehicleParams, VehicleState, step, substep_count
 
 FOOTPRINT_DEFAULTS = {
     "pedestrian": (0.6, 0.6),
@@ -325,37 +325,27 @@ class SimLog:
     termination: str = ""
 
 
-def _plan_input_at(traj: Trajectory, t: float) -> ControlInput:
-    """Input the plan applies at absolute time t; held constant per edge."""
-    samples = traj.samples
-    for i in range(1, len(samples)):
-        if t < samples[i].t - 1e-12:
-            return samples[i].input
-    last = samples[-1].input
-    return last if last is not None else ControlInput(0.0, 0.0)
-
-
 def rollout_inputs(
     state: VehicleState,
     t0: float,
     duration: float,
-    input_at,
+    inputs: list,
     ts: float,
     params: VehicleParams,
 ):
-    """Integrate input_at(t) from t0 for duration; a trailing partial step
-    covers replan intervals that are not integer multiples of ts."""
+    """Integrate from t0 for duration; step i applies inputs[i], chosen by
+    index and never by time, and the last input holds past the list's end.
+    A trailing partial step covers replan intervals that are not integer
+    multiples of ts."""
     out = []
     cur = state
-    t = t0
     remaining = duration
     while remaining > 1e-12:
         dt = ts if remaining >= ts - 1e-12 else remaining
-        u = input_at(t)
+        u = inputs[min(len(out), len(inputs) - 1)]
         cur = step(cur, u, dt, params)
-        t = t0 + (duration - (remaining - dt))
         remaining -= dt
-        out.append(TimedState(cur, t, u))
+        out.append(TimedState(cur, t0 + (duration - remaining), u))
     return out
 
 
@@ -418,6 +408,7 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
     route = sc.road.route_path
     params = sc.ego_params
     ts = sc.planner.t_step
+    n_sub = substep_count(sc.planner.t_prop, ts)
     dt_tick = 1.0 / sc.replan_rate
 
     ego = sc.ego_state
@@ -443,11 +434,11 @@ def run_closed_loop(sc: Scenario, mode: str, seed: int, budget=None) -> SimLog:
 
         if result.solved:
             prev_traj = result.trajectory
-            input_at = lambda tau: _plan_input_at(prev_traj, tau)
+            # step i runs edge i // n_sub's input; a one-sample plan holds still
+            inputs = [s.input for s in prev_traj.samples[1:] for _ in range(n_sub)] or [ControlInput(0.0, 0.0)]
         else:
-            brake = ControlInput(params.a_bounds[0], 0.0)
-            input_at = lambda tau: brake
-        exec_states = rollout_inputs(ego, t, span, input_at, ts, params)
+            inputs = [ControlInput(params.a_bounds[0], 0.0)]
+        exec_states = rollout_inputs(ego, t, span, inputs, ts, params)
         hit = _first_collision(exec_states, sc.world, params)
         if hit is not None:
             exec_states = exec_states[: hit[0] + 1]

@@ -7,6 +7,7 @@ from typing import Optional
 
 import pytest
 
+from urbansst import sim
 from urbansst.road import GoalConfig, GridConfig
 from urbansst.sim import (
     _PER_QUERY,
@@ -25,6 +26,7 @@ from urbansst.sim import (
     simlog_to_csv,
     simlog_to_dict,
 )
+from urbansst.sst import PlanResult
 from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState
 
 from conftest import SCENARIO_DIR
@@ -242,12 +244,44 @@ class TestRollout:
         from urbansst.vehicle import VehicleParams
 
         params = VehicleParams()
-        out = rollout_inputs(
-            VehicleState(0, 0, 0, 5), 1.0, 0.5, lambda t: ControlInput(0, 0), 0.04, params
-        )
+        out = rollout_inputs(VehicleState(0, 0, 0, 5), 1.0, 0.5, [ControlInput(0, 0)], 0.04, params)
         assert len(out) == 13  # 12 full steps + one 0.02 s remainder
         assert out[-1].t == pytest.approx(1.5)
         assert out[-1].state.x == pytest.approx(2.5)
+
+    # One 0.5 s tick at t_step 0.04 and t_prop 0.4 (10 steps per edge):
+    # 12 full steps and a 0.02 s one. Each case is the plan a query returns
+    # (None: the query failed) and the input that each of the 13 steps runs.
+    @pytest.mark.parametrize(
+        "edges, want",
+        [
+            ([(0.5, 0.1), (-0.3, -0.2)], [(0.5, 0.1)] * 10 + [(-0.3, -0.2)] * 3),
+            ([(0.5, 0.1)], [(0.5, 0.1)] * 13),  # the last edge's input holds past the plan's end
+            ([], [(0.0, 0.0)] * 13),  # a one-sample plan: the start lies in the goal
+            (None, [(-0.8, 0.0)] * 13),  # full braking (a_bounds[0]), zero steering
+        ],
+        ids=["two-edges", "one-edge", "one-sample", "failed"],
+    )
+    def test_each_step_runs_its_edges_input(self, monkeypatch, edges, want):
+        data = copy.deepcopy(MINIMAL)
+        data["sim"] = {"duration": 0.5}
+        sc = scenario_from_dict(data)
+        assert (sc.planner.t_prop, sc.planner.t_step) == (0.4, 0.04)
+
+        def fake_query(_sc, _mode, _grid, ego, t, *_):
+            if edges is None:
+                return PlanResult(False, None, math.inf, 0, 0, 0)
+            samples = [TimedState(ego, t, None)]
+            for a, delta in edges:
+                samples.append(TimedState(ego, samples[-1].t + 0.4, ControlInput(a, delta)))
+            return PlanResult(True, Trajectory(samples), 1.0, 0, len(samples), len(samples))
+
+        monkeypatch.setattr(sim, "plan_query", fake_query)
+        (tick,) = run_closed_loop(sc, "base", seed=0).ticks
+        assert [tuple(s.input) for s in tick.exec_states] == want
+        assert (tick.a_cmd, tick.delta_cmd) == want[0]
+        times = [0.0] + [s.t for s in tick.exec_states]
+        assert [b - a for a, b in zip(times, times[1:])] == pytest.approx([0.04] * 12 + [0.02])
 
 
 def _tick(index, t, state, planned, exec_states, solved, fallback):

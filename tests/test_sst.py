@@ -1043,6 +1043,25 @@ class TestBatchedLoop:
         monkeypatch.setattr(PlannerTree, "run", run_sequentially)
         assert simlog_to_csv(run_closed_loop(sc, mode, 0, budget=("iters", 3037))) == batched
 
+    def test_representative_at_reach_makes_pick_stale(self, straight_goal, straight_grid, empty_world, weights,
+                                                      params):
+        # a pick's reach is at least d_near, and select takes the cheapest
+        # representative within d_near, bounds included: a new representative
+        # at exactly the reach can be selected in the pick's place
+        tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=0)
+        cfg = tree.config
+        sample = VehicleState(cfg.x_bounds[0], cfg.y_bounds[0], 0.0, params.v_bounds[0])
+        samples = np.array(norm_state(sample, cfg, params))[:, None]
+        # the root, the only representative, is the pick, beyond d_near
+        assert state_distance(norm_state(tree.root.state, cfg, params), samples[:, 0]) > cfg.d_near
+        reach = np.array([cfg.d_near])
+        new = TreeNode(sample._replace(x=sample.x + cfg.d_near * cfg.metric_xy_scale), None, tree.root, 1.0, 0.0)
+        norm = norm_state(new.state, cfg, params)
+        assert state_distance(norm, samples[:, 0]) == reach[0]
+        tree._add_witness(new, norm)
+        assert tree.select(sample) is new
+        assert PlannerTree._stale_by(norm, samples, reach).tolist() == [True]
+
 
 class TestPruning:
     def test_node_count_consistency(self, node_refs, straight_goal, straight_grid, empty_world, weights, params):
