@@ -6,14 +6,13 @@ that replays the previous query's solution when the new start state is
 close enough to it. Both insert nodes through the standard witness path
 and validate every integration substate, so seeded nodes obey the same
 contracts as sampled ones. Each propagation counts in the tree's
-iterations_used (n_candidates per lane-branch extension), but neither branch
+iterations_used (N_CANDIDATES per lane-branch extension), but neither branch
 checks what is left of the budget or reads the clock.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,33 +25,23 @@ from .sst import sample_inputs, state_distance
 from .vehicle import ControlInput, Trajectory, VehicleParams, VehicleState
 
 
-# The most inputs one lane-branch extension may draw: each is a row of several
-# (n, substeps + 1) arrays, so a huge count would ask for gigabytes at once.
-_MAX_CANDIDATES = 10_000
+# The lane branch's farthest lookahead (m), its largest reach from the root
+# (m) and the inputs it draws per extension; the previous-solution branch
+# grows only from a root within D_REUSE (planner metric) of that solution.
+D_LOOKAHEAD = 3.0
+D_BRANCH_MAX = 40.0
+N_CANDIDATES = 100
+D_REUSE = 1.0
 
 
-@dataclass(frozen=True)
-class DkiConfig:
-    d_lookahead: float = 3.0
-    d_branch_max: float = 40.0
-    n_candidates: int = 100
-    d_reuse: float = 1.0
-
-    def __post_init__(self) -> None:
-        if min(self.d_lookahead, self.n_candidates, self.d_reuse) <= 0 or self.d_branch_max < 0:
-            raise ValueError("seeding parameters must be positive")
-        if self.n_candidates > _MAX_CANDIDATES:
-            raise ValueError(f"n_candidates must not exceed {_MAX_CANDIDATES}, got {self.n_candidates}")
-
-
-def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, s_root: float, dki: DkiConfig) -> int:
+def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, s_root: float) -> int:
     """Grow a branch that chases the lane center ahead of the branch tip.
 
     The tip's route arc length is tracked with RoutePath.advance from s_root,
-    the root's. Each extension draws n_candidates inputs, keeps the
+    the root's. Each extension draws N_CANDIDATES inputs, keeps the
     fully-valid propagation whose endpoint is closest to the lane-center
-    point d_lookahead ahead of the tip, and stops at the goal, when no valid
-    candidate exists, or once the branch strays d_branch_max from the root.
+    point D_LOOKAHEAD ahead of the tip, and stops at the goal, when no valid
+    candidate exists, or once the branch strays D_BRANCH_MAX from the root.
     """
     rng = tree.rng
     route = net.route_path
@@ -74,14 +63,14 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, s_root: float, dki: Dk
     while True:
         if tree.goal.contains_xy(tip.state.x, tip.state.y):
             break
-        if math.hypot(tip.state.x - root.x, tip.state.y - root.y) >= dki.d_branch_max:
+        if math.hypot(tip.state.x - root.x, tip.state.y - root.y) >= D_BRANCH_MAX:
             break
         s_tip = route.advance(s_tip, tip.state.x, tip.state.y)
         v_cmd = tip.state.v + gain * (v_des - tip.state.v)
-        d_target = min(dki.d_lookahead, v_cmd * t_prop)
+        d_target = min(D_LOOKAHEAD, v_cmd * t_prop)
         target = route.point_at(s_tip + d_target)
-        tree.iterations_used += dki.n_candidates
-        a, delta = sample_inputs(tree.config, rng, tree.params, dki.n_candidates)
+        tree.iterations_used += N_CANDIDATES
+        a, delta = sample_inputs(tree.config, rng, tree.params, N_CANDIDATES)
         idx, ends = tree.propagate_batch([tip] * len(a), a, delta)
         if not len(idx):
             break
@@ -129,10 +118,10 @@ def _reuse_anchor(prev: Trajectory, root: VehicleState, config: PlannerConfig, p
     return d[i], (int(edge[i]) + 1 if i < len(edge) else len(rows))
 
 
-def seed_previous_branch(tree: PlannerTree, prev: Trajectory, dki: DkiConfig) -> int:
+def seed_previous_branch(tree: PlannerTree, prev: Trajectory) -> int:
     """Replay the previous solution's inputs from the new root.
 
-    The branch is only grown when the root is within d_reuse (planner
+    The branch is only grown when the root is within D_REUSE (planner
     metric) of the interpolated previous solution; replaying the stored
     inputs keeps the reused segment propagation-exact from the new root.
     Growth aborts at the first invalid state.
@@ -140,7 +129,7 @@ def seed_previous_branch(tree: PlannerTree, prev: Trajectory, dki: DkiConfig) ->
     if prev is None or len(prev.samples) < 2:
         return 0
     d, first = _reuse_anchor(prev, tree.root.state, tree.config, tree.params)
-    if d > dki.d_reuse:
+    if d > D_REUSE:
         return 0
     tip = tree.root
     added = 0
@@ -168,13 +157,12 @@ def plan_dki(
     s: float,
     prev: Optional[Trajectory],
     config: PlannerConfig,
-    dki: DkiConfig,
     weights: CostWeights,
     params: VehicleParams,
     rng: np.random.Generator,
 ) -> PlanResult:
     """Seeded query: previous-solution branch, lane branch from start's arc length s, then the base loop."""
     tree = PlannerTree(start, start_time, goal, grid, world, config, weights, params, rng)
-    seed_previous_branch(tree, prev, dki)
-    seed_lane_branch(tree, net, s, dki)
+    seed_previous_branch(tree, prev)
+    seed_lane_branch(tree, net, s)
     return tree.run()

@@ -1,7 +1,7 @@
 """Scenario files, deterministic closed-loop simulation, and metrics.
 
 A scenario is a JSON document with sections road / ego / objects /
-weights / planner / dki / goal / grid / sim; omitted parameters fall back
+weights / planner / goal / grid / sim; omitted parameters fall back
 to the tuned defaults baked into the config dataclasses; _config reads every
 section but sim into one, and sim's keys are Scenario fields. The closed loop
 replans at a fixed rate and executes the planned inputs open-loop on the
@@ -20,7 +20,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .cost import CostWeights
-from .dki import DkiConfig, plan_dki
+from .dki import plan_dki
 from .objects import FieldParams, ObjectPrediction, WorldModel, WorldPoser, object_hit
 from .road import (
     DEFAULT_GRID_RESOLUTION,
@@ -63,12 +63,10 @@ class Scenario:
     world: WorldModel
     weights: CostWeights
     planner: PlannerConfig
-    dki: DkiConfig
     goal: GoalConfig = GoalConfig()
     grid: GridConfig = GridConfig()
     duration: float = 10.0
     replan_rate: float = 2.0
-    sampling_margin: float = 15.0
 
     def __post_init__(self) -> None:
         for name in ("duration", "replan_rate"):
@@ -81,8 +79,6 @@ class Scenario:
                 f"sim.replan_rate: its period of {1.0 / self.replan_rate:.3g} s is shorter than "
                 f"planner.t_step ({self.planner.t_step!r} s)"
             )
-        if self.sampling_margin < 0.0:
-            raise ScenarioError("sim.sampling_margin: must not be negative")
         # sst.sample_input, sst.sample_batch and sst.sample_inputs redraw
         # (a, delta) until both lie in their bounds: below a chance of 1e-3
         # per draw (over a thousand redraws per input) the planner in effect
@@ -99,7 +95,7 @@ class Scenario:
 
 
 # The sim section's keys: each is the Scenario field of its name.
-_SIM_FIELDS = ("duration", "replan_rate", "sampling_margin")
+_SIM_FIELDS = ("duration", "replan_rate")
 # The largest penalty grid a scenario may ask for. The shipped ones need at
 # most 61 901 cells (scenario III at 0.25 m); this many cells are 32 MB of
 # floats, and building them takes several times that.
@@ -179,7 +175,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     declared kind through _read, so any malformed value raises a
     ScenarioError that names its field."""
     _read(data, dict, "scenario")
-    _known(data, ("name", "road", "ego", "objects", "weights", "planner", "dki", "goal", "grid", "sim"))
+    _known(data, ("name", "road", "ego", "objects", "weights", "planner", "goal", "grid", "sim"))
     try:
         if "road" not in data:
             raise ScenarioError("road: section is required")
@@ -221,7 +217,6 @@ def scenario_from_dict(data: dict) -> Scenario:
             planner = replace(planner, iteration_budget=2000)
         if 0 in (planner.iteration_budget, planner.query_time):
             raise ScenarioError("planner: a zero budget runs no iteration")
-        dki = _config("dki", DkiConfig, _section(data, "dki"))
 
         sim = _section(data, "sim", keys=_SIM_FIELDS)
         return Scenario(
@@ -232,7 +227,6 @@ def scenario_from_dict(data: dict) -> Scenario:
             world=world,
             weights=weights,
             planner=planner,
-            dki=dki,
             goal=_config("goal", GoalConfig, _section(data, "goal")),
             grid=_config("grid", GridConfig, _section(data, "grid")),
             **{key: _read(sim[key], float, f"sim.{key}") for key in _SIM_FIELDS if key in sim},
@@ -359,6 +353,10 @@ def _first_collision(states, world: WorldModel, params: VehicleParams):
     return None
 
 
+# How far the sampling bounds reach past ego and the goal region (m).
+SAMPLING_MARGIN = 15.0
+
+
 def plan_query(
     sc: Scenario, mode: str, grid: PenaltyGrid, ego: VehicleState, t: float, rng_key,
     budget=None, prev: Optional[Trajectory] = None, s: Optional[float] = None,
@@ -380,16 +378,14 @@ def plan_query(
         s, _ = sc.road.route_path.project(ego.x, ego.y)
     goal = compute_goal_region(sc.road, s, sc.goal)
     bx0, by0, bx1, by1 = goal.bbox
-    m = sc.sampling_margin
+    m = SAMPLING_MARGIN
     cfg = cfg.with_bounds(
         (min(ego.x, bx0) - m, max(ego.x, bx1) + m),
         (min(ego.y, by0) - m, max(ego.y, by1) + m),
     )
     rng = np.random.default_rng(np.random.SeedSequence(rng_key))
     if mode == "dki":
-        return plan_dki(
-            ego, t, goal, grid, sc.world, sc.road, s, prev, cfg, sc.dki, sc.weights, sc.ego_params, rng,
-        )
+        return plan_dki(ego, t, goal, grid, sc.world, sc.road, s, prev, cfg, sc.weights, sc.ego_params, rng)
     return plan(ego, t, goal, grid, sc.world, cfg, sc.weights, sc.ego_params, rng)
 
 

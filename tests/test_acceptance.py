@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from urbansst.cli import main as cli_main
-from urbansst.dki import DkiConfig, plan_dki
+from urbansst.dki import plan_dki
 from urbansst.objects import ObjectPrediction, WorldModel, clearance_cost_xy
 from urbansst.road import build_penalty_grid, compute_goal_region
 from urbansst.sim import (
+    SAMPLING_MARGIN,
     build_scenario_grid,
     compute_metrics,
     load_scenario,
@@ -149,7 +150,7 @@ class TestAcceptance:
         s_ego, _ = net.route_path.project(ego.x, ego.y)
         goal = compute_goal_region(net, s_ego, sc.goal)
         bx0, by0, bx1, by1 = goal.bbox
-        m = sc.sampling_margin
+        m = SAMPLING_MARGIN
         cfg = sc.planner.with_bounds(
             (min(ego.x, bx0) - m, max(ego.x, bx1) + m),
             (min(ego.y, by0) - m, max(ego.y, by1) + m),
@@ -252,7 +253,7 @@ class TestAcceptance:
             cfg_s = replace(cfg, iteration_budget=2000)
             base = plan(ego, 0.0, goal, grid, world, cfg_s, weights, params, np.random.default_rng(seed))
             dki = plan_dki(ego, 0.0, goal, grid, world, net20, s_ego, None,
-                           cfg_s, DkiConfig(), weights, params, np.random.default_rng(seed))
+                           cfg_s, weights, params, np.random.default_rng(seed))
             if dki.solved and (not base.solved or dki.cost <= base.cost + 1e-9):
                 wins += 1
         assert wins >= 16

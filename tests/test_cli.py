@@ -218,9 +218,9 @@ class TestPlan:
             ("objects=5", "objects:"),
             ("road.lanes=7", "road.lanes:"),
             ('ego.state.x="abc"', "ego.state.x"),
-            ("dki.n_candidates=2.5", "dki.n_candidates"),
+            ("dki.n_candidates=2.5", "dki: unknown key"),
             ("road.lanes.0.width=NaN", "road.lanes[0].width"),
-            ("sim.sampling_margin=-1", "sim.sampling_margin"),
+            ("sim.sampling_margin=-1", "sim.sampling_margin: unknown key"),
             ("objects.0.poses.0.1=NaN", "objects[0].poses[0]"),
             ("road.lanes.0.centerline.0.0=NaN", "road.lanes[0].centerline[0]"),
             ("ego.params.v_bounds=5", "ego.params.v_bounds"),
@@ -230,7 +230,7 @@ class TestPlan:
             ("ego.params.length=-1", "ego.params"),
             ("ego.params.width=0", "ego.params"),
             ("planner.d_prunee=0.1", "planner.d_prunee"),
-            ("dki.n_candidatez=3", "dki.n_candidatez"),
+            ("weights.v_desird=3", "weights.v_desird"),
             ("bogus.x=1", "bogus"),
             ("planner.rng_seed=3", "planner.rng_seed"),
             ("planner.x_bounds=[0,50]", "planner.x_bounds"),
@@ -274,8 +274,8 @@ class TestPlan:
             ("road.lanes.0.centerline=5", "road.lanes[0].centerline"),
             ("objects.0.field=[]", "objects[0].field"),
             ("ego=3", "ego"),
-            # each lane-branch extension would allocate arrays of this many rows
-            ("dki.n_candidates=1000000000", "dki: n_candidates"),
+            # the seeding parameters are constants: a dki section is not read
+            ("dki={}", "dki: unknown key"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urbansst.dki import DkiConfig, _reuse_anchor, plan_dki, seed_lane_branch, seed_previous_branch
+from urbansst.dki import D_REUSE, _reuse_anchor, plan_dki, seed_lane_branch, seed_previous_branch
 from urbansst.objects import ObjectPrediction, WorldModel
 from urbansst.road import GoalConfig, GridConfig, build_penalty_grid, compute_goal_region
 from urbansst.sst import PlannerTree, norm_state, plan, state_distance
@@ -23,19 +23,10 @@ def make_tree(goal, grid, world, weights, params, budget=2000, seed=0, start=Non
     )
 
 
-class TestDkiConfig:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            DkiConfig(d_lookahead=0.0)
-        with pytest.raises(ValueError):
-            DkiConfig(d_reuse=-1.0)
-        DkiConfig(d_branch_max=0.0)  # zero branch extent is allowed
-
-
 class TestLaneBranch:
     def test_reaches_goal_near_center(self, node_refs, straight_net, straight_goal, straight_grid, empty_world, weights, params):
         tree = make_tree(straight_goal, straight_grid, empty_world, weights, params)
-        added = seed_lane_branch(tree, straight_net, 10.0, DkiConfig())
+        added = seed_lane_branch(tree, straight_net, 10.0)
         assert added > 10
         in_goal = [
             n for n in live_nodes(node_refs) if straight_goal.contains_xy(n.state.x, n.state.y)
@@ -51,14 +42,9 @@ class TestLaneBranch:
         # runs into the wall (braking cannot stop 5 m/s within a meter)
         wall = WorldModel([ObjectPrediction("wall", 1.5, 40.0, [(0.0, 3.75, 0.0, 0.0)])])
         tree = make_tree(straight_goal, straight_grid, wall, weights, params)
-        added = seed_lane_branch(tree, straight_net, 10.0, DkiConfig())
+        added = seed_lane_branch(tree, straight_net, 10.0)
         assert added == 0
         assert tree.n_nodes == 1
-
-    def test_zero_branch_extent(self, straight_net, straight_goal, straight_grid, empty_world, weights, params):
-        tree = make_tree(straight_goal, straight_grid, empty_world, weights, params)
-        added = seed_lane_branch(tree, straight_net, 10.0, DkiConfig(d_branch_max=0.0))
-        assert added == 0
 
     def test_follows_tracked_arc_on_crossing_route(self, node_refs, empty_world, weights, params):
         # The root sits on the first leg (tracked arc 30 m), but the whole
@@ -71,7 +57,7 @@ class TestLaneBranch:
         goal = compute_goal_region(net, 30.0, GoalConfig())
         cfg = make_planner_config(budget=2000).with_bounds((-15.0, 65.0), (-45.0, 35.0))
         tree = PlannerTree(root, 0.0, goal, grid, empty_world, cfg, weights, params, np.random.default_rng(0))
-        added = seed_lane_branch(tree, net, 30.0, DkiConfig())
+        added = seed_lane_branch(tree, net, 30.0)
         seeded = [n for n in live_nodes(node_refs) if n is not tree.root]
         assert added == len(seeded) > 0
         assert any(goal.contains_xy(n.state.x, n.state.y) for n in seeded)
@@ -93,7 +79,7 @@ class TestPreviousBranch:
     def test_exact_root_match_replays_all(self, straight_goal, straight_grid, empty_world, weights, params):
         prev = _straight_prev(params)
         tree = make_tree(straight_goal, straight_grid, empty_world, weights, params)
-        added = seed_previous_branch(tree, prev, DkiConfig())
+        added = seed_previous_branch(tree, prev)
         assert added == len(prev.samples) - 1
 
     def test_match_at_second_sample(self, straight_goal, straight_grid, empty_world, weights, params):
@@ -102,7 +88,7 @@ class TestPreviousBranch:
             straight_goal, straight_grid, empty_world, weights, params,
             start=prev.samples[1].state,
         )
-        added = seed_previous_branch(tree, prev, DkiConfig())
+        added = seed_previous_branch(tree, prev)
         assert added == len(prev.samples) - 2
 
     def test_far_root_adds_nothing(self, straight_goal, straight_grid, empty_world, weights, params):
@@ -121,7 +107,7 @@ class TestPreviousBranch:
                 for ts in prev.samples
             ]
         )
-        assert seed_previous_branch(tree, shifted, DkiConfig()) == 0
+        assert seed_previous_branch(tree, shifted) == 0
 
     def test_stops_at_first_blocked_edge(self, straight_goal, straight_grid, weights, params):
         # small obstacle placed so replay edges 1-3 clear it but the 4th
@@ -129,14 +115,14 @@ class TestPreviousBranch:
         prev = _straight_prev(params)
         world = WorldModel([ObjectPrediction("cone", 0.6, 0.6, [(0.0, 8.5, 0.0, 0.0)])])
         tree = make_tree(straight_goal, straight_grid, world, weights, params)
-        added = seed_previous_branch(tree, prev, DkiConfig())
+        added = seed_previous_branch(tree, prev)
         assert added == 3
 
     def test_none_and_trivial_prev(self, straight_goal, straight_grid, empty_world, weights, params):
         tree = make_tree(straight_goal, straight_grid, empty_world, weights, params)
-        assert seed_previous_branch(tree, None, DkiConfig()) == 0
+        assert seed_previous_branch(tree, None) == 0
         one = Trajectory([TimedState(VehicleState(0, 0, 0, 5), 0.0, None)])
-        assert seed_previous_branch(tree, one, DkiConfig()) == 0
+        assert seed_previous_branch(tree, one) == 0
 
 
 def _interpolated_states(prev: Trajectory, t_step: float):
@@ -221,7 +207,7 @@ class TestReuseAnchor:
         t_step=0.0625, t0=0.0, edges=[(2.5, 1), (2.5, 0), (2.5, 1)], start=0,
         pool=_LINE, pick=4, offset=0.0,
     )
-    # a root on the last sample replays nothing; one 50 m away lies beyond d_reuse
+    # a root on the last sample replays nothing; one 50 m away lies beyond D_REUSE
     @example(t_step=0.0625, t0=0.5, edges=[(10.0, 1), (2.7, 2)], start=0, pool=_BENT, pick=-1, offset=0.0)
     @example(t_step=0.0625, t0=0.5, edges=[(10.0, 1), (2.7, 2)], start=0, pool=_BENT, pick=3, offset=50.0)
     def test_equals_scalar_interpolation(self, params, t_step, t0, edges, start, pool, pick, offset):
@@ -239,7 +225,7 @@ class TestReuseAnchor:
         want_d, want_first = _anchor_oracle(prev, root, cfg, params)
         assert (d.tobytes(), first) == (want_d.tobytes(), want_first)
         if offset == 50.0:
-            assert d > DkiConfig().d_reuse
+            assert d > D_REUSE
 
 
 class TestPlanDki:
@@ -247,7 +233,7 @@ class TestPlanDki:
         cfg = make_planner_config(budget=3000)
         result = plan_dki(
             ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net, 10.0,
-            None, cfg, DkiConfig(), weights, params, np.random.default_rng(1),
+            None, cfg, weights, params, np.random.default_rng(1),
         )
         assert result.solved
         assert result.iterations == 3000
@@ -258,7 +244,7 @@ class TestPlanDki:
         try:
             result = plan_dki(
                 ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net, 10.0,
-                None, cfg, DkiConfig(), weights, params, np.random.default_rng(1),
+                None, cfg, weights, params, np.random.default_rng(1),
             )
             alive = sum(ref() is not None for ref in node_refs)
         finally:
@@ -277,7 +263,7 @@ class TestPlanDki:
             )
             dki = plan_dki(
                 ego_start, 0.0, straight_goal, straight_grid, empty_world, straight_net, 10.0,
-                None, cfg, DkiConfig(), weights, params, np.random.default_rng(seed),
+                None, cfg, weights, params, np.random.default_rng(seed),
             )
             assert dki.solved
             if not base.solved or dki.cost <= base.cost + 1e-9:

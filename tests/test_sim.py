@@ -75,7 +75,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
         ],
         "weights": asdict(sc.weights),
         "planner": {k: v for k, v in asdict(sc.planner).items() if k not in _PER_QUERY},
-        "dki": asdict(sc.dki),
         "goal": asdict(sc.goal),
         "grid": asdict(sc.grid),
         "sim": {key: getattr(sc, key) for key in _SIM_FIELDS},
@@ -105,7 +104,6 @@ class TestLoader:
         assert sc.grid == GridConfig()
         assert sc.duration == 10.0
         assert sc.replan_rate == 2.0
-        assert sc.dki.d_lookahead == 3.0
         assert not sc.world.objects
 
     def test_footprint_and_field_defaults(self):
