@@ -38,9 +38,11 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, s_root: float) -> int:
     """Grow a branch that chases the lane center ahead of the branch tip.
 
     The tip's route arc length is tracked with RoutePath.advance from s_root,
-    the root's. Each extension draws N_CANDIDATES inputs, keeps the
-    fully-valid propagation whose endpoint is closest to the lane-center
-    point D_LOOKAHEAD ahead of the tip, and stops at the goal, when no valid
+    the root's. Each extension draws N_CANDIDATES inputs, integrates them from
+    the tip and keeps the fully-valid propagation whose endpoint is closest to
+    the lane-center point D_LOOKAHEAD ahead of the tip: propagate_checked
+    validates the nearest one, and only if it fails does one valid_rows pass
+    rank the valid rest. The branch stops at the goal, when no valid
     candidate exists, or once the branch strays D_BRANCH_MAX from the root.
     """
     rng = tree.rng
@@ -71,16 +73,20 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, s_root: float) -> int:
         target = route.point_at(s_tip + d_target)
         tree.iterations_used += N_CANDIDATES
         a, delta = sample_inputs(tree.config, rng, tree.params, N_CANDIDATES)
-        idx, ends = tree.propagate_batch([tip] * len(a), a, delta)
-        if not len(idx):
-            break
+        X, Y, TH, V = tree.integrate(np.broadcast_to(tip.state, (N_CANDIDATES, 4)), a, delta)
         # math.hypot, not np.hypot, whose last bit differs; the first minimum wins
-        ends = ends.tolist()
-        dists = [math.hypot(x - target.x, y - target.y) for x, y, _, _ in ends]
-        j = dists.index(min(dists))
-        best_end = VehicleState(*ends[j])
-        i = int(idx[j])
+        dists = [math.hypot(x - target.x, y - target.y) for x, y in zip(X[:, -1].tolist(), Y[:, -1].tolist())]
+        i = dists.index(min(dists))
         best_u = ControlInput(float(a[i]), float(delta[i]))
+        best_end = tree.propagate_checked(tip, best_u)
+        if best_end is None:
+            # rank the valid rows instead; a row's end is propagate_checked's, bit for bit
+            ok = tree.valid_rows([tip.depth] * N_CANDIDATES, X, Y, TH).tolist()
+            if not any(ok):
+                break
+            i = min((d, j) for j, d in enumerate(dists) if ok[j])[1]
+            best_u = ControlInput(float(a[i]), float(delta[i]))
+            best_end = VehicleState(*(float(M[i, -1]) for M in (X, Y, TH, V)))
         node = tree.try_insert(tip, best_end, best_u)
         if node is None:
             # The corridor is already held by a cheaper node (typically the

@@ -16,12 +16,12 @@ matrix product, cannot rule out. Every edge takes n_sub substeps, so a node's
 time is its depth's: the object poses at the substep times of a propagation
 from depth d are row d of one pose table, gathered by the kernel as one array.
 The scalar path integrates with vehicle.step and checks each substate with
-_valid, the one validity predicate. The kernel,
-propagate_batch, gives its results bit for bit from one pass per quantity
-over all candidates and substeps: speeds and positions as running sums, the
-heading with its wrap, one validity pass over bounds and grid cells, then
-object checks up to each candidate's first failing substep. The batch's
-endpoints are then priced in one array pass (_price) with try_insert's
+_valid, the one validity predicate. The kernel, propagate_batch, gives its
+results bit for bit from two passes over all candidates and substeps:
+integrate (speeds and positions as running sums, the heading with its wrap)
+and valid_rows (bounds and grid cells, then object checks up to each
+candidate's first failing substep); the lane branch calls them apart. The
+batch's endpoints are then priced in one array pass (_price) with try_insert's
 bits, so that an endpoint its snapshot witness dominates is dropped after
 one compare, before any state, input or stale-tracking row is built for it.
 
@@ -247,24 +247,26 @@ def sample_batch(config: PlannerConfig, rng: np.random.Generator, params: Vehicl
 def sample_inputs(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams, n: int):
     """n sample_input calls at once: arrays (a, delta) of the same values.
 
-    Rejected pairs are redrawn in rounds of exactly the number still missing,
-    so no round draws past the n-th accepted pair and the generator ends in
-    the state that n sample_input calls leave it in.
+    A look-ahead draws 2n pairs, twice as many each time fewer than n are
+    in bounds; the generator is then reset and draws exactly up to the n-th
+    accepted pair, so it ends in the state that n sample_input calls leave it in.
     """
+    if not n:
+        return np.empty(0), np.empty(0)
     a_lo, a_hi = params.a_bounds
     d_lo, d_hi = params.delta_bounds
     scale = (config.sigma_a, config.sigma_delta)
-    kept = []
-    missing = n
-    while missing:
-        ad = 0.0 + np.multiply(scale, rng.standard_normal((missing, 2)))
-        a = ad[:, 0]
-        d = ad[:, 1]
-        ok = (a_lo <= a) & (a <= a_hi) & (d_lo <= d) & (d <= d_hi)
-        kept.append(ad[ok])
-        missing -= int(np.count_nonzero(ok))
-    ad = np.concatenate(kept)
-    return ad[:, 0], ad[:, 1]
+    saved = rng.bit_generator.state
+    m = 2 * n
+    while True:
+        a, d = (0.0 + np.multiply(scale, rng.standard_normal((m, 2)))).T
+        kept = ((a_lo <= a) & (a <= a_hi) & (d_lo <= d) & (d <= d_hi)).nonzero()[0][:n]
+        rng.bit_generator.state = saved
+        if len(kept) == n:
+            break
+        m *= 2
+    rng.standard_normal((int(kept[-1]) + 1, 2))
+    return a[kept], d[kept]
 
 
 def _valid(s: VehicleState, grid: PenaltyGrid, poses, config: PlannerConfig, params: VehicleParams) -> bool:
@@ -512,7 +514,16 @@ class PlannerTree:
         Returns the indices of the candidates whose every substate is valid,
         in candidate order, and their end states as rows (x, y, theta, v) of
         a float array; each row is bit for bit what propagate_checked returns.
-        Column k of V, TH, X and Y holds the state after k substeps:
+        """
+        X, Y, TH, V = self.integrate(_rows([node.state for node in nodes], 4), a, delta)
+        idx = self.valid_rows([node.depth for node in nodes], X, Y, TH).nonzero()[0]
+        return idx, np.column_stack((X[:, -1], Y[:, -1], TH[:, -1], V[:, -1]))[idx]
+
+    def integrate(self, starts: np.ndarray, a: np.ndarray, delta: np.ndarray):
+        """vehicle.step's substates for the inputs (a[i], delta[i]) from the rows (x, y, theta, v)
+        of starts, which may be a read-only broadcast, as arrays X, Y, TH and V.
+
+        Column k holds the state after k substeps, bit for bit what vehicle.step gives:
         - V: step 1, clamp included, brings a start up to 1e-9 past v_bounds
           into range. The running sums of [v1, dv, dv, ...] (np.add.accumulate
           adds in order, as vehicle.step does) are monotone: once one crosses
@@ -524,17 +535,11 @@ class PlannerTree:
         - X, Y: running sums of tv*cos(th) and tv*sin(th) from x0 and y0; np.sin
           and np.cos give math's results, np.tan does not, so the tangent
           comes from math once per candidate.
-        One (n, n_sub) pass checks the sampling bounds and the grid cells;
-        first_bad[i] is candidate i's first failing substep, n_sub if none.
-        One circle test over all objects, posed from each candidate's depth
-        (_xyr), picks the substeps before first_bad that object_hit checks, in
-        substep order up to the first hit: the calls propagate_checked makes.
         """
-        cfg = self.config
         p = self.params
-        ts = cfg.t_step
+        ts = self.config.t_step
         n_sub = self._n_sub
-        x0, y0, th0, v0 = _rows([node.state for node in nodes], 4).T
+        x0, y0, th0, v0 = starts.T
         tan_d = np.array([math.tan(d) for d in delta.tolist()])
         dv = ts * a
         V = np.column_stack((v0, np.clip(v0 + dv, *p.v_bounds), np.repeat(dv[:, None], n_sub - 1, axis=1)))
@@ -549,26 +554,39 @@ class PlannerTree:
         tv = ts * V[:, :-1]
         X = np.add.accumulate(np.column_stack((x0, tv * np.cos(TH[:, :-1]))), axis=1)
         Y = np.add.accumulate(np.column_stack((y0, tv * np.sin(TH[:, :-1]))), axis=1)
+        return X, Y, TH, V
+
+    def valid_rows(self, depths: list, X: np.ndarray, Y: np.ndarray, TH: np.ndarray) -> np.ndarray:
+        """Whether each row of integrate's substates, propagated from depths[i], is valid
+        at every substep: one bool per row, propagate_checked's verdict.
+
+        One (n, n_sub) pass checks the sampling bounds and the grid cells;
+        first_bad[i] is row i's first failing substep, n_sub if none.
+        One circle test over all objects, posed from each row's depth
+        (_xyr), picks the substeps before first_bad that object_hit checks, in
+        substep order up to the first hit: the calls propagate_checked makes.
+        """
+        cfg = self.config
+        p = self.params
+        n_sub = self._n_sub
         xs, ys = X[:, 1:], Y[:, 1:]
         (x_lo, x_hi), (y_lo, y_hi) = cfg.x_bounds, cfg.y_bounds
         ok = (xs >= x_lo) & (xs <= x_hi) & (ys >= y_lo) & (ys <= y_hi)
         ok &= self.grid.lookups(xs, ys) < self.grid.p_invalid
         first_bad = np.where(ok.all(axis=1), n_sub, ok.argmin(axis=1))
         if self.world.objects:
-            depths = [node.depth for node in nodes]
             self._pose_row(max(depths))
             at = self._xyr[depths]
             dx = at[..., 0] - xs[:, :, None]
             dy = at[..., 1] - ys[:, :, None]
             near = (dx * dx + dy * dy <= at[..., 2]).any(axis=2) & (np.arange(n_sub) < first_bad[:, None])
-            # nonzero runs candidate by candidate, each in substep order
+            # nonzero runs row by row, each in substep order
             for i, k in zip(*(ix.tolist() for ix in near.nonzero())):
                 if k < first_bad[i]:
                     pose = float(xs[i, k]), float(ys[i, k]), float(TH[i, k + 1])
                     if object_hit(*pose, p.length, p.width, self._pose_rows[depths[i]][k]) is not None:
                         first_bad[i] = k
-        idx = (first_bad == n_sub).nonzero()[0]
-        return idx, np.column_stack((X[:, -1], Y[:, -1], TH[:, -1], V[:, -1]))[idx]
+        return first_bad == n_sub
 
     def try_insert(
         self, parent: TreeNode, state: VehicleState, u: ControlInput, near=_LOOK_UP, priced=None

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urbansst.dki import D_REUSE, _reuse_anchor, plan_dki, seed_lane_branch, seed_previous_branch
+from urbansst.dki import (
+    D_BRANCH_MAX, D_LOOKAHEAD, D_REUSE, N_CANDIDATES, _reuse_anchor, plan_dki, seed_lane_branch, seed_previous_branch,
+)
 from urbansst.objects import ObjectPrediction, WorldModel
-from urbansst.road import GoalConfig, GridConfig, build_penalty_grid, compute_goal_region
-from urbansst.sst import PlannerTree, norm_state, plan, state_distance
+from urbansst.road import GoalConfig, GridConfig, PenaltyGrid, build_penalty_grid, compute_goal_region
+from urbansst.sst import PlannerTree, norm_state, plan, sample_inputs, state_distance
 from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState, normalize_angle, propagate
 
 from conftest import LANE_WIDTH, live_nodes, make_crossing_net, make_planner_config
@@ -62,6 +64,117 @@ class TestLaneBranch:
         assert added == len(seeded) > 0
         assert any(goal.contains_xy(n.state.x, n.state.y) for n in seeded)
         assert all(abs(n.state.y) < 1.75 for n in seeded)
+
+
+def _lane_branch_oracle(tree, net, s_root):
+    """seed_lane_branch with the pick rule of one propagate_batch over all
+    candidates, then the first math.hypot minimum among the valid rows."""
+    rng = tree.rng
+    route = net.route_path
+    root = tree.root.state
+    tip = tree.root
+    s_tip = s_root
+    added = 0
+    visited = {tip}
+    while not tree.goal.contains_xy(tip.state.x, tip.state.y):
+        if math.hypot(tip.state.x - root.x, tip.state.y - root.y) >= D_BRANCH_MAX:
+            break
+        s_tip = route.advance(s_tip, tip.state.x, tip.state.y)
+        v_cmd = tip.state.v + 0.25 * (tree.weights.v_desired - tip.state.v)
+        target = route.point_at(s_tip + min(D_LOOKAHEAD, v_cmd * tree.config.t_prop))
+        tree.iterations_used += N_CANDIDATES
+        a, delta = sample_inputs(tree.config, rng, tree.params, N_CANDIDATES)
+        idx, ends = tree.propagate_batch([tip] * N_CANDIDATES, a, delta)
+        if not len(idx):
+            break
+        ends = ends.tolist()
+        dists = [math.hypot(x - target.x, y - target.y) for x, y, _, _ in ends]
+        j = dists.index(min(dists))
+        i = int(idx[j])
+        end, u = VehicleState(*ends[j]), ControlInput(float(a[i]), float(delta[i]))
+        node = tree.try_insert(tip, end, u)
+        if node is None:
+            node = tree.representative_near(end)
+            if node in visited:
+                break
+        else:
+            added += 1
+        tip = node
+        visited.add(tip)
+    return added
+
+
+def _recorded_inserts(tree):
+    """The (parent state, end state, input) of every try_insert call on tree from now on, bytes and all."""
+    calls = []
+
+    def recorded(parent, end, u):
+        calls.append((np.array(parent.state).tobytes(), np.array(end).tobytes(), u))
+        return PlannerTree.try_insert(tree, parent, end, u)
+
+    tree.try_insert = recorded
+    return calls
+
+
+def _assert_branch_equals_oracle(new_tree, net, s_root):
+    """Grows the lane branch of new_tree, a fresh make_tree tree, and the oracle's
+    on its twin, and asserts the same inserts, rng state and node count; returns
+    the valid-row counts of the fallback passes, one per extension whose
+    nearest endpoint was invalid."""
+    twin = make_tree(new_tree.goal, new_tree.grid, new_tree.world, new_tree.weights, new_tree.params)
+    twin.rng.bit_generator.state = new_tree.rng.bit_generator.state
+    fallbacks = []
+
+    def counted(depths, X, Y, TH):
+        ok = PlannerTree.valid_rows(new_tree, depths, X, Y, TH)
+        fallbacks.append(int(ok.sum()))
+        return ok
+
+    new_tree.valid_rows = counted
+    got, want = _recorded_inserts(new_tree), _recorded_inserts(twin)
+    added = seed_lane_branch(new_tree, net, s_root)
+    assert added == _lane_branch_oracle(twin, net, s_root)
+    assert got == want and len(want) >= added
+    assert new_tree.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert new_tree.iterations_used == twin.iterations_used
+    assert new_tree.n_nodes == twin.n_nodes == added + 1
+    return fallbacks
+
+
+class TestLaneBranchPick:
+    """seed_lane_branch validates the nearest endpoint only, and ranks the
+    valid rows of one pass only when it is invalid: the oracle's picks."""
+
+    def test_nearest_valid(self, straight_net, straight_goal, straight_grid, empty_world, weights, params):
+        tree = make_tree(straight_goal, straight_grid, empty_world, weights, params)
+        assert _assert_branch_equals_oracle(tree, straight_net, 10.0) == []
+
+    def test_nearest_blocked_by_object(self, straight_net, straight_goal, straight_grid, weights, params):
+        # a cone on the lane center; at seed 1 the branch reaches it twice with
+        # some candidates clear of it, once with a single one
+        cone = WorldModel([ObjectPrediction("cone", 0.4, 0.4, [(0.0, 20.0, 0.0, 0.0)])])
+        tree = make_tree(straight_goal, straight_grid, cone, weights, params, seed=1)
+        fallbacks = _assert_branch_equals_oracle(tree, straight_net, 10.0)
+        assert len(fallbacks) >= 2 and min(fallbacks) == 1
+
+    def test_nearest_blocked_off_road(self, straight_net, straight_goal, straight_grid, empty_world, weights, params):
+        # an all-valid 5 cm grid but for the cell of the oracle's third pick
+        twin = make_tree(straight_goal, straight_grid, empty_world, weights, params)
+        picks = _recorded_inserts(twin)
+        _lane_branch_oracle(twin, straight_net, 10.0)
+        x, y, _, _ = np.frombuffer(picks[2][1])
+        res = 0.05
+        cells = np.zeros((int(12.0 / res), int(140.0 / res)))
+        cells[int((y + 4.0) / res), int((x + 10.0) / res)] = 100.0
+        grid = PenaltyGrid((-10.0, -4.0), cells, GridConfig(res))
+        tree = make_tree(straight_goal, grid, empty_world, weights, params)
+        fallbacks = _assert_branch_equals_oracle(tree, straight_net, 10.0)
+        assert len(fallbacks) >= 1 and all(0 < k < N_CANDIDATES for k in fallbacks)
+
+    def test_every_candidate_blocked(self, straight_net, straight_goal, straight_grid, weights, params):
+        wall = WorldModel([ObjectPrediction("wall", 1.5, 40.0, [(0.0, 3.75, 0.0, 0.0)])])
+        tree = make_tree(straight_goal, straight_grid, wall, weights, params)
+        assert _assert_branch_equals_oracle(tree, straight_net, 10.0) == [0]
 
 
 def _straight_prev(params, n_edges=6, start=None):
