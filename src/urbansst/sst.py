@@ -60,10 +60,6 @@ _BATCH = 64
 # faster than the xy filter of PlannerTree._nearest.
 _FULL_PASS = 8192
 
-# try_insert's default: look the nearest witness up in the table.
-_LOOK_UP = object()
-
-
 class InvalidStartError(ValueError):
     """The query's start state fails validity checking."""
 
@@ -588,15 +584,13 @@ class PlannerTree:
                         first_bad[i] = k
         return first_bad == n_sub
 
-    def try_insert(
-        self, parent: TreeNode, state: VehicleState, u: ControlInput, near=_LOOK_UP, priced=None
-    ) -> Optional[TreeNode]:
-        """Witness-gated insertion of a propagation's end state.
+    def try_insert(self, parent: TreeNode, state: VehicleState, u: ControlInput, priced=None) -> Optional[TreeNode]:
+        """Witness-gated insertion of a propagation's end state: kept only if its nearest witness
+        is absent or holds a costlier representative (SST's rule).
 
-        near is the index of the state's nearest witness if that lies
-        within d_prune, else None; by default it is looked up in the table.
-        priced is the state's (state cost, cost, norm) if the caller has them
-        (_price and norm_states give them bit for bit).
+        priced is the state's (state cost, cost, norm, near), near being the index of its nearest
+        witness if that lies within d_prune, else None, as _price, norm_states and
+        _nearest_witness give them bit for bit; without it, try_insert computes all four.
         """
         x, y, _, v = state
         # every insert makes its depth's time, which _chain_trajectory reads
@@ -607,9 +601,9 @@ class PlannerTree:
             length = math.hypot(x - x0, y - y0)
             cost = parent.cost + edge_cost(self.weights, length, parent.state_cost_w, scw, self.config.t_prop)
             norm = norm_state(state, self.config, self.params)
+            i = self._nearest_witness(norm)
         else:
-            scw, cost, norm = priced
-        i = self._nearest_witness(norm) if near is _LOOK_UP else near
+            scw, cost, norm, i = priced
         if i is not None and cost >= self._table[_COST, i]:
             return None
         node = TreeNode(state, u, parent, cost, scw)
@@ -654,14 +648,16 @@ class PlannerTree:
         redone on the current tree. Witnesses never move and appended ones
         come after the snapshot's, so an endpoint's nearest witness is the
         snapshot's (argmin takes the first minimum) unless one the batch
-        appended is strictly nearer: then try_insert looks it up in the table.
+        appended is strictly nearer: then _nearest_witness finds it in the table.
 
         Every endpoint is priced up front (_price). A witness's cost only falls
         (a replacement is strictly cheaper), so an endpoint that its snapshot
         witness dominates stays dominated unless an appended witness is
         strictly nearer; only the others (live) get stale-tracking rows and
-        distances to the endpoints at once. A dominated endpoint's witness,
-        and so any nearer one, lies within d_prune: its lookup never appends.
+        distances to the endpoints up front, which a revived endpoint or a
+        redone pick computes in the one commit tail they share with them. A
+        dominated endpoint's witness, and so any nearer one, lies within
+        d_prune: its lookup never appends.
         """
         cfg = self.config
         params = self.params
@@ -693,11 +689,7 @@ class PlannerTree:
 
         row_of = dict(zip(idx.tolist(), range(len(idx))))
         live_row = dict(zip(live.tolist(), range(len(live))))
-        ends = ends.tolist()
-        scw = scw.tolist()
-        cost = cost.tolist()
-        wit = wit.tolist()
-        wit_d = wit_d.tolist()
+        ends, scw, cost, wit, wit_d = (a.tolist() for a in (ends, scw, cost, wit, wit_d))
         stale = np.zeros(k, dtype=bool)
         # each endpoint's distance to the nearest witness the batch appended
         added = np.full(len(idx), math.inf)
@@ -705,36 +697,33 @@ class PlannerTree:
         for j in range(k):
             self.iterations_used = base + j + 1
             node = nodes[j]
+            r = priced = None
             if stale[j] or reps[pick[j]] is not node:
                 node = self.select(VehicleState(*states[j].tolist()))
                 u = ControlInput(*inputs[j].tolist())
                 end = self.propagate_checked(node, u)
                 if end is None:
                     continue
-                n_wit = len(reps)
-                new = self.try_insert(node, end, u)
-                if new is None:
+                norm = norm_state(end, cfg, params)
+            else:
+                e = row_of.get(j)
+                if e is None:
                     continue
-                norm = norm_state(new.state, cfg, params)
-                stale |= self._stale_by(norm, samples, reach)
-                if len(reps) > n_wit:
-                    np.minimum(added, state_distance(norm, ends_norm), out=added)
-                continue
-            e = row_of.get(j)
-            if e is None:
-                continue
-            moved = added[e] < wit_d[e]
-            r = live_row.get(e)
-            if r is None and not moved:
-                continue
-            near = _LOOK_UP if moved else (wit[e] if wit_d[e] <= cfg.d_prune else None)
+                moved = added[e] < wit_d[e]
+                r = live_row.get(e)
+                if r is None and not moved:
+                    continue
+                norm = ends_norm[:, e]
+                near = self._nearest_witness(norm) if moved else (wit[e] if wit_d[e] <= cfg.d_prune else None)
+                priced = (scw[e], cost[e], norm, near)
+                end = VehicleState(*ends[e])
+                u = ControlInput(*inputs[j].tolist())
             n_wit = len(reps)
-            u = ControlInput(*inputs[j].tolist())
-            if self.try_insert(node, VehicleState(*ends[e]), u, near, (scw[e], cost[e], ends_norm[:, e])) is None:
+            if self.try_insert(node, end, u, priced) is None:
                 continue
-            stale |= self._stale_by(ends_norm[:, e], samples, reach) if r is None else hits[r]
+            stale |= self._stale_by(norm, samples, reach) if r is None else hits[r]
             if len(reps) > n_wit:
-                np.minimum(added, to_ends[r], out=added)
+                np.minimum(added, state_distance(norm, ends_norm) if r is None else to_ends[r], out=added)
 
     def run(self) -> PlanResult:
         """Exhaust the remaining budget; seeding work done beforehand counts

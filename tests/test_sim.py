@@ -5,6 +5,7 @@ import math
 from dataclasses import asdict, replace
 from typing import Optional
 
+import numpy as np
 import pytest
 
 from urbansst import sim
@@ -27,7 +28,7 @@ from urbansst.sim import (
     simlog_to_dict,
 )
 from urbansst.sst import PlanResult
-from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState
+from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState, substep_count
 
 from conftest import SCENARIO_DIR
 
@@ -400,6 +401,31 @@ class TestClosedLoop:
         a = run_closed_loop(sc, "base", seed=0, budget=("iters", 200))
         b = run_closed_loop(sc, "base", seed=1, budget=("iters", 200))
         assert simlog_to_csv(a) != simlog_to_csv(b)
+
+    @pytest.mark.parametrize(
+        "name, mode",
+        [
+            ("scenario_ii_static_overtake.json", "base"),
+            ("scenario_iii_roundabout.json", "dki"),
+            ("scenario_iv_vru_steering.json", "dki"),
+        ],
+    )
+    def test_executed_states_are_planned_states(self, name, mode):
+        # the rollout integrates each edge's input with the planner's steps, so
+        # after d edges it is at the plan's depth-d state; the times may differ
+        # by a few ulps (chained sums), so they are not compared
+        sc = replace(load_scenario(SCENARIO_DIR / name), duration=6.0)
+        log = run_closed_loop(sc, mode, seed=0, budget=("iters", 2000))
+        n_sub = substep_count(sc.planner.t_prop, sc.planner.t_step)
+        pairs = [
+            (tick.exec_states[d * n_sub - 1].state, tick.planned.samples[d].state)
+            for tick in log.ticks
+            if tick.solved
+            for d in range(1, min(len(tick.planned.samples), len(tick.exec_states) // n_sub + 1))
+        ]
+        # one pair per solved tick: a tick runs one whole edge of its plan
+        assert len(pairs) == sum(tick.solved for tick in log.ticks) >= 9
+        assert [np.array(e).tobytes() for e, _ in pairs] == [np.array(p).tobytes() for _, p in pairs]
 
     def test_csv_shape(self):
         sc = load_scenario(SCENARIO_DIR / "scenario_i_straight_road.json")

@@ -16,7 +16,6 @@ from urbansst.objects import ObjectPrediction, WorldModel
 from urbansst.road import GoalConfig, GridConfig, PenaltyGrid, compute_goal_region
 from urbansst.sst import (
     _FULL_PASS,
-    _LOOK_UP,
     InvalidStartError,
     PlannerConfig,
     PlannerTree,
@@ -644,7 +643,9 @@ def _price_tree(straight_net, params, start_time, with_objects, term):
 def _assert_prices_equal(tree, parents, ends):
     """_price gives try_insert's state cost and cost, row by row, as bytes."""
     scw, cost = tree._price(parents, np.array(ends))
-    nodes = [tree.try_insert(p, VehicleState(*e), ControlInput(0.0, 0.0), None) for p, e in zip(parents, ends)]
+    # every state founds a witness, so none is dominated
+    tree._nearest_witness = lambda norm: None
+    nodes = [tree.try_insert(p, VehicleState(*e), ControlInput(0.0, 0.0)) for p, e in zip(parents, ends)]
     assert scw.tobytes() == np.array([node.state_cost_w for node in nodes]).tobytes()
     assert cost.tobytes() == np.array([node.cost for node in nodes]).tobytes()
 
@@ -701,6 +702,37 @@ class TestBatchPrices:
         ]
         assert {p.depth for p in parents} == set(range(20))
         _assert_prices_equal(tree, parents, ends.tolist())
+
+    @pytest.mark.parametrize("case", ["founds", "replaces", "dominated"])
+    def test_priced_equals_computed(self, straight_net, params, case):
+        # 0.5 m ahead of the root the state is within d_prune of the root's
+        # witness, whose representative costs 0; 5 m ahead it is within
+        # d_prune of no witness, unless one is placed 0.2 m from it with a
+        # costlier representative
+        ahead = 0.5 if case == "dominated" else 5.0
+        end = VehicleState(1.0 + ahead, 0.2, 0.1, 5.3)
+        u = ControlInput(0.5, 0.1)
+        trees = [_price_tree(straight_net, params, 0.3, True, None) for _ in range(2)]
+        if case == "replaces":
+            rep = VehicleState(6.0, 0.0, 0.1, 5.3)
+            for tree in trees:
+                tree._add_witness(TreeNode(rep, u, tree.root, 1e6, 0.0), norm_state(rep, tree.config, params))
+        computed, priced = trees
+        scw, cost = (a.tolist() for a in priced._price([priced.root], np.array([end])))
+        norm = norm_states(np.array([end]), priced.config, params)[:, 0]
+        near = priced._nearest_witness(norm)
+        n_wit = computed.n_witnesses
+        nodes = [computed.try_insert(computed.root, end, u), priced.try_insert(priced.root, end, u, (*scw, *cost, norm, near))]
+        if case == "dominated":
+            assert nodes == [None, None]
+        else:
+            assert all(node.parent is tree.root for node, tree in zip(nodes, trees))
+            a, b = ((n.state, n.depth, n.input, np.array([n.cost, n.state_cost_w]).tobytes()) for n in nodes)
+            assert a == b
+        for tree in trees:
+            assert tree.n_witnesses == n_wit + (case == "founds")
+        assert computed._table[:, : computed.n_witnesses].tobytes() == priced._table[:, : priced.n_witnesses].tobytes()
+        assert [r.cost for r in computed._reps] == [r.cost for r in priced._reps]
 
 
 def _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget, seed=0):
@@ -889,7 +921,7 @@ class TestPlan:
         for depth in range(1, 6):
             s = node.state
             end = VehicleState(s.x + 2.0, s.y, s.theta, s.v)
-            node = tree.try_insert(node, end, u, None, (0.0, float(depth), norm_state(end, tree.config, params)))
+            node = tree.try_insert(node, end, u, (0.0, float(depth), norm_state(end, tree.config, params), None))
             assert node.depth == depth and len(tree._times) == depth + 1
         tree._record_solution(node)
         assert [sample.t for sample in tree.best_trajectory.samples] == [_chained_time(tree, d) for d in range(6)]
@@ -983,6 +1015,8 @@ class TestBatchedLoop:
             ("scenario_ii_static_overtake.json", VehicleState(22.0, 0.0, 0.0, 5.0), 0.0),
             ("scenario_iii_roundabout.json", None, 0.0),
             ("scenario_iv_vru_steering.json", VehicleState(47.0, 0.0, 0.0, 5.0), 6.0),
+            ("scenario_i_straight_road.json", None, 0.0),
+            ("scenario_v_vru_braking.json", VehicleState(18.0, 0.0, 0.0, 5.0), 2.0),
         ],
     )
     def test_equals_sequential_loop(self, monkeypatch, name, ego, t, mode, d_near):
@@ -994,13 +1028,17 @@ class TestBatchedLoop:
         select = PlannerTree.select
         nearest = PlannerTree._nearest
         stale_by = PlannerTree._stale_by
+        run_batch = PlannerTree._run_batch
         try_insert = PlannerTree.try_insert
+        nearest_witness = PlannerTree._nearest_witness
         selects = Counter()
         filtered = Counter()
         revived = Counter()
         looked_up = Counter()
         # the iteration of the last select call
         selected = [None]
+        # the calls in progress, innermost last: "batch" or "insert"
+        calls = []
 
         def counted_select(tree, x_rand):
             selects[len(trees)] += 1
@@ -1018,11 +1056,20 @@ class TestBatchedLoop:
             revived[len(trees)] += np.ndim(norm) == 1 and trees[-1].iterations_used != selected[0]
             return stale_by(norm, samples, reach)
 
-        def counted_try_insert(tree, parent, state, u, near=_LOOK_UP, priced=None):
+        def within(name, f):
+            def called(*args):
+                calls.append(name)
+                try:
+                    return f(*args)
+                finally:
+                    calls.pop()
+            return called
+
+        def counted_nearest_witness(tree, norm):
             # a kernel endpoint that a witness the batch appended is nearer to
             # than its snapshot witness: the table gives its witness
-            looked_up[len(trees)] += priced is not None and near is _LOOK_UP
-            return try_insert(tree, parent, state, u, near, priced)
+            looked_up[len(trees)] += calls[-1:] == ["batch"]
+            return nearest_witness(tree, norm)
 
         def grow(tree):
             trees.append(tree)
@@ -1034,7 +1081,9 @@ class TestBatchedLoop:
         monkeypatch.setattr(PlannerTree, "select", counted_select)
         monkeypatch.setattr(PlannerTree, "_nearest", staticmethod(counted_nearest))
         monkeypatch.setattr(PlannerTree, "_stale_by", staticmethod(counted_stale_by))
-        monkeypatch.setattr(PlannerTree, "try_insert", counted_try_insert)
+        monkeypatch.setattr(PlannerTree, "_run_batch", within("batch", run_batch))
+        monkeypatch.setattr(PlannerTree, "try_insert", within("insert", try_insert))
+        monkeypatch.setattr(PlannerTree, "_nearest_witness", counted_nearest_witness)
         # a budget that is not a multiple of the batch size; dki seeding
         # spends up to 1 400 of it
         batched, sequential = (
@@ -1053,11 +1102,21 @@ class TestBatchedLoop:
         # the batched loop redid some of its picks through the scalar path
         assert selects[1] > 0
         # and ranked past the one-pass limit through the xy filter, except on
-        # III/dki, whose witness table stays small
-        assert filtered[1] > 0 or (name, mode) == ("scenario_iii_roundabout.json", "dki")
-        # and, on II and IV/dki, committed an endpoint that its snapshot
-        # witness dominated
-        if name.startswith("scenario_ii_") or (name, mode) == ("scenario_iv_vru_steering.json", "dki"):
+        # III/dki, I/dki and V, whose witness tables stay small
+        assert filtered[1] > 0 or (name, mode) in {
+            ("scenario_iii_roundabout.json", "dki"), ("scenario_i_straight_road.json", "dki"),
+            ("scenario_v_vru_braking.json", "base"), ("scenario_v_vru_braking.json", "dki"),
+        }
+        # and, on II, IV/dki, I/base, V/base and I/dki at d_near 1.0,
+        # committed an endpoint that its snapshot witness dominated
+        if (
+            name.startswith("scenario_ii_")
+            or (name, mode) in {
+                ("scenario_iv_vru_steering.json", "dki"), ("scenario_i_straight_road.json", "base"),
+                ("scenario_v_vru_braking.json", "base"),
+            }
+            or (name, mode, d_near) == ("scenario_i_straight_road.json", "dki", 1.0)
+        ):
             assert revived[1] > 0
         # and looked an endpoint's witness up in the table
         assert looked_up[1] > 0
