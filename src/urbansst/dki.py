@@ -40,10 +40,11 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, s_root: float) -> int:
     The tip's route arc length is tracked with RoutePath.advance from s_root,
     the root's. Each extension draws N_CANDIDATES inputs, integrates them from
     the tip and keeps the fully-valid propagation whose endpoint is closest to
-    the lane-center point D_LOOKAHEAD ahead of the tip: propagate_checked
-    validates the nearest one, and only if it fails does one valid_rows pass
-    rank the valid rest. The branch stops at the goal, when no valid
-    candidate exists, or once the branch strays D_BRANCH_MAX from the root.
+    the lane-center point D_LOOKAHEAD ahead of the tip: valid_end checks the
+    nearest one's integrated substates, which are propagate_checked's bit for
+    bit, and only if it fails does one valid_rows pass rank the valid rest.
+    The branch stops at the goal, when no valid candidate exists, or once the
+    branch strays D_BRANCH_MAX from the root.
     """
     rng = tree.rng
     route = net.route_path
@@ -73,20 +74,19 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, s_root: float) -> int:
         target = route.point_at(s_tip + d_target)
         tree.iterations_used += N_CANDIDATES
         a, delta = sample_inputs(tree.config, rng, tree.params, N_CANDIDATES)
-        X, Y, TH, V = tree.integrate(np.broadcast_to(tip.state, (N_CANDIDATES, 4)), a, delta)
+        paths = tree.integrate(np.broadcast_to(tip.state, (N_CANDIDATES, 4)), a, delta)
         # math.hypot, not np.hypot, whose last bit differs; the first minimum wins
-        dists = [math.hypot(x - target.x, y - target.y) for x, y in zip(X[:, -1].tolist(), Y[:, -1].tolist())]
+        dists = [math.hypot(x - target.x, y - target.y) for x, y in zip(*paths[:2, :, -1].tolist())]
         i = dists.index(min(dists))
-        best_u = ControlInput(float(a[i]), float(delta[i]))
-        best_end = tree.propagate_checked(tip, best_u)
+        best_end = tree.valid_end(tip.depth, zip(*paths[:, i, 1:].tolist()))
         if best_end is None:
-            # rank the valid rows instead; a row's end is propagate_checked's, bit for bit
-            ok = tree.valid_rows([tip.depth] * N_CANDIDATES, X, Y, TH).tolist()
+            # rank the valid rows instead
+            ok = tree.valid_rows([tip.depth] * N_CANDIDATES, *paths[:3])[0].tolist()
             if not any(ok):
                 break
             i = min((d, j) for j, d in enumerate(dists) if ok[j])[1]
-            best_u = ControlInput(float(a[i]), float(delta[i]))
-            best_end = VehicleState(*(float(M[i, -1]) for M in (X, Y, TH, V)))
+            best_end = VehicleState(*paths[:, i, -1].tolist())
+        best_u = ControlInput(float(a[i]), float(delta[i]))
         node = tree.try_insert(tip, best_end, best_u)
         if node is None:
             # The corridor is already held by a cheaper node (typically the

@@ -304,6 +304,9 @@ class GoalConfig:
         for name in ("distance", "threshold", "lateral_band"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        # compute_goal_region divides by the length of the window's tangents, about 0 in a far narrower one
+        if self.threshold < 1e-3:
+            raise ValueError(f"threshold must be at least 0.001 m, got {self.threshold!r}")
 
 
 class GoalRegion:

@@ -102,6 +102,10 @@ _SIM_FIELDS = ("duration", "replan_rate")
 _MAX_GRID_CELLS = 4_000_000
 # PlannerConfig fields that each query sets, never a scenario file.
 _PER_QUERY = ("x_bounds", "y_bounds")
+# The largest |x| and |y| (m) of a position that a scenario gives: the ego
+# start, the lane centerline points and the object poses. No difference or
+# square of such coordinates overflows; the shipped ones stay within 200 m.
+_MAX_COORD = 1e6
 
 
 def _known(sec: dict, keys, prefix: str = "") -> None:
@@ -138,6 +142,13 @@ def _read(value, kind, where: str):
         expected = {float: "a finite number", int: "an integer", str: "a string", dict: "an object"}[origin]
         raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
     return float(value) if origin is float else value
+
+
+def _coordinates(values, where: str) -> None:
+    """Reject a coordinate of values past _MAX_COORD, naming where."""
+    for c in values:
+        if not abs(c) <= _MAX_COORD:
+            raise ScenarioError(f"{where}: a coordinate must lie within {_MAX_COORD:g} m of 0, got {c!r}")
 
 
 def _section(data: dict, key: str, prefix: str = "", keys=None) -> dict:
@@ -184,12 +195,17 @@ def scenario_from_dict(data: dict) -> Scenario:
             _config(f"road.lanes[{i}]", Lane, ld)
             for i, ld in enumerate(_read(road_sec.get("lanes", []), list[dict], "road.lanes"))
         ]
+        for i, lane in enumerate(lanes):
+            for j, p in enumerate(lane.centerline):
+                _coordinates(p, f"road.lanes[{i}].centerline[{j}]")
         route = _read(road_sec.get("route", []), list[str], "road.route")
         road = _build("road", RoadNetwork, lanes=lanes, route=route)
 
         ego = _section(data, "ego", keys=("state", "params"))
         st = _section(ego, "state", "ego.", VehicleState._fields)
         ego_state = VehicleState(*(_read(st.get(k, 0.0), float, f"ego.state.{k}") for k in VehicleState._fields))
+        for k in ("x", "y"):
+            _coordinates([getattr(ego_state, k)], f"ego.state.{k}")
         ego_params = _config("ego.params", VehicleParams, _section(ego, "params", "ego."))
 
         objects = []
@@ -205,6 +221,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             length = _read(fp.get("length", fl), float, f"{where}.footprint.length")
             width = _read(fp.get("width", fw), float, f"{where}.footprint.width")
             poses = _read(od.get("poses", []), list[tuple[float, float, float, float]], f"{where}.poses")
+            for j, pose in enumerate(poses):
+                _coordinates(pose[1:3], f"{where}.poses[{j}]")
             objects.append(_build(
                 where, ObjectPrediction, obj_id=oid, length=length, width=width, poses=poses,
                 field=_config(f"{where}.field", FieldParams, _section(od, "field", f"{where}.")),

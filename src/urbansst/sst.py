@@ -15,15 +15,18 @@ passes rank exactly only the table columns that an xy lower bound, one
 matrix product, cannot rule out. Every edge takes n_sub substeps, so a node's
 time is its depth's: the object poses at the substep times of a propagation
 from depth d are row d of one pose table, gathered by the kernel as one array.
-The scalar path integrates with vehicle.step and checks each substate with
-_valid, the one validity predicate. The kernel, propagate_batch, gives its
-results bit for bit from two passes over all candidates and substeps:
-integrate (speeds and positions as running sums, the heading with its wrap)
-and valid_rows (bounds and grid cells, then object checks up to each
-candidate's first failing substep); the lane branch calls them apart. The
-batch's endpoints are then priced in one array pass (_price) with try_insert's
-bits, so that an endpoint its snapshot witness dominates is dropped after
-one compare, before any state, input or stale-tracking row is built for it.
+The scalar path integrates with vehicle.substeps and checks the substates
+with one per-tree closure over a path (_validator), the one validity rule,
+which the start check and the lane branch's pick apply too. The kernel,
+propagate_batch, gives its results bit for bit from two passes over all
+candidates and substeps: integrate (speeds and positions as running sums, the
+heading with its wrap) and valid_rows (bounds and grid cells, then object
+checks up to each candidate's first failing substep); the lane branch calls
+them apart. The batch's endpoints are then priced in one array pass (_price)
+with try_insert's bits, from the grid penalties that valid_rows looked up, so
+that an endpoint its snapshot witness dominates is dropped after one compare,
+before any state, input or stale-tracking row is built for it. A batch in
+which every endpoint is so dropped commits nothing and ends there.
 
 The state-space metric is Euclidean over components normalized by the
 sampling-bound extents (wrap-aware in heading), so that the unitless
@@ -44,7 +47,7 @@ from .cost import CostWeights, edge_cost, state_cost
 from .objects import WorldModel, WorldPoser, clearance_cost, object_hit
 from .road import GoalRegion, PenaltyGrid
 from .vehicle import (
-    ControlInput, TimedState, Trajectory, VehicleParams, VehicleState, normalize_angle, step, substep_count,
+    ControlInput, TimedState, Trajectory, VehicleParams, VehicleState, normalize_angle, substep_count, substeps,
 )
 
 
@@ -95,8 +98,9 @@ class PlannerConfig:
             raise ValueError("d_prune must not exceed d_near")
         if self.sigma_a <= 0.0 or self.sigma_delta <= 0.0:
             raise ValueError("input sampling sigmas must be positive")
-        if self.metric_xy_scale <= 0.0:
-            raise ValueError("metric_xy_scale must be positive")
+        # the planner metric divides positions by it; below a millimetre their squares can overflow
+        if not self.metric_xy_scale >= 1e-3:
+            raise ValueError(f"metric_xy_scale must be at least 0.001 m, got {self.metric_xy_scale!r}")
         substep_count(self.t_prop, self.t_step)
 
     def with_bounds(self, x_bounds, y_bounds) -> "PlannerConfig":
@@ -265,18 +269,33 @@ def sample_inputs(config: PlannerConfig, rng: np.random.Generator, params: Vehic
     return a[kept], d[kept]
 
 
-def _valid(s: VehicleState, grid: PenaltyGrid, poses, config: PlannerConfig, params: VehicleParams) -> bool:
-    """The validity rule: s lies in the sampling bounds and the vehicle's
-    speed range, on a grid cell below p_invalid, and overlaps no object
-    posed as in poses (one WorldPoser.at entry)."""
-    x, y, theta, v = s
-    return (
-        config.x_bounds[0] <= x <= config.x_bounds[1]
-        and config.y_bounds[0] <= y <= config.y_bounds[1]
-        and params.v_bounds[0] - 1e-9 <= v <= params.v_bounds[1] + 1e-9
-        and grid.lookup(x, y) < grid.p_invalid
-        and object_hit(x, y, theta, params.length, params.width, poses) is None
-    )
+def _validator(grid: PenaltyGrid, config: PlannerConfig, params: VehicleParams):
+    """The validity rule, with its bounds read once, as a function valid_end(path, poses_row).
+
+    A state is valid if it lies in the sampling bounds and the vehicle's speed
+    range, on a grid cell below p_invalid, and overlaps no object posed as in
+    its entry of poses_row (WorldPoser.at entries, one per state of path).
+    valid_end returns path's last state if every state is valid, else None;
+    it reads path, which may be an iterator, only up to the first invalid state.
+    """
+    (x_lo, x_hi), (y_lo, y_hi) = config.x_bounds, config.y_bounds
+    v_lo, v_hi = params.v_bounds[0] - 1e-9, params.v_bounds[1] + 1e-9
+    lookup, p_invalid = grid.lookup, grid.p_invalid
+    length, width = params.length, params.width
+
+    def valid_end(path, poses_row):
+        s = None
+        for s, poses in zip(path, poses_row):
+            x, y, theta, v = s
+            # object_hit finds nothing among no objects
+            if not (
+                x_lo <= x <= x_hi and y_lo <= y <= y_hi and v_lo <= v <= v_hi and lookup(x, y) < p_invalid
+                and (not poses or object_hit(x, y, theta, length, width, poses) is None)
+            ):
+                return None
+        return s
+
+    return valid_end
 
 
 class TreeNode:
@@ -353,6 +372,7 @@ class PlannerTree:
         self._times = [start_time]
         self._pose_rows: list = []
         self._xyr = np.empty((16, self._n_sub, len(world.objects), 3))
+        self._valid_path = _validator(grid, config, params)
 
         # Column i: witness i's norm, its representative's norm and cost
         # (rows _WIT, _REP, _COST); self._reps[i] is the representative.
@@ -360,7 +380,7 @@ class PlannerTree:
         self._reps: list = []
 
         poses = self._poser.at(start_time)
-        if not _valid(start, grid, poses, config, params):
+        if self._valid_path((start,), (poses,)) is None:
             raise InvalidStartError("start state is invalid")
         scw = self._state_cost_w(start.x, start.y, start.v, poses)
         self.root = TreeNode(start, None, None, 0.0, scw)
@@ -451,10 +471,12 @@ class PlannerTree:
         clearance = clearance_cost(x, y, poses) if self.world.objects else 0.0
         return state_cost(self.weights, v, self.grid.lookup(x, y), clearance)
 
-    def _price(self, parents: list, ends: np.ndarray):
+    def _price(self, parents: list, ends: np.ndarray, penalties: np.ndarray):
         """try_insert's state costs and costs of the end states ends[i] (rows x, y, theta, v)
         from parents[i] as two arrays, bit for bit: math.exp (clearance_cost) and math.hypot
-        run per row, as there, and state_cost and edge_cost over whole arrays."""
+        run per row, as there, and state_cost and edge_cost over whole arrays. Row i of
+        penalties holds the grid penalties of the substates that end in ends[i], as
+        valid_rows looked them up; the last column is the endpoints'."""
         t_prop = self.config.t_prop
         x, y, _, v = ends.T
         xy = list(zip(parents, x.tolist(), y.tolist()))
@@ -462,7 +484,7 @@ class PlannerTree:
         if self.world.objects:
             row = self._pose_row
             clearance = np.array([clearance_cost(xe, ye, row(p.depth)[-1]) for p, xe, ye in xy])
-        scw = state_cost(self.weights, v, self.grid.lookups(x, y), clearance)
+        scw = state_cost(self.weights, v, penalties[:, -1], clearance)
         length = np.array([math.hypot(xe - p.state.x, ye - p.state.y) for p, xe, ye in xy])
         c0, g0 = _rows([(p.state_cost_w, p.cost) for p in parents], 2).T
         return scw, g0 + edge_cost(self.weights, length, c0, scw, t_prop)
@@ -490,71 +512,77 @@ class PlannerTree:
             rows.append(row)
         return rows[d]
 
-    def propagate_checked(self, node: TreeNode, u: ControlInput):
-        """Propagate a constant input from a node, validating every substate.
+    def valid_end(self, depth: int, path) -> Optional[VehicleState]:
+        """The end state of path, the substates of a propagation from depth, or None
+        if any substate is invalid at its own absolute timestamp."""
+        end = self._valid_path(path, self._pose_row(depth))
+        return None if end is None else VehicleState(*end)
 
-        Returns the end state or None if any substate is invalid at its own
-        absolute timestamp.
-        """
-        cfg = self.config
-        s = node.state
-        for poses in self._pose_row(node.depth):
-            s = step(s, u, cfg.t_step, self.params)
-            if not _valid(s, self.grid, poses, cfg, self.params):
-                return None
-        return s
+    def propagate_checked(self, node: TreeNode, u: ControlInput) -> Optional[VehicleState]:
+        """Propagate a constant input from a node, validating every substate: valid_end of vehicle.substeps."""
+        return self.valid_end(node.depth, substeps(node.state, u, self.config.t_step, self._n_sub, self.params))
 
     def propagate_batch(self, nodes: list, a: np.ndarray, delta: np.ndarray):
         """propagate_checked for the inputs (a[i], delta[i]) from nodes[i], at once.
 
         Returns the indices of the candidates whose every substate is valid,
-        in candidate order, and their end states as rows (x, y, theta, v) of
-        a float array; each row is bit for bit what propagate_checked returns.
+        in candidate order, their end states as rows (x, y, theta, v) of a
+        float array, each bit for bit what propagate_checked returns, and
+        valid_rows's grid penalties of their substates, one row each.
         """
-        X, Y, TH, V = self.integrate(_rows([node.state for node in nodes], 4), a, delta)
-        idx = self.valid_rows([node.depth for node in nodes], X, Y, TH).nonzero()[0]
-        return idx, np.column_stack((X[:, -1], Y[:, -1], TH[:, -1], V[:, -1]))[idx]
+        paths = self.integrate(_rows([node.state for node in nodes], 4), a, delta)
+        ok, penalties = self.valid_rows([node.depth for node in nodes], *paths[:3])
+        idx = ok.nonzero()[0]
+        return idx, paths[:, idx, -1].T, penalties[idx]
 
-    def integrate(self, starts: np.ndarray, a: np.ndarray, delta: np.ndarray):
-        """vehicle.step's substates for the inputs (a[i], delta[i]) from the rows (x, y, theta, v)
-        of starts, which may be a read-only broadcast, as arrays X, Y, TH and V.
+    def integrate(self, starts: np.ndarray, a: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """vehicle.substeps's states for the inputs (a[i], delta[i]) from the rows (x, y, theta, v)
+        of starts, which may be a read-only broadcast, as one (4, n, n_sub + 1) array X, Y, TH, V.
 
-        Column k holds the state after k substeps, bit for bit what vehicle.step gives:
+        Column k holds the state after k substeps, bit for bit what vehicle.substeps gives:
         - V: step 1, clamp included, brings a start up to 1e-9 past v_bounds
           into range. The running sums of [v1, dv, dv, ...] (np.add.accumulate
-          adds in order, as vehicle.step does) are monotone: once one crosses
+          adds in order, as vehicle.substeps does) are monotone: once one crosses
           a bound, every later one does, so clipping gives the per-step clamps.
         - TH: wraps at each substep, by exact fmod steps to math.remainder's
           value. The wrap is the identity on (-pi, pi], so after step 1 the
           running sums of the increments are the headings if all stay in it;
           else a loop wraps substep by substep.
-        - X, Y: running sums of tv*cos(th) and tv*sin(th) from x0 and y0; np.sin
-          and np.cos give math's results, np.tan does not, so the tangent
-          comes from math once per candidate.
+        - X, Y: running sums of tv*cos(th) and tv*sin(th) from x0 and y0,
+          both accumulated in one call; np.sin and np.cos give math's results,
+          np.tan does not, so the tangent comes from math once per candidate.
+        np.clip keeps the sign of a zero speed, which np.minimum and np.maximum
+        do not.
         """
         p = self.params
         ts = self.config.t_step
         n_sub = self._n_sub
-        x0, y0, th0, v0 = starts.T
         tan_d = np.array([math.tan(d) for d in delta.tolist()])
         dv = ts * a
-        V = np.column_stack((v0, np.clip(v0 + dv, *p.v_bounds), np.repeat(dv[:, None], n_sub - 1, axis=1)))
+        out = np.empty((4, len(dv), n_sub + 1))
+        out[..., 0] = starts.T
+        X, Y, TH, V = out
+        np.clip(V[:, 0] + dv, *p.v_bounds, out=V[:, 1])
+        V[:, 2:] = dv[:, None]
         np.add.accumulate(V[:, 1:], axis=1, out=V[:, 1:])
         np.clip(V[:, 2:], *p.v_bounds, out=V[:, 2:])
         inc = ts * (V[:, :-1] / p.wheelbase) * tan_d[:, None]
-        TH = np.column_stack((th0, normalize_angles(th0 + inc[:, 0]), inc[:, 1:]))
+        TH[:, 1] = normalize_angles(TH[:, 0] + inc[:, 0])
+        TH[:, 2:] = inc[:, 1:]
         np.add.accumulate(TH[:, 1:], axis=1, out=TH[:, 1:])
         if not ((TH[:, 2:] > -math.pi) & (TH[:, 2:] <= math.pi)).all():
             for k in range(1, n_sub):
                 TH[:, k + 1] = normalize_angles(TH[:, k] + inc[:, k])
-        tv = ts * V[:, :-1]
-        X = np.add.accumulate(np.column_stack((x0, tv * np.cos(TH[:, :-1]))), axis=1)
-        Y = np.add.accumulate(np.column_stack((y0, tv * np.sin(TH[:, :-1]))), axis=1)
-        return X, Y, TH, V
+        np.cos(TH[:, :-1], out=X[:, 1:])
+        np.sin(TH[:, :-1], out=Y[:, 1:])
+        out[:2, :, 1:] *= ts * V[:, :-1]
+        np.add.accumulate(out[:2], axis=2, out=out[:2])
+        return out
 
-    def valid_rows(self, depths: list, X: np.ndarray, Y: np.ndarray, TH: np.ndarray) -> np.ndarray:
+    def valid_rows(self, depths: list, X: np.ndarray, Y: np.ndarray, TH: np.ndarray):
         """Whether each row of integrate's substates, propagated from depths[i], is valid
-        at every substep: one bool per row, propagate_checked's verdict.
+        at every substep: one bool per row, propagate_checked's verdict; and the
+        (n, n_sub) grid penalties of the substates after the start, which _price reads.
 
         One (n, n_sub) pass checks the sampling bounds and the grid cells;
         first_bad[i] is row i's first failing substep, n_sub if none.
@@ -568,7 +596,8 @@ class PlannerTree:
         xs, ys = X[:, 1:], Y[:, 1:]
         (x_lo, x_hi), (y_lo, y_hi) = cfg.x_bounds, cfg.y_bounds
         ok = (xs >= x_lo) & (xs <= x_hi) & (ys >= y_lo) & (ys <= y_hi)
-        ok &= self.grid.lookups(xs, ys) < self.grid.p_invalid
+        penalties = self.grid.lookups(xs, ys)
+        ok &= penalties < self.grid.p_invalid
         first_bad = np.where(ok.all(axis=1), n_sub, ok.argmin(axis=1))
         if self.world.objects:
             self._pose_row(max(depths))
@@ -582,7 +611,7 @@ class PlannerTree:
                     pose = float(xs[i, k]), float(ys[i, k]), float(TH[i, k + 1])
                     if object_hit(*pose, p.length, p.width, self._pose_rows[depths[i]][k]) is not None:
                         first_bad[i] = k
-        return first_bad == n_sub
+        return first_bad == n_sub, penalties
 
     def try_insert(self, parent: TreeNode, state: VehicleState, u: ControlInput, priced=None) -> Optional[TreeNode]:
         """Witness-gated insertion of a propagation's end state: kept only if its nearest witness
@@ -657,7 +686,8 @@ class PlannerTree:
         distances to the endpoints up front, which a revived endpoint or a
         redone pick computes in the one commit tail they share with them. A
         dominated endpoint's witness, and so any nearer one, lies within
-        d_prune: its lookup never appends.
+        d_prune: its lookup never appends. Without a live endpoint nothing
+        commits, no pick goes stale and none is revived, so the batch ends.
         """
         cfg = self.config
         params = self.params
@@ -676,12 +706,16 @@ class PlannerTree:
         pick = pick.tolist()
         nodes = [reps[i] for i in pick]
 
-        idx, ends = self.propagate_batch(nodes, *inputs.T)
-        scw, cost = self._price([nodes[j] for j in idx.tolist()], ends)
+        idx, ends, penalties = self.propagate_batch(nodes, *inputs.T)
+        scw, cost = self._price([nodes[j] for j in idx.tolist()], ends, penalties)
         ends_norm = norm_states(ends, cfg, params)
         wit, wit_d = self._nearest(table[_WIT], ends_norm)
         # the endpoints that their snapshot witness does not dominate
         live = ((wit_d > cfg.d_prune) | (cost < table[_COST, wit])).nonzero()[0]
+        if not len(live):
+            # nothing commits, so no pick goes stale and no endpoint is revived
+            self.iterations_used += k
+            return
         # row r: the samples that endpoint live[r], made a representative,
         # would make stale, and its distance to every endpoint as a witness
         hits = self._stale_by(ends_norm[:, live, None], samples[:, None, :], reach)

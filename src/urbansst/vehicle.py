@@ -60,25 +60,37 @@ class Trajectory:
     samples: list = field(default_factory=list)
 
 
-def step(s: VehicleState, u: ControlInput, ts: float, p: VehicleParams) -> VehicleState:
-    """One Euler step of the bicycle model.
+def substeps(s, u, ts: float, n: int, p: VehicleParams):
+    """The states after each of n Euler steps of the bicycle model from s under
+    the constant input u, as plain (x, y, theta, v) tuples.
 
-    Speed is clamped to the vehicle bounds after the update and heading is
-    re-normalized; sampled accelerations may otherwise push v out of range
-    mid-propagation.
+    Position and heading advance with the speed before the step. The speed is
+    clamped to the vehicle bounds after the update, since sampled accelerations
+    may otherwise push it out of range mid-propagation, and the heading is
+    re-normalized. tan(delta), the wheelbase and the bounds are read once.
     """
-    x, y, theta, v0 = s
+    x, y, theta, v = s
     a, delta = u
-    x += ts * v0 * math.cos(theta)
-    y += ts * v0 * math.sin(theta)
-    theta = normalize_angle(theta + ts * (v0 / p.wheelbase) * math.tan(delta))
-    v = v0 + ts * a
+    tan_d = math.tan(delta)
+    wheelbase = p.wheelbase
     v_min, v_max = p.v_bounds
-    if v < v_min:
-        v = v_min
-    elif v > v_max:
-        v = v_max
-    return VehicleState(x, y, theta, v)
+    dv = ts * a
+    for _ in range(n):
+        tv = ts * v
+        x += tv * math.cos(theta)
+        y += tv * math.sin(theta)
+        theta = normalize_angle(theta + ts * (v / wheelbase) * tan_d)
+        v += dv
+        if v < v_min:
+            v = v_min
+        elif v > v_max:
+            v = v_max
+        yield x, y, theta, v
+
+
+def step(s: VehicleState, u: ControlInput, ts: float, p: VehicleParams) -> VehicleState:
+    """One Euler step of the bicycle model (substeps)."""
+    return VehicleState(*next(substeps(s, u, ts, 1, p)))
 
 
 # Integration steps one propagation may take; the shipped scenarios take 10.
@@ -100,10 +112,4 @@ def substep_count(tp: float, ts: float) -> int:
 
 def propagate(s: VehicleState, u: ControlInput, tp: float, ts: float, p: VehicleParams) -> list:
     """Apply a constant control for tp seconds; returns the tp/ts intermediate states."""
-    n = substep_count(tp, ts)
-    out = []
-    cur = s
-    for _ in range(n):
-        cur = step(cur, u, ts, p)
-        out.append(cur)
-    return out
+    return [VehicleState(*q) for q in substeps(s, u, ts, substep_count(tp, ts), p)]

@@ -86,7 +86,8 @@ def wrap_dist(a, b):
 
 def is_state_valid(s, t, grid, world, config, params):
     """The planner's validity rule for s at time t, over a fresh WorldPoser."""
-    return sst._valid(s, grid, WorldPoser(world, params.length, params.width).at(t), config, params)
+    poses = WorldPoser(world, params.length, params.width).at(t)
+    return sst._validator(grid, config, params)((s,), (poses,)) is not None
 
 
 def make_planner_config(budget=2000, **kw):

@@ -3,8 +3,9 @@
 Run from anywhere:  python tests/mutants.py
 
 For each mutant, the script copies src/ into a temporary directory, applies
-one edit and runs pytest on tests/test_sst.py, tests/test_golden.py and
-tests/test_golden_plan.py with the copy first on the import path. The edit's
+one edit and runs pytest on tests/test_sst.py, tests/test_dki.py,
+tests/test_golden.py and tests/test_golden_plan.py with the copy first on
+the import path. The edit's
 pattern must occur exactly once in its file, so a refactor that moves or
 rewrites the code fails the gate until the mutant is updated. The script
 exits 1 if a pattern does not match once, if the copy is not the package
@@ -29,7 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_sst.py", "tests/test_golden.py", "tests/test_golden_plan.py"]
+TESTS = ["tests/test_sst.py", "tests/test_dki.py", "tests/test_golden.py", "tests/test_golden_plan.py"]
 
 # (name, file under src/urbansst, pattern, replacement)
 MUTANTS = [
@@ -50,6 +51,24 @@ MUTANTS = [
         "sst.py",
         "float(TH[i, k + 1])",
         "float(TH[i, k])",
+    ),
+    (
+        "the lane branch validates all but its pick's last substate",
+        "dki.py",
+        "zip(*paths[:, i, 1:].tolist())",
+        "zip(*paths[:, i, 1:-1].tolist())",
+    ),
+    (
+        "_price reads the penalty of substep 0, not of the endpoint",
+        "sst.py",
+        "penalties[:, -1]",
+        "penalties[:, 0]",
+    ),
+    (
+        "substeps moves x with the speed after the step",
+        "vehicle.py",
+        "x += tv * math.cos(theta)",
+        "x += ts * min(max(v + dv, v_min), v_max) * math.cos(theta)",
     ),
 ]
 

@@ -276,6 +276,13 @@ class TestPlan:
             ("ego=3", "ego"),
             # the seeding parameters are constants: a dki section is not read
             ("dki={}", "dki: unknown key"),
+            # values whose products overflow, or divide to NaN, inside the planner
+            ("ego.state.x=1e300", "ego.state.x"),
+            ("ego.state.y=-1000001", "ego.state.y"),
+            ("planner.metric_xy_scale=1e-300", "planner: metric_xy_scale"),
+            ("goal.threshold=1e-300", "goal: threshold"),
+            ("objects.0.poses.0.1=1e300", "objects[0].poses[0]"),
+            ("road.lanes.0.centerline.1.1=-1e300", "road.lanes[0].centerline[1]"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):

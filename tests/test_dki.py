@@ -84,7 +84,7 @@ def _lane_branch_oracle(tree, net, s_root):
         target = route.point_at(s_tip + min(D_LOOKAHEAD, v_cmd * tree.config.t_prop))
         tree.iterations_used += N_CANDIDATES
         a, delta = sample_inputs(tree.config, rng, tree.params, N_CANDIDATES)
-        idx, ends = tree.propagate_batch([tip] * N_CANDIDATES, a, delta)
+        idx, ends, _ = tree.propagate_batch([tip] * N_CANDIDATES, a, delta)
         if not len(idx):
             break
         ends = ends.tolist()
@@ -126,9 +126,9 @@ def _assert_branch_equals_oracle(new_tree, net, s_root):
     fallbacks = []
 
     def counted(depths, X, Y, TH):
-        ok = PlannerTree.valid_rows(new_tree, depths, X, Y, TH)
+        ok, penalties = PlannerTree.valid_rows(new_tree, depths, X, Y, TH)
         fallbacks.append(int(ok.sum()))
-        return ok
+        return ok, penalties
 
     new_tree.valid_rows = counted
     got, want = _recorded_inserts(new_tree), _recorded_inserts(twin)

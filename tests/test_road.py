@@ -353,6 +353,9 @@ class TestGoalRegion:
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="threshold must be positive"):
             GoalConfig(threshold=0.0)
+        with pytest.raises(ValueError, match="threshold must be at least 0.001 m"):
+            GoalConfig(threshold=9e-4)
+        assert GoalConfig(threshold=1e-3).threshold == 1e-3
 
     def test_s_window_disambiguation(self):
         # (20, 0.3) is 0.3 m from the route's first leg (s = 30) and on its

@@ -54,6 +54,10 @@ class TestConfig:
     def test_positive_metric_scale(self):
         with pytest.raises(ValueError):
             PlannerConfig(iteration_budget=10, metric_xy_scale=-1.0)
+        # positions divided by a smaller scale can square to infinity
+        with pytest.raises(ValueError, match="at least 0.001 m"):
+            PlannerConfig(iteration_budget=10, metric_xy_scale=9e-4)
+        assert PlannerConfig(iteration_budget=10, metric_xy_scale=1e-3).metric_xy_scale == 1e-3
 
     @pytest.mark.parametrize("t_prop, t_step", [(0.4, 0.3), (0.4, 0.0002), (0.4, 1e-300), (0.4, 1e-320)])
     def test_step_must_divide_propagation(self, t_prop, t_step):
@@ -297,7 +301,7 @@ class TestPropagationKernel:
         # one kernel call for candidates from every node, in mixed order
         starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 8)).tolist()]
         a, delta = sample_inputs(tree.config, rng, tree.params, len(starts))
-        idx, ends = tree.propagate_batch(starts, a, delta)
+        idx, ends, _ = tree.propagate_batch(starts, a, delta)
         got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
         outcomes = Counter()
         for i, (node, u) in enumerate(zip(starts, map(ControlInput, a.tolist(), delta.tolist()))):
@@ -369,7 +373,7 @@ class TestPropagationKernel:
         rng = np.random.default_rng(61)
         starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 4)).tolist()]
         a, delta = sample_inputs(fresh.config, rng, fresh.params, len(starts))
-        idx, ends = fresh.propagate_batch(starts, a, delta)
+        idx, ends, _ = fresh.propagate_batch(starts, a, delta)
         assert len(fresh._pose_rows) == depth + 1 and len(fresh._xyr) > rows
         got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
         outcomes = Counter()
@@ -400,15 +404,20 @@ class TestPropagationKernel:
 
     @staticmethod
     def _assert_rows_equal_scalar(tree, starts, a, delta):
-        """Each row of one propagate_batch call is propagate_checked's state, bytes and all; returns the rows."""
-        idx, ends = tree.propagate_batch(starts, np.array(a), np.array(delta))
+        """Each row of one propagate_batch call is propagate_checked's state, bytes and all, and
+        its penalties are the grid's at each substate; returns the rows."""
+        idx, ends, penalties = tree.propagate_batch(starts, np.array(a), np.array(delta))
         got = dict(zip(idx.tolist(), ends))
+        pen = dict(zip(idx.tolist(), penalties.tolist()))
+        cfg = tree.config
         for i, (node, u) in enumerate(zip(starts, map(ControlInput, a, delta))):
             want = tree.propagate_checked(node, u)
             assert (i in got) == (want is not None), (node.state, u)
             if want is not None:
                 # bytes, so that the sign of a zero counts too
                 assert got[i].tobytes() == np.array(want).tobytes(), (node.state, u, got[i], want)
+                path = propagate(node.state, u, cfg.t_prop, cfg.t_step, tree.params)
+                assert pen[i] == [tree.grid.lookup(q.x, q.y) for q in path]
         return got
 
     def test_batch_matches_scalar_path_at_speed_bounds(self, straight_goal, straight_grid, empty_world, weights,
@@ -595,7 +604,7 @@ class TestGridCells:
         ends = [tree.propagate_checked(node, ControlInput(0.0, 0.0)) for node in nodes]
         assert [end is not None for end in ends] == valid
         # the kernel, with every cell-edge state in one call
-        idx, _ = tree.propagate_batch(nodes, np.zeros(n_cols), np.zeros(n_cols))
+        idx, _, _ = tree.propagate_batch(nodes, np.zeros(n_cols), np.zeros(n_cols))
         assert idx.tolist() == np.flatnonzero(valid).tolist()
 
 
@@ -642,7 +651,8 @@ def _price_tree(straight_net, params, start_time, with_objects, term):
 
 def _assert_prices_equal(tree, parents, ends):
     """_price gives try_insert's state cost and cost, row by row, as bytes."""
-    scw, cost = tree._price(parents, np.array(ends))
+    rows = np.array(ends)
+    scw, cost = tree._price(parents, rows, tree.grid.lookups(rows[:, 0], rows[:, 1])[:, None])
     # every state founds a witness, so none is dominated
     tree._nearest_witness = lambda norm: None
     nodes = [tree.try_insert(p, VehicleState(*e), ControlInput(0.0, 0.0)) for p, e in zip(parents, ends)]
@@ -718,7 +728,8 @@ class TestBatchPrices:
             for tree in trees:
                 tree._add_witness(TreeNode(rep, u, tree.root, 1e6, 0.0), norm_state(rep, tree.config, params))
         computed, priced = trees
-        scw, cost = (a.tolist() for a in priced._price([priced.root], np.array([end])))
+        penalty = [[priced.grid.lookup(end.x, end.y)]]
+        scw, cost = (a.tolist() for a in priced._price([priced.root], np.array([end]), np.array(penalty)))
         norm = norm_states(np.array([end]), priced.config, params)[:, 0]
         near = priced._nearest_witness(norm)
         n_wit = computed.n_witnesses
@@ -1141,6 +1152,43 @@ class TestBatchedLoop:
 
         monkeypatch.setattr(PlannerTree, "run", run_sequentially)
         assert simlog_to_csv(run_closed_loop(sc, mode, 0, budget=("iters", 3037))) == batched
+
+    def test_batch_that_commits_nothing_returns_early(self, monkeypatch):
+        # from 1 m/s, every III/base endpoint lies within d_prune of the root's
+        # witness, whose representative costs 0: no batch has a live endpoint,
+        # so none tracks stale picks
+        sc = load_scenario(SCENARIO_DIR / "scenario_iii_roundabout.json")
+        ego = sc.ego_state._replace(v=1.0)
+        grid = build_scenario_grid(sc)
+        trees = []
+        run = PlannerTree.run
+        stale_by = PlannerTree._stale_by
+        stale_calls = Counter()
+
+        def counted_stale_by(norm, samples, reach):
+            stale_calls[len(trees)] += 1
+            return stale_by(norm, samples, reach)
+
+        def grow(tree):
+            trees.append(tree)
+            if len(trees) == 2:
+                _run_sequentially(tree)
+            return run(tree)
+
+        monkeypatch.setattr(PlannerTree, "run", grow)
+        monkeypatch.setattr(PlannerTree, "_stale_by", staticmethod(counted_stale_by))
+        # a budget that is not a multiple of the batch size
+        batched, sequential = (
+            plan_query(sc, "base", grid, ego, 0.0, (0, 0), budget=("iters", 300)) for _ in range(2)
+        )
+        assert (batched.iterations, batched.n_nodes, batched.n_witnesses, batched.solved) == (300, 1, 1, False)
+        assert (sequential.iterations, sequential.n_nodes, sequential.n_witnesses, sequential.solved) == (
+            300, 1, 1, False,
+        )
+        a, b = trees
+        assert a._table[:, :1].tobytes() == b._table[:, :1].tobytes()
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert stale_calls[1] == 0
 
     def test_representative_at_reach_makes_pick_stale(self, straight_goal, straight_grid, empty_world, weights,
                                                       params):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from urbansst.sim import rollout_inputs
 from urbansst.vehicle import (
     ControlInput,
     VehicleParams,
@@ -11,6 +12,7 @@ from urbansst.vehicle import (
     propagate,
     step,
     substep_count,
+    substeps,
 )
 
 
@@ -134,3 +136,73 @@ class TestPropagate:
         first = propagate(s, u, 0.4, 0.04, params)
         second = propagate(first[-1], u, 0.4, 0.04, params)
         assert long == first + second
+
+
+def _step_oracle(s, u, ts, p):
+    """One Euler step as vehicle.step computed it before substeps took its
+    place: the integrator's independent reference, bit for bit."""
+    x, y, theta, v0 = s
+    a, delta = u
+    x += ts * v0 * math.cos(theta)
+    y += ts * v0 * math.sin(theta)
+    theta = normalize_angle(theta + ts * (v0 / p.wheelbase) * math.tan(delta))
+    v = v0 + ts * a
+    v_min, v_max = p.v_bounds
+    if v < v_min:
+        v = v_min
+    elif v > v_max:
+        v = v_max
+    return VehicleState(x, y, theta, v)
+
+
+def _oracle_path(s, u, steps, p):
+    """The oracle's states after each step of the durations in steps."""
+    out = []
+    for ts in steps:
+        s = _step_oracle(s, u, ts, p)
+        out.append(s)
+    return out
+
+
+def _bytes(states):
+    # bytes, so that the sign of a zero counts too
+    return np.array(states, dtype=float).tobytes()
+
+
+class TestSubsteps:
+    @pytest.mark.parametrize("v", [0.0, -0.0, -1e-9, 1e-9, 6.0, 6.0 + 1e-9, 6.0 - 1e-9, 3.0])
+    @pytest.mark.parametrize("a", [0.8, 1e-12, 0.0, -0.0, -1e-12, -0.8])
+    def test_speed_bounds_and_signed_zeros(self, params, v, a):
+        for delta in (0.0, -0.0, 0.3):
+            s, u = VehicleState(1.0, -2.0, 0.4, v), ControlInput(a, delta)
+            want = _oracle_path(s, u, [0.04] * 10, params)
+            assert _bytes(list(substeps(s, u, 0.04, 10, params))) == _bytes(want)
+            assert _bytes(propagate(s, u, 0.4, 0.04, params)) == _bytes(want)
+            assert _bytes([step(s, u, 0.04, params)]) == _bytes(want[:1])
+
+    def test_partial_last_step(self, params):
+        # rollout_inputs ends a replan interval that is not a multiple of
+        # t_step with one shorter step
+        s, u = VehicleState(0.0, 0.0, 0.2, 4.0), ControlInput(0.5, -0.2)
+        full = list(substeps(s, u, 0.04, 12, params))
+        last = step(VehicleState(*full[-1]), u, 0.013, params)
+        assert _bytes(full + [last]) == _bytes(_oracle_path(s, u, [0.04] * 12 + [0.013], params))
+        rollout = rollout_inputs(s, 0.0, 0.493, [u], 0.04, params)
+        remaining = 0.493
+        for _ in range(12):
+            remaining -= 0.04
+        assert len(rollout) == 13 and 0.0129 < remaining < 0.0131
+        assert _bytes([r.state for r in rollout]) == _bytes(_oracle_path(s, u, [0.04] * 12 + [remaining], params))
+
+    @pytest.mark.parametrize("theta", [math.pi, -math.pi, math.pi - 0.05, -math.pi + 0.05, 3.0 * math.pi, -7.0])
+    @pytest.mark.parametrize("delta", [0.4, -0.4, 0.0])
+    def test_headings_across_pi(self, params, theta, delta):
+        s, u = VehicleState(5.0, 1.0, theta, 6.0), ControlInput(0.3, delta)
+        got = list(substeps(s, u, 0.04, 25, params))
+        assert _bytes(got) == _bytes(_oracle_path(s, u, [0.04] * 25, params))
+        assert all(-math.pi < q[2] <= math.pi for q in got)
+
+    def test_yields_lazily_plain_tuples(self, params):
+        path = substeps(VehicleState(0.0, 0.0, 0.0, 5.0), ControlInput(0.1, 0.1), 0.04, 10**9, params)
+        first = next(path)
+        assert type(first) is tuple and len(first) == 4
