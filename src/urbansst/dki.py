@@ -76,16 +76,16 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, s_root: float) -> int:
         a, delta = sample_inputs(tree.config, rng, tree.params, N_CANDIDATES)
         paths = tree.integrate(np.broadcast_to(tip.state, (N_CANDIDATES, 4)), a, delta)
         # math.hypot, not np.hypot, whose last bit differs; the first minimum wins
-        dists = [math.hypot(x - target.x, y - target.y) for x, y in zip(*paths[:2, :, -1].tolist())]
+        dists = list(map(math.hypot, (paths[0, -1] - target.x).tolist(), (paths[1, -1] - target.y).tolist()))
         i = dists.index(min(dists))
-        best_end = tree.valid_end(tip.depth, zip(*paths[:, i, 1:].tolist()))
+        best_end = tree.valid_end(tip.depth, zip(*paths[:, 1:, i].tolist()))
         if best_end is None:
             # rank the valid rows instead
-            ok = tree.valid_rows([tip.depth] * N_CANDIDATES, *paths[:3])[0].tolist()
+            ok = tree.valid_rows(np.full(N_CANDIDATES, tip.depth), *paths[:3])[0].tolist()
             if not any(ok):
                 break
             i = min((d, j) for j, d in enumerate(dists) if ok[j])[1]
-            best_end = VehicleState(*paths[:, i, -1].tolist())
+            best_end = VehicleState(*paths[:, -1, i].tolist())
         best_u = ControlInput(float(a[i]), float(delta[i]))
         node = tree.try_insert(tip, best_end, best_u)
         if node is None:

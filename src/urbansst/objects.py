@@ -29,8 +29,12 @@ class FieldParams:
     sigma_y: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0.0 or self.sigma_x <= 0.0 or self.sigma_y <= 0.0:
-            raise ValueError("field amplitude must be >= 0 and sigmas > 0")
+        if self.amplitude < 0.0:
+            raise ValueError("field amplitude must be >= 0")
+        # the field divides squared offsets by them; below a millimetre a quotient can overflow
+        for name in ("sigma_x", "sigma_y"):
+            if not getattr(self, name) >= 1e-3:
+                raise ValueError(f"{name} must be at least 0.001 m, got {getattr(self, name)!r}")
 
 
 class ObjectPrediction:
@@ -121,15 +125,20 @@ def object_hit(x: float, y: float, theta: float, ego_length: float, ego_width: f
     return None
 
 
-def clearance_cost(x: float, y: float, poses) -> float:
-    """Field of the objects at (x, y), each posed as in poses (one WorldPoser.at entry)."""
+def clearance_cost(x, y, poses):
+    """Field of the objects at (x, y), each posed as in poses (one WorldPoser.at entry).
+
+    x, y and the posed positions may also be arrays of one length, for many points at
+    once; math.exp then runs per value, as numpy's exp can differ in the last bit.
+    """
     total = 0.0
     for ox, oy, _, obj, _ in poses:
         fp = obj.field
         dx = x - ox
         dy = y - oy
         f = dx * dx / fp.sigma_x + dy * dy / fp.sigma_y
-        total += fp.amplitude * math.exp(-f)
+        e = math.exp(-f) if isinstance(f, float) else np.fromiter(map(math.exp, (-f).tolist()), float, len(f))
+        total += fp.amplitude * e
     return total
 
 

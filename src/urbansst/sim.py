@@ -388,13 +388,23 @@ def plan_query(
     planner; dki seeds from s and from prev, the previous solution. plan,
     plan_dki and compute_goal_region are this module's globals at call time,
     so that a profiler or a query timer can replace them here. Raises
-    RouteExhaustedError when the goal lies past the route's end and
+    RouteExhaustedError when the goal lies past the route's end (naming ego,
+    its arc length and its distance from the route when s was not given) and
     InvalidStartError when ego is not a valid state.
     """
     cfg = sc.planner if budget is None else sc.planner.with_budget(*budget)
+    off = None
     if s is None:
-        s, _ = sc.road.route_path.project(ego.x, ego.y)
-    goal = compute_goal_region(sc.road, s, sc.goal)
+        s, off = sc.road.route_path.project(ego.x, ego.y)
+    try:
+        goal = compute_goal_region(sc.road, s, sc.goal)
+    except RouteExhaustedError as exc:
+        if off is None:
+            raise
+        # a start far off the road projects onto the route's end
+        raise RouteExhaustedError(
+            f"start ({ego.x:.6g}, {ego.y:.6g}) is {off:.6g} m off the route, at arc length {s:.6g} m: {exc}"
+        ) from exc
     bx0, by0, bx1, by1 = goal.bbox
     m = SAMPLING_MARGIN
     cfg = cfg.with_bounds(

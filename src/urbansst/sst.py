@@ -10,20 +10,26 @@ many sequential ones: the draws do not depend on the tree, so a batch draws
 them first, as two arrays, then selects (nearest first), propagates and
 looks up witnesses for all of them against the tree as it stood at batch
 start, commits the results in order and redoes through the scalar path each
-iteration that an earlier commit may have changed. The two nearest-neighbour
-passes rank exactly only the table columns that an xy lower bound, one
-matrix product, cannot rule out. Every edge takes n_sub substeps, so a node's
-time is its depth's: the object poses at the substep times of a propagation
-from depth d are row d of one pose table, gathered by the kernel as one array.
+iteration that an earlier commit may have changed. That snapshot pass reads
+arrays only: each witness-table column also holds its representative's
+state, cost, state cost and depth, which one helper (_set_rep) writes. The
+two nearest-neighbour passes rank exactly only the table columns that an xy
+lower bound, one matrix product, cannot rule out; the witness pass only needs
+witnesses within d_prune, so it bounds every pair by d_prune alone. Every
+edge takes n_sub substeps, so a node's time is its depth's: the object poses
+at the substep times of a propagation from depth d are row d of one pose
+table, gathered by the kernel as one array.
 The scalar path integrates with vehicle.substeps and checks the substates
 with one per-tree closure over a path (_validator), the one validity rule,
 which the start check and the lane branch's pick apply too. The kernel,
 propagate_batch, gives its results bit for bit from two passes over all
-candidates and substeps: integrate (speeds and positions as running sums, the
-heading with its wrap) and valid_rows (bounds and grid cells, then object
-checks up to each candidate's first failing substep); the lane branch calls
-them apart. The batch's endpoints are then priced in one array pass (_price)
-with try_insert's bits, from the grid penalties that valid_rows looked up, so
+candidates and substeps, held substep-major as (n_sub + 1, n) planes:
+integrate (speeds and positions as running sums along axis 0, the heading
+with its wrap) and valid_rows (bounds and grid cells, then object checks up
+to each candidate's first failing substep); the lane branch calls them apart.
+The batch's endpoints are then priced in one array pass (_price) with
+try_insert's bits, math's exp and hypot mapped over arrays, from the parents'
+table columns and the grid penalties that valid_rows looked up, so
 that an endpoint its snapshot witness dominates is dropped after one compare,
 before any state, input or stale-tracking row is built for it. A batch in
 which every endpoint is so dropped commits nothing and ends there.
@@ -38,7 +44,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -51,10 +56,14 @@ from .vehicle import (
 )
 
 
-# Row blocks of PlannerTree's witness table.
+# Rows of PlannerTree's witness table: the witness's norm, then its
+# representative's norm, cost, state (x, y, theta, v), state cost and depth.
 _WIT = slice(0, 4)
 _REP = slice(4, 8)
 _COST = 8
+_STATE = slice(9, 13)
+_SCW = 13
+_DEPTH = 14
 
 # Main-loop iterations done as one batch.
 _BATCH = 64
@@ -142,23 +151,26 @@ def _normalized(x, y, th, v, config: PlannerConfig, params: VehicleParams) -> tu
 def state_distance(a, b):
     """Wrap-aware Euclidean distance between normalized states a and b.
 
-    Both are indexed by component (x, y, heading, v). A component may be an
-    array holding that component of many states; the result is then an array.
-    The squares are accumulated in place, which saves temporaries, in the
-    left-to-right order of the plain sum, so the rounding is the same.
+    Both are indexed by component (x, y, heading, v) along their first axis.
+    The other axes broadcast, and a 4-vector broadcasts over all of the other
+    argument's; two 4-vectors give a 0-d result. One subtraction takes all four
+    differences, and the squares are summed in the left-to-right order of the
+    plain sum, so the rounding is the same.
     """
-    d2 = a[0] - b[0]
-    d2 *= d2
-    dy = a[1] - b[1]
-    dy *= dy
-    d2 += dy
-    dth = np.abs(a[2] - b[2])
-    dth = np.minimum(dth, 1.0 - dth)
-    dth *= dth
-    d2 += dth
-    dv = a[3] - b[3]
-    dv *= dv
-    d2 += dv
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == 1:
+        a = a.reshape(4, *[1] * (b.ndim - 1))
+    elif b.ndim == 1:
+        b = b.reshape(4, *[1] * (a.ndim - 1))
+    # C order, so that each component is one contiguous plane whatever the inputs' strides
+    d = np.subtract(a, b, order="C")
+    th = d[2:3]
+    np.abs(th, out=th)
+    np.minimum(th, 1.0 - th, out=th)
+    d *= d
+    d2 = d[0] + d[1]
+    d2 += d[2]
+    d2 += d[3]
     return np.sqrt(d2)
 
 
@@ -173,11 +185,6 @@ def normalize_angles(th: np.ndarray) -> np.ndarray:
     th[th > math.pi] -= math.tau
     th[th <= -math.pi] += math.tau
     return th
-
-
-def _rows(tuples: list, width: int) -> np.ndarray:
-    """Tuples of width floats as the rows of an array; np.array takes several times longer."""
-    return np.fromiter(chain.from_iterable(tuples), float, width * len(tuples)).reshape(-1, width)
 
 
 def sample_state(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams) -> VehicleState:
@@ -374,9 +381,9 @@ class PlannerTree:
         self._xyr = np.empty((16, self._n_sub, len(world.objects), 3))
         self._valid_path = _validator(grid, config, params)
 
-        # Column i: witness i's norm, its representative's norm and cost
-        # (rows _WIT, _REP, _COST); self._reps[i] is the representative.
-        self._table = np.empty((9, 1024))
+        # Column i: witness i's norm and its representative's rows (_WIT to
+        # _DEPTH, see there); self._reps[i] is the representative.
+        self._table = np.empty((_DEPTH + 1, 1024))
         self._reps: list = []
 
         poses = self._poser.at(start_time)
@@ -408,42 +415,63 @@ class PlannerTree:
         i = len(self._reps)
         if i == self._table.shape[1]:
             self._table = np.concatenate((self._table, np.empty_like(self._table)), axis=1)
-        self._table[:, i] = (*norm, *norm, node.cost)
+        self._table[_WIT, i] = norm
         self._reps.append(node)
+        self._set_rep(i, node, norm)
+
+    def _set_rep(self, i: int, node: TreeNode, norm) -> None:
+        """Make node, whose normalized state is norm, witness i's representative, in
+        _reps and in the table rows that the batch reads in place of its attributes."""
+        self._reps[i] = node
+        # norm apart: a batch passes an array column, which numpy copies faster than a tuple
+        self._table[_REP, i] = norm
+        self._table[_COST:_DEPTH, i] = (node.cost, *node.state, node.state_cost_w)
+        self._table[_DEPTH, i] = node.depth
 
     @staticmethod
-    def _nearest(cols: np.ndarray, pts: np.ndarray):
+    def _nearest(cols: np.ndarray, pts: np.ndarray, r: Optional[float] = None):
         """Index of the first nearest column of cols (4, W) to each column of
         pts (4, n), and its state_distance: argmin over the full distance row,
-        bit for bit.
+        bit for bit. With a radius r, only where that distance is at most r:
+        elsewhere the distance is inf and the index any column's.
 
         Up to _FULL_PASS pairs that is one exact pass. Above it, one matrix
         product approximates every squared xy distance G = |s|^2 - 2 s.w +
-        |w|^2, the distance to each row's G-argmin is an exact upper bound
-        ub, and only the pairs with G within ub^2 are ranked exactly. The
-        rounded dx^2 + dy^2 is at most the rounded full d^2 (rounding is
-        monotone; heading and speed only add), and the bound's margin is
-        hundreds of times the rounding of ub^2 and of the four-term product,
-        so every column as near as the nearest is ranked.
+        |w|^2, and only the pairs with G within a bound are ranked exactly:
+        r^2, or without r each row's ub^2, ub being the exact distance to its
+        G-argmin. The rounded dx^2 + dy^2 is at most the rounded full d^2
+        (rounding is monotone; heading and speed only add), and the bound's
+        margin is hundreds of times the rounding of r^2 or ub^2 and of the
+        four-term product, so every column as near as the nearest, if that
+        lies within the bound, is ranked.
         """
         n, w = pts.shape[1], cols.shape[1]
         if n * w <= _FULL_PASS:
             d = state_distance(cols[:, None], pts[:, :, None])
             i = d.argmin(axis=1)
-            return i, d[np.arange(n), i]
-        x, y = cols[0], cols[1]
-        r2 = x * x + y * y
-        sx, sy = pts[0], pts[1]
-        s2 = sx * sx + sy * sy
-        g = np.column_stack((-2.0 * sx, -2.0 * sy, np.ones(n), s2)) @ np.vstack((x, y, r2, np.ones(w)))
-        ub = state_distance(cols[:, g.argmin(axis=1)], pts)
-        bound = ub * ub * (1.0 + 1e-12) + 1e-12 * (s2 + r2.max() + 1.0)
-        # row-major, so each row's pairs are one run, in column order
-        row, col = np.divmod(np.flatnonzero(g <= bound[:, None]), w)
-        d = state_distance(cols[:, col], pts[:, row])
-        starts = np.searchsorted(row, np.arange(n))
-        best = np.minimum.reduceat(d, starts)
-        return np.minimum.reduceat(np.where(d == best[row], col, w), starts), best
+            best = d[np.arange(n), i]
+        else:
+            x, y = cols[0], cols[1]
+            r2 = x * x + y * y
+            sx, sy = pts[0], pts[1]
+            s2 = sx * sx + sy * sy
+            g = np.column_stack((-2.0 * sx, -2.0 * sy, np.ones(n), s2)) @ np.vstack((x, y, r2, np.ones(w)))
+            if r is None:
+                ub = state_distance(cols[:, g.argmin(axis=1)], pts)
+                sel = g <= (ub * ub * (1.0 + 1e-12) + 1e-12 * (s2 + r2.max() + 1.0))[:, None]
+            else:
+                sel = g <= r * r * (1.0 + 1e-12) + 1e-12 * (s2.max() + r2.max() + 1.0)
+                # column 0 too, so that every row has a pair; one beyond r becomes inf below
+                sel[:, 0] = True
+            # row-major, so each row's pairs are one run, in column order
+            row, col = np.divmod(np.flatnonzero(sel), w)
+            d = state_distance(cols[:, col], pts[:, row])
+            starts = np.searchsorted(row, np.arange(n))
+            best = np.minimum.reduceat(d, starts)
+            i = np.minimum.reduceat(np.where(d == best[row], col, w), starts)
+        if r is not None:
+            best[best > r] = math.inf
+        return i, best
 
     def _nearest_witness(self, n) -> Optional[int]:
         """Index of the nearest witness if it lies within d_prune of n."""
@@ -471,23 +499,28 @@ class PlannerTree:
         clearance = clearance_cost(x, y, poses) if self.world.objects else 0.0
         return state_cost(self.weights, v, self.grid.lookup(x, y), clearance)
 
-    def _price(self, parents: list, ends: np.ndarray, penalties: np.ndarray):
+    def _price(self, cols: np.ndarray, ends: np.ndarray, penalties: np.ndarray):
         """try_insert's state costs and costs of the end states ends[i] (rows x, y, theta, v)
-        from parents[i] as two arrays, bit for bit: math.exp (clearance_cost) and math.hypot
-        run per row, as there, and state_cost and edge_cost over whole arrays. Row i of
-        penalties holds the grid penalties of the substates that end in ends[i], as
-        valid_rows looked them up; the last column is the endpoints'."""
-        t_prop = self.config.t_prop
+        from the representatives whose table columns are cols[:, i], as two arrays, bit for
+        bit: clearance_cost, state_cost and edge_cost run over whole arrays, math.exp and
+        math.hypot mapped over them, as both run per state there. The objects are posed as
+        _xyr[depth, -1] holds them. Column i of penalties holds the grid penalties of the
+        substates that end in ends[i], as valid_rows looked them up; the last row is the
+        endpoints'."""
+        n = len(ends)
         x, y, _, v = ends.T
-        xy = list(zip(parents, x.tolist(), y.tolist()))
         clearance = 0.0
-        if self.world.objects:
-            row = self._pose_row
-            clearance = np.array([clearance_cost(xe, ye, row(p.depth)[-1]) for p, xe, ye in xy])
-        scw = state_cost(self.weights, v, penalties[:, -1], clearance)
-        length = np.array([math.hypot(xe - p.state.x, ye - p.state.y) for p, xe, ye in xy])
-        c0, g0 = _rows([(p.state_cost_w, p.cost) for p in parents], 2).T
-        return scw, g0 + edge_cost(self.weights, length, c0, scw, t_prop)
+        if self.world.objects and n:
+            depth = cols[_DEPTH].astype(np.intp)
+            self._pose_row(int(depth.max()))
+            at = self._xyr[depth, -1]
+            # WorldPoser.at entries whose positions are arrays: each object as posed for each endpoint
+            clearance = clearance_cost(x, y, [(at[:, j, 0], at[:, j, 1], None, obj, None)
+                                              for j, obj in enumerate(self.world.objects)])
+        scw = state_cost(self.weights, v, penalties[-1], clearance)
+        x0, y0 = cols[_STATE][:2]
+        length = np.fromiter(map(math.hypot, (x - x0).tolist(), (y - y0).tolist()), float, n)
+        return scw, cols[_COST] + edge_cost(self.weights, length, cols[_SCW], scw, self.config.t_prop)
 
     @staticmethod
     def _stale_by(norm, samples: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -522,24 +555,26 @@ class PlannerTree:
         """Propagate a constant input from a node, validating every substate: valid_end of vehicle.substeps."""
         return self.valid_end(node.depth, substeps(node.state, u, self.config.t_step, self._n_sub, self.params))
 
-    def propagate_batch(self, nodes: list, a: np.ndarray, delta: np.ndarray):
-        """propagate_checked for the inputs (a[i], delta[i]) from nodes[i], at once.
+    def propagate_batch(self, starts: np.ndarray, depths: np.ndarray, a: np.ndarray, delta: np.ndarray):
+        """propagate_checked for the inputs (a[i], delta[i]) from the state in row i
+        (x, y, theta, v) of starts at depth depths[i] (an int array), at once.
 
         Returns the indices of the candidates whose every substate is valid,
         in candidate order, their end states as rows (x, y, theta, v) of a
         float array, each bit for bit what propagate_checked returns, and
-        valid_rows's grid penalties of their substates, one row each.
+        valid_rows's grid penalties of their substates, one column each.
         """
-        paths = self.integrate(_rows([node.state for node in nodes], 4), a, delta)
-        ok, penalties = self.valid_rows([node.depth for node in nodes], *paths[:3])
+        paths = self.integrate(starts, a, delta)
+        ok, penalties = self.valid_rows(depths, *paths[:3])
         idx = ok.nonzero()[0]
-        return idx, paths[:, idx, -1].T, penalties[idx]
+        return idx, paths[:, -1, idx].T, penalties[:, idx]
 
     def integrate(self, starts: np.ndarray, a: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """vehicle.substeps's states for the inputs (a[i], delta[i]) from the rows (x, y, theta, v)
-        of starts, which may be a read-only broadcast, as one (4, n, n_sub + 1) array X, Y, TH, V.
+        of starts, which may be a read-only broadcast, as one (4, n_sub + 1, n) array X, Y, TH, V.
 
-        Column k holds the state after k substeps, bit for bit what vehicle.substeps gives:
+        Plane k holds the states after k substeps, bit for bit what vehicle.substeps gives,
+        so every running sum runs along a plane's axis 0:
         - V: step 1, clamp included, brings a start up to 1e-9 past v_bounds
           into range. The running sums of [v1, dv, dv, ...] (np.add.accumulate
           adds in order, as vehicle.substeps does) are monotone: once one crosses
@@ -547,68 +582,73 @@ class PlannerTree:
         - TH: wraps at each substep, by exact fmod steps to math.remainder's
           value. The wrap is the identity on (-pi, pi], so after step 1 the
           running sums of the increments are the headings if all stay in it;
-          else a loop wraps substep by substep.
+          else a loop wraps substep by substep. The increments after step 1
+          share tan(delta)'s sign, as V[1:] lies in v_bounds and v_min >= 0, so
+          each row's sums from the wrapped TH[1] are monotone, and all lie in
+          (-pi, pi] if the last plane does.
         - X, Y: running sums of tv*cos(th) and tv*sin(th) from x0 and y0,
           both accumulated in one call; np.sin and np.cos give math's results,
-          np.tan does not, so the tangent comes from math once per candidate.
+          np.tan does not, so math.tan is mapped over the steering angles.
         np.clip keeps the sign of a zero speed, which np.minimum and np.maximum
         do not.
         """
         p = self.params
         ts = self.config.t_step
         n_sub = self._n_sub
-        tan_d = np.array([math.tan(d) for d in delta.tolist()])
+        tan_d = np.fromiter(map(math.tan, delta.tolist()), float, len(delta))
         dv = ts * a
-        out = np.empty((4, len(dv), n_sub + 1))
-        out[..., 0] = starts.T
+        out = np.empty((4, n_sub + 1, len(dv)))
+        out[:, 0] = starts.T
         X, Y, TH, V = out
-        np.clip(V[:, 0] + dv, *p.v_bounds, out=V[:, 1])
-        V[:, 2:] = dv[:, None]
-        np.add.accumulate(V[:, 1:], axis=1, out=V[:, 1:])
-        np.clip(V[:, 2:], *p.v_bounds, out=V[:, 2:])
-        inc = ts * (V[:, :-1] / p.wheelbase) * tan_d[:, None]
-        TH[:, 1] = normalize_angles(TH[:, 0] + inc[:, 0])
-        TH[:, 2:] = inc[:, 1:]
-        np.add.accumulate(TH[:, 1:], axis=1, out=TH[:, 1:])
-        if not ((TH[:, 2:] > -math.pi) & (TH[:, 2:] <= math.pi)).all():
+        np.clip(V[0] + dv, *p.v_bounds, out=V[1])
+        V[2:] = dv
+        np.add.accumulate(V[1:], out=V[1:])
+        np.clip(V[2:], *p.v_bounds, out=V[2:])
+        inc = ts * (V[:-1] / p.wheelbase) * tan_d
+        TH[1] = normalize_angles(TH[0] + inc[0])
+        TH[2:] = inc[1:]
+        np.add.accumulate(TH[1:], out=TH[1:])
+        last = TH[-1]
+        if not ((last > -math.pi) & (last <= math.pi)).all():
             for k in range(1, n_sub):
-                TH[:, k + 1] = normalize_angles(TH[:, k] + inc[:, k])
-        np.cos(TH[:, :-1], out=X[:, 1:])
-        np.sin(TH[:, :-1], out=Y[:, 1:])
-        out[:2, :, 1:] *= ts * V[:, :-1]
-        np.add.accumulate(out[:2], axis=2, out=out[:2])
+                TH[k + 1] = normalize_angles(TH[k] + inc[k])
+        np.cos(TH[:-1], out=X[1:])
+        np.sin(TH[:-1], out=Y[1:])
+        out[:2, 1:] *= ts * V[:-1]
+        np.add.accumulate(out[:2], axis=1, out=out[:2])
         return out
 
-    def valid_rows(self, depths: list, X: np.ndarray, Y: np.ndarray, TH: np.ndarray):
-        """Whether each row of integrate's substates, propagated from depths[i], is valid
-        at every substep: one bool per row, propagate_checked's verdict; and the
-        (n, n_sub) grid penalties of the substates after the start, which _price reads.
+    def valid_rows(self, depths: np.ndarray, X: np.ndarray, Y: np.ndarray, TH: np.ndarray):
+        """Whether each candidate i of integrate's planes, propagated from depths[i] (an int
+        array), is valid at every substep: one bool per candidate, propagate_checked's verdict;
+        and the (n_sub, n) grid penalties of the substates after the start, which _price reads.
 
-        One (n, n_sub) pass checks the sampling bounds and the grid cells;
-        first_bad[i] is row i's first failing substep, n_sub if none.
-        One circle test over all objects, posed from each row's depth
-        (_xyr), picks the substeps before first_bad that object_hit checks, in
-        substep order up to the first hit: the calls propagate_checked makes.
+        One (n_sub, n) pass checks the sampling bounds and the grid cells;
+        first_bad[i] is candidate i's first failing substep, n_sub if none.
+        One circle test over all objects, posed from each candidate's depth
+        (_xyr), picks the substeps before first_bad that object_hit checks,
+        each candidate's in substep order up to its first hit: the calls
+        propagate_checked makes.
         """
         cfg = self.config
         p = self.params
         n_sub = self._n_sub
-        xs, ys = X[:, 1:], Y[:, 1:]
+        xs, ys = X[1:], Y[1:]
         (x_lo, x_hi), (y_lo, y_hi) = cfg.x_bounds, cfg.y_bounds
         ok = (xs >= x_lo) & (xs <= x_hi) & (ys >= y_lo) & (ys <= y_hi)
         penalties = self.grid.lookups(xs, ys)
         ok &= penalties < self.grid.p_invalid
-        first_bad = np.where(ok.all(axis=1), n_sub, ok.argmin(axis=1))
+        first_bad = np.where(ok.all(axis=0), n_sub, ok.argmin(axis=0))
         if self.world.objects:
-            self._pose_row(max(depths))
-            at = self._xyr[depths]
-            dx = at[..., 0] - xs[:, :, None]
-            dy = at[..., 1] - ys[:, :, None]
-            near = (dx * dx + dy * dy <= at[..., 2]).any(axis=2) & (np.arange(n_sub) < first_bad[:, None])
-            # nonzero runs row by row, each in substep order
-            for i, k in zip(*(ix.tolist() for ix in near.nonzero())):
+            self._pose_row(int(depths.max()))
+            at = self._xyr[depths].swapaxes(0, 1)
+            dx = at[..., 0] - xs[..., None]
+            dy = at[..., 1] - ys[..., None]
+            near = (dx * dx + dy * dy <= at[..., 2]).any(axis=2) & (np.arange(n_sub)[:, None] < first_bad)
+            # nonzero runs substep by substep, so each candidate's in substep order
+            for k, i in zip(*(ix.tolist() for ix in near.nonzero())):
                 if k < first_bad[i]:
-                    pose = float(xs[i, k]), float(ys[i, k]), float(TH[i, k + 1])
+                    pose = float(xs[k, i]), float(ys[k, i]), float(TH[k + 1, i])
                     if object_hit(*pose, p.length, p.width, self._pose_rows[depths[i]][k]) is not None:
                         first_bad[i] = k
         return first_bad == n_sub, penalties
@@ -639,9 +679,7 @@ class PlannerTree:
         if i is None:
             self._add_witness(node, norm)
         else:
-            self._reps[i] = node
-            self._table[_REP, i] = norm
-            self._table[_COST, i] = cost
+            self._set_rep(i, node, norm)
         if cost < self.best_cost and self.goal.contains_xy(x, y):
             self._record_solution(node)
         return node
@@ -665,19 +703,25 @@ class PlannerTree:
         states and inputs are built from a row only where a pick is redone or
         committed. Selection, propagation and witness lookup then run for all
         k against the table as it stands (the snapshot), and the results are
-        committed in order. The snapshot selection takes each sample's
-        nearest representative first, and the cheapest within d_near only
-        where the nearest lies within d_near; both it and the witness lookup
-        find the nearest through _nearest, which on a large table ranks only
-        the columns whose xy distance alone does not rule them out. A commit
-        writes one table column. Pick j is stale once a commit replaced the
+        committed in order. The snapshot reads no node: the picks' states,
+        depths, costs and state costs are their table columns. The snapshot
+        selection takes each sample's nearest representative first, and the
+        cheapest within d_near only where the nearest lies within d_near; both
+        it and the witness lookup find the nearest through _nearest, which on
+        a large table ranks only the columns whose xy distance alone does not
+        rule them out. The witness lookup asks only for witnesses within
+        d_prune (the others neither dominate nor take an endpoint), and an
+        endpoint with none gets the distance inf. A commit writes one table
+        column. Pick j is stale once a commit replaced the
         node it picked, or placed a representative within reach[j] of its
         sample: within d_near it may be cheaper, and when nothing was within
         d_near, one as near as the pick may be the nearest. A stale pick is
         redone on the current tree. Witnesses never move and appended ones
         come after the snapshot's, so an endpoint's nearest witness is the
         snapshot's (argmin takes the first minimum) unless one the batch
-        appended is strictly nearer: then _nearest_witness finds it in the table.
+        appended is strictly nearer: then, if that one lies within d_prune,
+        _nearest_witness finds it in the table; beyond d_prune neither is a
+        witness of the endpoint.
 
         Every endpoint is priced up front (_price). A witness's cost only falls
         (a replacement is strictly cheaper), so an endpoint that its snapshot
@@ -703,19 +747,21 @@ class PlannerTree:
             d = state_distance(table[_REP], samples[:, r])
             pick[r] = np.where(d <= cfg.d_near, table[_COST], math.inf).argmin()
         reach = np.maximum(reach, cfg.d_near)
-        pick = pick.tolist()
-        nodes = [reps[i] for i in pick]
-
-        idx, ends, penalties = self.propagate_batch(nodes, *inputs.T)
-        scw, cost = self._price([nodes[j] for j in idx.tolist()], ends, penalties)
+        # the picks' representatives, as the table holds them
+        cols = table[:, pick]
+        idx, ends, penalties = self.propagate_batch(cols[_STATE].T, cols[_DEPTH].astype(np.intp), *inputs.T)
+        scw, cost = self._price(cols[:, idx], ends, penalties)
         ends_norm = norm_states(ends, cfg, params)
-        wit, wit_d = self._nearest(table[_WIT], ends_norm)
+        d_prune = cfg.d_prune
+        wit, wit_d = self._nearest(table[_WIT], ends_norm, d_prune)
         # the endpoints that their snapshot witness does not dominate
-        live = ((wit_d > cfg.d_prune) | (cost < table[_COST, wit])).nonzero()[0]
+        live = ((wit_d > d_prune) | (cost < table[_COST, wit])).nonzero()[0]
         if not len(live):
             # nothing commits, so no pick goes stale and no endpoint is revived
             self.iterations_used += k
             return
+        pick = pick.tolist()
+        nodes = [reps[i] for i in pick]
         # row r: the samples that endpoint live[r], made a representative,
         # would make stale, and its distance to every endpoint as a witness
         hits = self._stale_by(ends_norm[:, live, None], samples[:, None, :], reach)
@@ -743,12 +789,12 @@ class PlannerTree:
                 e = row_of.get(j)
                 if e is None:
                     continue
-                moved = added[e] < wit_d[e]
+                moved = added[e] < wit_d[e] and added[e] <= d_prune
                 r = live_row.get(e)
                 if r is None and not moved:
                     continue
                 norm = ends_norm[:, e]
-                near = self._nearest_witness(norm) if moved else (wit[e] if wit_d[e] <= cfg.d_prune else None)
+                near = self._nearest_witness(norm) if moved else (wit[e] if wit_d[e] <= d_prune else None)
                 priced = (scw[e], cost[e], norm, near)
                 end = VehicleState(*ends[e])
                 u = ControlInput(*inputs[j].tolist())

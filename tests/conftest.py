@@ -4,6 +4,7 @@ import math
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from urbansst import sst
@@ -88,6 +89,13 @@ def is_state_valid(s, t, grid, world, config, params):
     """The planner's validity rule for s at time t, over a fresh WorldPoser."""
     poses = WorldPoser(world, params.length, params.width).at(t)
     return sst._validator(grid, config, params)((s,), (poses,)) is not None
+
+
+def propagate_nodes(tree, nodes, a, delta):
+    """tree.propagate_batch for the inputs (a[i], delta[i]) from nodes[i], whose
+    states and depths it takes as arrays, as _run_batch reads them from the table."""
+    starts = np.array([node.state for node in nodes], float).reshape(-1, 4)
+    return tree.propagate_batch(starts, np.array([node.depth for node in nodes], np.intp), a, delta)
 
 
 def make_planner_config(budget=2000, **kw):

@@ -17,7 +17,10 @@ Equivalent mutants, which no test can kill, are left out:
 - `cost <= table[_COST, wit]` in _run_batch's live test: a tied endpoint is
   then live, but try_insert's `cost >= ...` compare still drops it;
 - `added[e] <= wit_d[e]` for `moved`: on a tie, the table's first minimum
-  is the snapshot witness.
+  is the snapshot witness;
+- `moved` without its `added[e] <= d_prune` test: a witness the batch appended
+  beyond d_prune is then looked up in the table, which finds no witness within
+  d_prune either.
 """
 
 from __future__ import annotations
@@ -49,20 +52,38 @@ MUTANTS = [
     (
         "object checks read the heading one substep early",
         "sst.py",
-        "float(TH[i, k + 1])",
-        "float(TH[i, k])",
+        "float(TH[k + 1, i])",
+        "float(TH[k, i])",
     ),
     (
         "the lane branch validates all but its pick's last substate",
         "dki.py",
-        "zip(*paths[:, i, 1:].tolist())",
-        "zip(*paths[:, i, 1:-1].tolist())",
+        "zip(*paths[:, 1:, i].tolist())",
+        "zip(*paths[:, 1:-1, i].tolist())",
     ),
     (
         "_price reads the penalty of substep 0, not of the endpoint",
         "sst.py",
-        "penalties[:, -1]",
-        "penalties[:, 0]",
+        "penalties[-1]",
+        "penalties[0]",
+    ),
+    (
+        "integrate's heading-range test reads the first summed plane, not the last",
+        "sst.py",
+        "last = TH[-1]",
+        "last = TH[1]",
+    ),
+    (
+        "the representative's row writer skips the depth row",
+        "sst.py",
+        "self._table[_DEPTH, i] = node.depth",
+        "pass",
+    ),
+    (
+        "the radius lookup's bound has no rounding margin",
+        "sst.py",
+        "sel = g <= r * r * (1.0 + 1e-12) + 1e-12 * (s2.max() + r2.max() + 1.0)",
+        "sel = g <= r * r",
     ),
     (
         "substeps moves x with the speed after the step",

@@ -199,6 +199,18 @@ class TestPlan:
         assert rc == 1
         assert "route" in capsys.readouterr().err
 
+    def test_start_far_off_the_route_is_named(self, tmp_path, capsys):
+        # the start projects onto the route's end, so the goal lies past it: the
+        # message names the start, its arc length and its distance from the route
+        argv = ["plan", "--scenario", STRAIGHT, "--set", "ego.state.x=1e6", "--budget", "iters:300"]
+        rc = main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: start (1e+06, 0) is 999870 m off the route, at arc length 140 m: "
+            "route ends at 140 m but goal center is at 170 m\n"
+        )
+
     def test_goal_far_past_route_end_has_a_short_message(self, tmp_path, capsys):
         # both arc lengths in a bounded width: {:.1f} printed 1e300 as 301 digits
         rc = main(["plan", "--scenario", STRAIGHT, "--set", "goal.distance=1e300", "--out", str(tmp_path / "o")])
@@ -283,6 +295,9 @@ class TestPlan:
             ("goal.threshold=1e-300", "goal: threshold"),
             ("objects.0.poses.0.1=1e300", "objects[0].poses[0]"),
             ("road.lanes.0.centerline.1.1=-1e300", "road.lanes[0].centerline[1]"),
+            # the clearance field divides by its spreads
+            ("objects.0.field.sigma_y=5e-324", "objects[0].field: sigma_y"),
+            ("objects.0.field.sigma_x=1e-300", "objects[0].field: sigma_x"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):

@@ -14,7 +14,7 @@ from urbansst.road import GoalConfig, GridConfig, PenaltyGrid, build_penalty_gri
 from urbansst.sst import PlannerTree, norm_state, plan, sample_inputs, state_distance
 from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState, normalize_angle, propagate
 
-from conftest import LANE_WIDTH, live_nodes, make_crossing_net, make_planner_config
+from conftest import LANE_WIDTH, live_nodes, make_crossing_net, make_planner_config, propagate_nodes
 
 
 def make_tree(goal, grid, world, weights, params, budget=2000, seed=0, start=None):
@@ -84,7 +84,7 @@ def _lane_branch_oracle(tree, net, s_root):
         target = route.point_at(s_tip + min(D_LOOKAHEAD, v_cmd * tree.config.t_prop))
         tree.iterations_used += N_CANDIDATES
         a, delta = sample_inputs(tree.config, rng, tree.params, N_CANDIDATES)
-        idx, ends, _ = tree.propagate_batch([tip] * N_CANDIDATES, a, delta)
+        idx, ends, _ = propagate_nodes(tree, [tip] * N_CANDIDATES, a, delta)
         if not len(idx):
             break
         ends = ends.tolist()

@@ -59,6 +59,11 @@ class TestWorldModel:
             FieldParams(sigma_x=0.0)
         with pytest.raises(ValueError):
             FieldParams(amplitude=-1.0)
+        # squared offsets divided by a smaller spread can overflow
+        for name in ("sigma_x", "sigma_y"):
+            with pytest.raises(ValueError, match=f"{name} must be at least 0.001 m"):
+                FieldParams(**{name: 9e-4})
+            assert getattr(FieldParams(**{name: 1e-3}), name) == 1e-3
 
 
 class TestClearanceCost:

@@ -15,7 +15,12 @@ from urbansst.geometry import obb_overlap
 from urbansst.objects import ObjectPrediction, WorldModel
 from urbansst.road import GoalConfig, GridConfig, PenaltyGrid, compute_goal_region
 from urbansst.sst import (
+    _COST,
+    _DEPTH,
     _FULL_PASS,
+    _REP,
+    _SCW,
+    _STATE,
     InvalidStartError,
     PlannerConfig,
     PlannerTree,
@@ -33,7 +38,25 @@ from urbansst.sst import (
 from urbansst.sim import _chance_within, build_scenario_grid, load_scenario, plan_query, run_closed_loop, simlog_to_csv
 from urbansst.vehicle import ControlInput, VehicleParams, VehicleState, normalize_angle, propagate
 
-from conftest import SCENARIO_DIR, is_state_valid, live_nodes, make_planner_config, wrap_dist
+from conftest import SCENARIO_DIR, is_state_valid, live_nodes, make_planner_config, propagate_nodes, wrap_dist
+
+
+def _state_distance_oracle(a, b):
+    """The per-component body of state_distance before it took the four
+    differences in one subtraction: its bits and its result shapes."""
+    d2 = a[0] - b[0]
+    d2 *= d2
+    dy = a[1] - b[1]
+    dy *= dy
+    d2 += dy
+    dth = np.abs(a[2] - b[2])
+    dth = np.minimum(dth, 1.0 - dth)
+    dth *= dth
+    d2 += dth
+    dv = a[3] - b[3]
+    dv *= dv
+    d2 += dv
+    return np.sqrt(d2)
 
 
 def planner_metric(a, b, config):
@@ -113,6 +136,50 @@ class TestMetric:
         got = norm_states(rows, self.CFG, params)
         want = [norm_state(VehicleState(*row), self.CFG, params) for row in rows.tolist()]
         assert got.T.tolist() == [list(n) for n in want]
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [
+            # every call shape of src/: _nearest's full pass, its exact pairs
+            ((4, 1, 40), (4, 64, 1)),
+            ((4, 64), (4, 64)),
+            # select, _nearest_witness, the d_near picks and _reuse_anchor
+            ((4, 40), "tuple"),
+            ((4, 40), (4,)),
+            # _stale_by and the appended-witness distances, per state and per live row
+            ((4,), (4, 64)),
+            ("tuple", (4, 64)),
+            ((4, 7, 1), (4, 1, 64)),
+            # live endpoints gathered by index, which numpy lays out component-last
+            ("gathered", (4, 1, 64)),
+            # two states, as the tests' planner metric passes them
+            ("tuple", "tuple"),
+            ((4,), (4,)),
+            ("tuple", (4,)),
+        ],
+    )
+    def test_state_distance_equals_old_body(self, shape_a, shape_b):
+        rng = np.random.default_rng(71)
+
+        def draw(shape):
+            a = rng.random({"tuple": 4, "gathered": (4, 20)}.get(shape, shape))
+            flat = a.reshape(4, -1)
+            # headings a quarter or half a turn apart, and zeros of both signs
+            flat[2, ::3] = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], flat[2, ::3].shape)
+            flat[:, 1::5] = -0.0
+            flat[:, 2::5] = 0.0
+            if shape == "gathered":
+                return a[:, rng.permutation(20)[:7], None]
+            return tuple(a.tolist()) if shape == "tuple" else a
+
+        for _ in range(20):
+            a, b = draw(shape_a), draw(shape_b)
+            got, want = state_distance(a, b), _state_distance_oracle(a, b)
+            assert np.shape(got) == np.shape(want)
+            # bytes, so that the sign of a zero counts too
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if shape_a == shape_b == "tuple":
+            assert np.ndim(state_distance(a, a)) == 0 and state_distance(a, a) == 0.0
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(5)
@@ -301,7 +368,7 @@ class TestPropagationKernel:
         # one kernel call for candidates from every node, in mixed order
         starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 8)).tolist()]
         a, delta = sample_inputs(tree.config, rng, tree.params, len(starts))
-        idx, ends, _ = tree.propagate_batch(starts, a, delta)
+        idx, ends, _ = propagate_nodes(tree, starts, a, delta)
         got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
         outcomes = Counter()
         for i, (node, u) in enumerate(zip(starts, map(ControlInput, a.tolist(), delta.tolist()))):
@@ -321,7 +388,7 @@ class TestPropagationKernel:
             starts = np.broadcast_to(node.state, (100, 4))
             assert not starts.flags.writeable
             a, delta = sample_inputs(cfg, rng, params, 100)
-            ends = np.column_stack([M[:, -1] for M in tree.integrate(starts, a, delta)])
+            ends = np.column_stack([M[-1] for M in tree.integrate(starts, a, delta)])
             for row, u in zip(ends, map(ControlInput, a.tolist(), delta.tolist())):
                 want = tree.propagate_checked(node, u)
                 outcomes[want is None] += 1
@@ -373,7 +440,7 @@ class TestPropagationKernel:
         rng = np.random.default_rng(61)
         starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 4)).tolist()]
         a, delta = sample_inputs(fresh.config, rng, fresh.params, len(starts))
-        idx, ends, _ = fresh.propagate_batch(starts, a, delta)
+        idx, ends, _ = propagate_nodes(fresh, starts, a, delta)
         assert len(fresh._pose_rows) == depth + 1 and len(fresh._xyr) > rows
         got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
         outcomes = Counter()
@@ -406,9 +473,9 @@ class TestPropagationKernel:
     def _assert_rows_equal_scalar(tree, starts, a, delta):
         """Each row of one propagate_batch call is propagate_checked's state, bytes and all, and
         its penalties are the grid's at each substate; returns the rows."""
-        idx, ends, penalties = tree.propagate_batch(starts, np.array(a), np.array(delta))
+        idx, ends, penalties = propagate_nodes(tree, starts, np.array(a), np.array(delta))
         got = dict(zip(idx.tolist(), ends))
-        pen = dict(zip(idx.tolist(), penalties.tolist()))
+        pen = dict(zip(idx.tolist(), penalties.T.tolist()))
         cfg = tree.config
         for i, (node, u) in enumerate(zip(starts, map(ControlInput, a, delta))):
             want = tree.propagate_checked(node, u)
@@ -477,7 +544,7 @@ class TestPropagationKernel:
             return obb_overlap(*args)
 
         monkeypatch.setattr(objects, "obb_overlap", counted)
-        tree.propagate_batch(starts, a, delta)
+        propagate_nodes(tree, starts, a, delta)
         side = "scalar"
         for node, u in zip(starts, map(ControlInput, a.tolist(), delta.tolist())):
             tree.propagate_checked(node, u)
@@ -500,17 +567,23 @@ class TestKernelExactness:
             )
 
     def test_accumulate_equals_running_sum(self):
-        # rows of mixed signs and magnitudes, accumulated in place in a column slice as the kernel does
+        # substeps of mixed signs and magnitudes along axis 0 of a plane, accumulated in place
+        # in a plane slice and in two stacked planes at once, as the kernel does
         rng = np.random.default_rng(59)
-        rows = rng.standard_normal((2_000, 12)) * 10.0 ** rng.integers(-12, 3, (2_000, 12))
-        rows[::7, 1:] = rows[::7, 1:2]
-        got = rows.copy()
-        np.add.accumulate(got[:, 1:], axis=1, out=got[:, 1:])
-        want = rows.tolist()
-        for row in want:
-            for k in range(2, len(row)):
-                row[k] = row[k - 1] + row[k]
-        bad = int(np.count_nonzero(got != np.array(want)))
+        planes = rng.standard_normal((2, 12, 2_000)) * 10.0 ** rng.integers(-12, 3, (2, 12, 2_000))
+        planes[:, 1:, ::7] = planes[:, 1:2, ::7]
+        one = planes.copy()
+        np.add.accumulate(one[0, 1:], out=one[0, 1:])
+        both = planes.copy()
+        np.add.accumulate(both, axis=1, out=both)
+        want = planes.tolist()
+        for plane in want:
+            for k in range(1, len(plane)):
+                plane[k] = [s + x for s, x in zip(plane[k - 1], plane[k])]
+        want_one = planes[0].tolist()
+        for k in range(2, len(want_one)):
+            want_one[k] = [s + x for s, x in zip(want_one[k - 1], want_one[k])]
+        bad = int(np.count_nonzero(both != np.array(want))) + int(np.count_nonzero(one[0] != np.array(want_one)))
         assert bad == 0, (
             f"host property: np.add.accumulate differs from a running sum in {bad} places, so the batched "
             "propagation kernel cannot match the scalar one on this host"
@@ -604,7 +677,7 @@ class TestGridCells:
         ends = [tree.propagate_checked(node, ControlInput(0.0, 0.0)) for node in nodes]
         assert [end is not None for end in ends] == valid
         # the kernel, with every cell-edge state in one call
-        idx, _, _ = tree.propagate_batch(nodes, np.zeros(n_cols), np.zeros(n_cols))
+        idx, _, _ = propagate_nodes(tree, nodes, np.zeros(n_cols), np.zeros(n_cols))
         assert idx.tolist() == np.flatnonzero(valid).tolist()
 
 
@@ -649,10 +722,21 @@ def _price_tree(straight_net, params, start_time, with_objects, term):
     )
 
 
+def _rep_columns(parents):
+    """parents as the witness-table columns of representatives, the rows that _price
+    reads (cost, state, state cost and depth); the norm rows, which it must not
+    read, hold NaN."""
+    cols = np.full((_DEPTH + 1, len(parents)), math.nan)
+    for i, p in enumerate(parents):
+        cols[_COST, i], cols[_SCW, i], cols[_DEPTH, i] = p.cost, p.state_cost_w, p.depth
+        cols[_STATE, i] = p.state
+    return cols
+
+
 def _assert_prices_equal(tree, parents, ends):
     """_price gives try_insert's state cost and cost, row by row, as bytes."""
     rows = np.array(ends)
-    scw, cost = tree._price(parents, rows, tree.grid.lookups(rows[:, 0], rows[:, 1])[:, None])
+    scw, cost = tree._price(_rep_columns(parents), rows, tree.grid.lookups(rows[:, 0], rows[:, 1])[None])
     # every state founds a witness, so none is dominated
     tree._nearest_witness = lambda norm: None
     nodes = [tree.try_insert(p, VehicleState(*e), ControlInput(0.0, 0.0)) for p, e in zip(parents, ends)]
@@ -729,7 +813,8 @@ class TestBatchPrices:
                 tree._add_witness(TreeNode(rep, u, tree.root, 1e6, 0.0), norm_state(rep, tree.config, params))
         computed, priced = trees
         penalty = [[priced.grid.lookup(end.x, end.y)]]
-        scw, cost = (a.tolist() for a in priced._price([priced.root], np.array([end]), np.array(penalty)))
+        # the root is witness 0's representative
+        scw, cost = (a.tolist() for a in priced._price(priced._table[:, :1], np.array([end]), np.array(penalty)))
         norm = norm_states(np.array([end]), priced.config, params)[:, 0]
         near = priced._nearest_witness(norm)
         n_wit = computed.n_witnesses
@@ -836,6 +921,45 @@ class TestNearest:
         want_index, want_dist = _brute_nearest(cols, pts)
         assert index.tolist() == want_index
         assert dist.tobytes() == want_dist.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 5, 64]),
+        w=st.sampled_from([1, 2, 40, 128, 129, 400, 1500]),
+        offset=st.sampled_from([0.0, 1.0, 1e4]),
+        spread=st.sampled_from([1e-6, 0.05, 1.0, 8.0]),
+        n_dup=st.integers(0, 30),
+        n_tie=st.integers(0, 10),
+        # a radius of d_prune, or exactly the distance of a tied point to its nearest
+        tie=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # normalized xy near 1e4 put the product's rounding above the ties' squares
+    @example(n=64, w=129, offset=1e4, spread=0.05, n_dup=30, n_tie=10, tie=True, seed=0)
+    @example(n=64, w=1500, offset=1e4, spread=1.0, n_dup=0, n_tie=10, tie=True, seed=1)
+    def test_radius_equals_full_within_it(self, n, w, offset, spread, n_dup, n_tie, tie, seed):
+        rng = np.random.default_rng(seed)
+        cols = np.vstack((offset + spread * rng.random((2, w)), rng.random((2, w))))
+        pts = np.vstack((offset + spread * rng.random((2, n)), rng.random((2, n))))
+        # duplicate columns, earlier and later ones: the first index wins a tie
+        cols[:, rng.integers(0, w, n_dup)] = cols[:, rng.integers(0, w, n_dup)]
+        r = 0.1
+        if n and n_tie:
+            # points one xy step from a column, with its heading and speed, so
+            # that their distances to it are near r and one is exactly r
+            tied, of = rng.integers(0, n, n_tie), rng.integers(0, w, n_tie)
+            angle = rng.uniform(0.0, math.tau)
+            pts[:, tied] = cols[:, of]
+            pts[:2, tied] += [[r * math.cos(angle)], [r * math.sin(angle)]]
+            if tie:
+                r = float(_brute_nearest(cols, pts)[1][tied[0]])
+        index, dist = PlannerTree._nearest(cols, pts, r)
+        want_index, want_dist = _brute_nearest(cols, pts)
+        within = (want_dist <= r).nonzero()[0]
+        assert dist[within].tobytes() == want_dist[within].tobytes()
+        assert index[within].tolist() == [want_index[i] for i in within.tolist()]
+        assert np.isinf(np.delete(dist, within)).all()
+        assert ((index >= 0) & (index < w)).all()
 
 
 def _assert_witnesses_sparse(tree):
@@ -1004,6 +1128,14 @@ class TestPlan:
         assert result.n_witnesses > 1
 
 
+def _assert_rep_rows(tree, i):
+    """Column i of the witness table holds its representative's norm, cost,
+    state, state cost and depth, bytes and all."""
+    rep, col = tree._reps[i], tree._table[:, i]
+    want = (*norm_state(rep.state, tree.config, tree.params), rep.cost, *rep.state, rep.state_cost_w, rep.depth)
+    assert col[_REP.start :].tobytes() == np.array(want, float).tobytes(), i
+
+
 def _run_sequentially(tree):
     """The main loop one iteration at a time: the oracle of PlannerTree.run's batches."""
     cfg, params, rng = tree.config, tree.params, tree.rng
@@ -1056,9 +1188,9 @@ class TestBatchedLoop:
             selected[0] = tree.iterations_used
             return select(tree, x_rand)
 
-        def counted_nearest(cols, pts):
+        def counted_nearest(cols, pts, r=None):
             filtered[len(trees)] += cols.shape[1] * pts.shape[1] > _FULL_PASS
-            return nearest(cols, pts)
+            return nearest(cols, pts, r)
 
         def counted_stale_by(norm, samples, reach):
             # one state's row, in an iteration that redid no pick: an endpoint
@@ -1075,6 +1207,12 @@ class TestBatchedLoop:
                 finally:
                     calls.pop()
             return called
+
+        def checked_insert(tree, *args):
+            node = try_insert(tree, *args)
+            if node is not None:
+                _assert_rep_rows(tree, tree._reps.index(node))
+            return node
 
         def counted_nearest_witness(tree, norm):
             # a kernel endpoint that a witness the batch appended is nearer to
@@ -1093,7 +1231,7 @@ class TestBatchedLoop:
         monkeypatch.setattr(PlannerTree, "_nearest", staticmethod(counted_nearest))
         monkeypatch.setattr(PlannerTree, "_stale_by", staticmethod(counted_stale_by))
         monkeypatch.setattr(PlannerTree, "_run_batch", within("batch", run_batch))
-        monkeypatch.setattr(PlannerTree, "try_insert", within("insert", try_insert))
+        monkeypatch.setattr(PlannerTree, "try_insert", within("insert", checked_insert))
         monkeypatch.setattr(PlannerTree, "_nearest_witness", counted_nearest_witness)
         # a budget that is not a multiple of the batch size; dki seeding
         # spends up to 1 400 of it
@@ -1109,6 +1247,8 @@ class TestBatchedLoop:
         w = a.n_witnesses
         assert a._table[:, :w].tobytes() == b._table[:, :w].tobytes()
         assert [(r.state, r.depth, r.cost) for r in a._reps] == [(r.state, r.depth, r.cost) for r in b._reps]
+        for i in range(w):
+            _assert_rep_rows(a, i)
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
         # the batched loop redid some of its picks through the scalar path
         assert selects[1] > 0
