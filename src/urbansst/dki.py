@@ -73,7 +73,7 @@ def seed_lane_branch(tree: PlannerTree, net: RoadNetwork, s_root: float) -> int:
         d_target = min(D_LOOKAHEAD, v_cmd * t_prop)
         target = route.point_at(s_tip + d_target)
         tree.iterations_used += N_CANDIDATES
-        a, delta = sample_inputs(tree.config, rng, tree.params, N_CANDIDATES)
+        a, delta = sample_inputs(rng, tree.params, N_CANDIDATES)
         paths = tree.integrate(np.broadcast_to(tip.state, (N_CANDIDATES, 4)), a, delta)
         # math.hypot, not np.hypot, whose last bit differs; the first minimum wins
         dists = list(map(math.hypot, (paths[0, -1] - target.x).tolist(), (paths[1, -1] - target.y).tolist()))

@@ -2,8 +2,8 @@
 
 Lanes are polyline centerlines with a width. The penalty field grows
 linearly with distance to the closest lane-center point and saturates at
-p_max half that point's lane width out; lookups outside the grid also
-return p_max. Lane-center points are each lane's centerline densified at
+P_MAX half that point's lane width out; lookups outside the grid also
+return P_MAX. Lane-center points are each lane's centerline densified at
 half the grid resolution, so that sparse waypoints do not scallop the field.
 A scenario's grid and goal sections are GridConfig and GoalConfig.
 """
@@ -93,22 +93,20 @@ class RoadNetwork:
 
 DEFAULT_GRID_RESOLUTION = 0.25
 
+# The penalty off the lanes, and the least penalty of an undrivable cell.
+P_MAX = 100.0
+P_INVALID = 99.0
+
 
 @dataclass(frozen=True)
 class GridConfig:
-    """The grid section: cell size (m), the penalty off the lanes, and the least undrivable one."""
+    """The grid section: the cell size (m)."""
 
     resolution: float = DEFAULT_GRID_RESOLUTION
-    p_max: float = 100.0
-    p_invalid: float = 99.0
 
     def __post_init__(self) -> None:
         if self.resolution <= 0.0:
             raise ValueError("resolution must be positive")
-        if self.p_max <= 0.0:
-            raise ValueError("p_max must be positive")
-        if self.p_invalid > self.p_max:
-            raise ValueError("p_invalid must not exceed p_max")
 
 
 # cells per row block of a grid pass, so no temporary is grid-sized
@@ -182,7 +180,7 @@ class PenaltyGrid:
         self.resolution = float(config.resolution)
         self.cells = np.asarray(cells, dtype=float)
         self.n_rows, self.n_cols = self.cells.shape
-        self.p_max, self.p_invalid = float(config.p_max), float(config.p_invalid)
+        self.p_max, self.p_invalid = P_MAX, P_INVALID
 
     def lookup(self, x: float, y: float) -> float:
         col = int((x - self.origin.x) / self.resolution)
@@ -206,13 +204,13 @@ def build_penalty_grid(net: RoadNetwork, bounds, config: GridConfig) -> PenaltyG
     from the cell center distance to the closest densified lane-center
     point, using the width of the lane owning that point.
     """
-    resolution, p_max = config.resolution, config.p_max
+    resolution = config.resolution
     x_min, y_min, x_max, y_max = (float(b) for b in bounds)
     n_cols = max(1, int(math.ceil((x_max - x_min) / resolution)))
     n_rows = max(1, int(math.ceil((y_max - y_min) / resolution)))
     xs = x_min + (np.arange(n_cols) + 0.5) * resolution
     ys = y_min + (np.arange(n_rows) + 0.5) * resolution
-    # a cell farther than half the widest lane from every lane point is p_max
+    # a cell farther than half the widest lane from every lane point is P_MAX
     # whichever point is nearest
     lane_widths = np.array([lane.width for lane in net.lanes])
     dist, lane = nearest_lane_points(net, resolution / 2, xs[None, :], ys[:, None], reach=lane_widths.max() / 2)
@@ -221,7 +219,7 @@ def build_penalty_grid(net: RoadNetwork, bounds, config: GridConfig) -> PenaltyG
     for r in range(0, n_rows, step):
         d = dist[r : r + step]
         widths = lane_widths[lane[r : r + step]]
-        d[...] = np.where(d < widths / 2, 2.0 * p_max * d / widths, p_max)
+        d[...] = np.where(d < widths / 2, 2.0 * P_MAX * d / widths, P_MAX)
     return PenaltyGrid((x_min, y_min), dist, config)
 
 
@@ -292,21 +290,21 @@ class RoutePath:
         return _resample_polyline(pts, 0.5)
 
 
+# Half the length (m) of the route window around the goal's center.
+GOAL_THRESHOLD = 2.0
+
+
 @dataclass(frozen=True)
 class GoalConfig:
-    """The goal section: the goal's route distance ahead, its window's half length and lateral band."""
+    """The goal section: the goal's route distance ahead and its window's lateral band."""
 
     distance: float = 30.0
-    threshold: float = 2.0
     lateral_band: float = 6.0
 
     def __post_init__(self) -> None:
-        for name in ("distance", "threshold", "lateral_band"):
+        for name in ("distance", "lateral_band"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        # compute_goal_region divides by the length of the window's tangents, about 0 in a far narrower one
-        if self.threshold < 1e-3:
-            raise ValueError(f"threshold must be at least 0.001 m, got {self.threshold!r}")
 
 
 class GoalRegion:
@@ -347,14 +345,15 @@ def _window_membership(pts: np.ndarray, window: np.ndarray, band: float) -> np.n
 
 
 def compute_goal_region(net: RoadNetwork, s_ego: float, config: GoalConfig) -> GoalRegion:
-    """Goal band of every lane that crosses the route window config.distance ahead of arc length s_ego."""
+    """Goal band of every lane that crosses the route window GOAL_THRESHOLD either side of the point
+    config.distance ahead of arc length s_ego."""
     route = net.route_path
     s_goal = s_ego + config.distance
     if s_goal > route.length:
         raise RouteExhaustedError(
             f"route ends at {route.length:.6g} m but goal center is at {s_goal:.6g} m"
         )
-    window = route.slice(s_goal - config.threshold, min(s_goal + config.threshold, route.length))
+    window = route.slice(s_goal - GOAL_THRESHOLD, min(s_goal + GOAL_THRESHOLD, route.length))
     polygons = []
     for lane, dense in zip(net.lanes, net.lane_points(0.2)):
         # Contiguous runs of in-window points become quad strips of +-width/2.

@@ -34,7 +34,7 @@ from .road import (
     compute_goal_region,
     nearest_lane_points,
 )
-from .sst import InvalidStartError, PlannerConfig, PlanResult, plan
+from .sst import SIGMA_A, SIGMA_DELTA, InvalidStartError, PlannerConfig, PlanResult, plan
 from .vehicle import ControlInput, TimedState, Trajectory, VehicleParams, VehicleState, step, substep_count
 
 FOOTPRINT_DEFAULTS = {
@@ -85,8 +85,8 @@ class Scenario:
         # hangs. An inverse-CDF sampler of the truncated Gaussian would never
         # redraw and make this check unneeded.
         chances = {
-            "a_bounds": _chance_within(self.ego_params.a_bounds, self.planner.sigma_a),
-            "delta_bounds": _chance_within(self.ego_params.delta_bounds, self.planner.sigma_delta),
+            "a_bounds": _chance_within(self.ego_params.a_bounds, SIGMA_A),
+            "delta_bounds": _chance_within(self.ego_params.delta_bounds, SIGMA_DELTA),
         }
         accept = chances["a_bounds"] * chances["delta_bounds"]
         if accept < 1e-3:
@@ -294,7 +294,7 @@ def load_scenario(path, overrides=()) -> Scenario:
 
 
 def build_scenario_grid(sc: Scenario) -> PenaltyGrid:
-    """Penalty grid covering every lane band; out-of-grid lookups are p_max anyway.
+    """Penalty grid covering every lane band; out-of-grid lookups are P_MAX anyway.
 
     A resolution that needs more than _MAX_GRID_CELLS cells is an error
     before anything is allocated.

@@ -68,6 +68,10 @@ _DEPTH = 14
 # Main-loop iterations done as one batch.
 _BATCH = 64
 
+# Spreads of the zero-mean Gaussian input draws: acceleration (m/s^2) and steering angle (rad).
+SIGMA_A = 0.8
+SIGMA_DELTA = 0.2
+
 # Up to this many (point, column) pairs, one exact pass over all of them is
 # faster than the xy filter of PlannerTree._nearest.
 _FULL_PASS = 8192
@@ -84,8 +88,6 @@ class PlannerConfig:
     d_prune: float = 0.1
     t_prop: float = 0.4
     t_step: float = 0.04
-    sigma_a: float = 0.8
-    sigma_delta: float = 0.2
     # Sampling bounds of one query, set by with_bounds; speed bounds are the
     # vehicle's (VehicleParams.v_bounds), heading spans the full circle.
     x_bounds: Optional[tuple] = None
@@ -105,8 +107,6 @@ class PlannerConfig:
             raise ValueError("iteration_budget and query_time must not both be set")
         if self.d_prune > self.d_near:
             raise ValueError("d_prune must not exceed d_near")
-        if self.sigma_a <= 0.0 or self.sigma_delta <= 0.0:
-            raise ValueError("input sampling sigmas must be positive")
         # the planner metric divides positions by it; below a millimetre their squares can overflow
         if not self.metric_xy_scale >= 1e-3:
             raise ValueError(f"metric_xy_scale must be at least 0.001 m, got {self.metric_xy_scale!r}")
@@ -204,7 +204,7 @@ def sample_state(config: PlannerConfig, rng: np.random.Generator, params: Vehicl
     )
 
 
-def sample_input(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams) -> ControlInput:
+def sample_input(rng: np.random.Generator, params: VehicleParams) -> ControlInput:
     """Zero-mean Gaussian input, jointly redrawn until both components are in bounds.
 
     0.0 + sigma * standard_normal() is rng.normal(0.0, sigma) bit for bit
@@ -214,8 +214,8 @@ def sample_input(config: PlannerConfig, rng: np.random.Generator, params: Vehicl
     a_lo, a_hi = params.a_bounds
     d_lo, d_hi = params.delta_bounds
     while True:
-        a = 0.0 + config.sigma_a * rng.standard_normal()
-        d = 0.0 + config.sigma_delta * rng.standard_normal()
+        a = 0.0 + SIGMA_A * rng.standard_normal()
+        d = 0.0 + SIGMA_DELTA * rng.standard_normal()
         if a_lo <= a <= a_hi and d_lo <= d <= d_hi:
             return ControlInput(a, d)
 
@@ -231,7 +231,6 @@ def sample_batch(config: PlannerConfig, rng: np.random.Generator, params: Vehicl
     """
     u = np.empty((k, 4))
     z = np.empty((k, 2))
-    sigma_a, sigma_d = config.sigma_a, config.sigma_delta
     a_lo, a_hi = params.a_bounds
     d_lo, d_hi = params.delta_bounds
     for j in range(k):
@@ -240,18 +239,18 @@ def sample_batch(config: PlannerConfig, rng: np.random.Generator, params: Vehicl
         while True:
             rng.standard_normal(out=zj)
             za, zd = zj.tolist()
-            if a_lo <= 0.0 + sigma_a * za <= a_hi and d_lo <= 0.0 + sigma_d * zd <= d_hi:
+            if a_lo <= 0.0 + SIGMA_A * za <= a_hi and d_lo <= 0.0 + SIGMA_DELTA * zd <= d_hi:
                 break
     (x_lo, x_hi), (y_lo, y_hi) = config.x_bounds, config.y_bounds
     v_lo, v_hi = params.v_bounds
     u *= (x_hi - x_lo, y_hi - y_lo, math.tau, v_hi - v_lo)
     u += (x_lo, y_lo, -math.pi, v_lo)
-    z *= (sigma_a, sigma_d)
+    z *= (SIGMA_A, SIGMA_DELTA)
     z += 0.0
     return u, z
 
 
-def sample_inputs(config: PlannerConfig, rng: np.random.Generator, params: VehicleParams, n: int):
+def sample_inputs(rng: np.random.Generator, params: VehicleParams, n: int):
     """n sample_input calls at once: arrays (a, delta) of the same values.
 
     A look-ahead draws 2n pairs, twice as many each time fewer than n are
@@ -262,11 +261,10 @@ def sample_inputs(config: PlannerConfig, rng: np.random.Generator, params: Vehic
         return np.empty(0), np.empty(0)
     a_lo, a_hi = params.a_bounds
     d_lo, d_hi = params.delta_bounds
-    scale = (config.sigma_a, config.sigma_delta)
     saved = rng.bit_generator.state
     m = 2 * n
     while True:
-        a, d = (0.0 + np.multiply(scale, rng.standard_normal((m, 2)))).T
+        a, d = (0.0 + np.multiply((SIGMA_A, SIGMA_DELTA), rng.standard_normal((m, 2)))).T
         kept = ((a_lo <= a) & (a <= a_hi) & (d_lo <= d) & (d <= d_hi)).nonzero()[0][:n]
         rng.bit_generator.state = saved
         if len(kept) == n:
@@ -486,18 +484,28 @@ class PlannerTree:
 
     # -- spec operations ----------------------------------------------------
 
-    def select(self, x_rand: VehicleState) -> TreeNode:
-        """Lowest-cost representative within d_near of the sample, else the nearest."""
+    def select(self, sample) -> int:
+        """SST's BestNear rule for a normalized sample (a column of norm_states): the witness
+        column of the lowest-cost representative within d_near of it, else of the nearest."""
         table = self._table[:, : len(self._reps)]
-        d = state_distance(table[_REP], norm_state(x_rand, self.config, self.params))
+        d = state_distance(table[_REP], sample)
         i = int(d.argmin())
         if d[i] <= self.config.d_near:
             i = int(np.where(d <= self.config.d_near, table[_COST], math.inf).argmin())
-        return self._reps[i]
+        return i
 
     def _state_cost_w(self, x: float, y: float, v: float, poses) -> float:
         clearance = clearance_cost(x, y, poses) if self.world.objects else 0.0
         return state_cost(self.weights, v, self.grid.lookup(x, y), clearance)
+
+    def _priced(self, parent: TreeNode, state: VehicleState) -> tuple:
+        """try_insert's priced for state, the end of an edge from parent, computed for it alone."""
+        x, y, _, v = state
+        scw = self._state_cost_w(x, y, v, self._pose_row(parent.depth)[-1])
+        length = math.hypot(x - parent.state.x, y - parent.state.y)
+        cost = parent.cost + edge_cost(self.weights, length, parent.state_cost_w, scw, self.config.t_prop)
+        norm = norm_state(state, self.config, self.params)
+        return scw, cost, norm, self._nearest_witness(norm)
 
     def _price(self, cols: np.ndarray, ends: np.ndarray, penalties: np.ndarray):
         """try_insert's state costs and costs of the end states ends[i] (rows x, y, theta, v)
@@ -659,20 +667,11 @@ class PlannerTree:
 
         priced is the state's (state cost, cost, norm, near), near being the index of its nearest
         witness if that lies within d_prune, else None, as _price, norm_states and
-        _nearest_witness give them bit for bit; without it, try_insert computes all four.
+        _nearest_witness give them bit for bit; without it, try_insert computes all four (_priced).
         """
-        x, y, _, v = state
         # every insert makes its depth's time, which _chain_trajectory reads
-        poses = self._pose_row(parent.depth)[-1]
-        if priced is None:
-            x0, y0, _, _ = parent.state
-            scw = self._state_cost_w(x, y, v, poses)
-            length = math.hypot(x - x0, y - y0)
-            cost = parent.cost + edge_cost(self.weights, length, parent.state_cost_w, scw, self.config.t_prop)
-            norm = norm_state(state, self.config, self.params)
-            i = self._nearest_witness(norm)
-        else:
-            scw, cost, norm, i = priced
+        self._pose_row(parent.depth)
+        scw, cost, norm, i = self._priced(parent, state) if priced is None else priced
         if i is not None and cost >= self._table[_COST, i]:
             return None
         node = TreeNode(state, u, parent, cost, scw)
@@ -680,7 +679,7 @@ class PlannerTree:
             self._add_witness(node, norm)
         else:
             self._set_rep(i, node, norm)
-        if cost < self.best_cost and self.goal.contains_xy(x, y):
+        if cost < self.best_cost and self.goal.contains_xy(state[0], state[1]):
             self._record_solution(node)
         return node
 
@@ -699,29 +698,30 @@ class PlannerTree:
         nearest; Li, Littlefield and Bekris, IJRR 2016), samples an input,
         propagates and inserts the endpoint unless its witness holds a
         cheaper one. The draws do not depend on the tree, so all k are made
-        first, in stream order, as the rows of two arrays (sample_batch);
-        states and inputs are built from a row only where a pick is redone or
-        committed. Selection, propagation and witness lookup then run for all
-        k against the table as it stands (the snapshot), and the results are
-        committed in order. The snapshot reads no node: the picks' states,
-        depths, costs and state costs are their table columns. The snapshot
-        selection takes each sample's nearest representative first, and the
-        cheapest within d_near only where the nearest lies within d_near; both
-        it and the witness lookup find the nearest through _nearest, which on
-        a large table ranks only the columns whose xy distance alone does not
-        rule them out. The witness lookup asks only for witnesses within
-        d_prune (the others neither dominate nor take an endpoint), and an
-        endpoint with none gets the distance inf. A commit writes one table
-        column. Pick j is stale once a commit replaced the
-        node it picked, or placed a representative within reach[j] of its
-        sample: within d_near it may be cheaper, and when nothing was within
-        d_near, one as near as the pick may be the nearest. A stale pick is
-        redone on the current tree. Witnesses never move and appended ones
-        come after the snapshot's, so an endpoint's nearest witness is the
-        snapshot's (argmin takes the first minimum) unless one the batch
-        appended is strictly nearer: then, if that one lies within d_prune,
-        _nearest_witness finds it in the table; beyond d_prune neither is a
-        witness of the endpoint.
+        first, in stream order, as the rows of two arrays (sample_batch), and
+        the samples are normalized once; an input is built from a row only
+        where a pick is redone or committed. Selection, propagation and
+        witness lookup then run for all k against the table as it stands (the
+        snapshot), and the results are committed in order. The snapshot reads
+        no node: the picks' states, depths, costs and state costs are their
+        table columns. The snapshot selection takes each sample's nearest
+        representative, and where that lies within d_near select's pick (the
+        one BestNear rule, which a redone pick applies too); it and the witness
+        lookup find the nearest through _nearest, which on a large table ranks
+        only the columns whose xy distance alone does not rule them out. The
+        witness lookup asks only for witnesses within d_prune (the others
+        neither dominate nor take an endpoint), and an endpoint with none gets
+        the distance inf. A commit writes one table column. Pick j is stale
+        once a commit replaced the node it picked, or placed a representative
+        within reach[j] of its sample: within d_near it may be cheaper, and
+        when nothing was within d_near, one as near as the pick may be the
+        nearest. A stale pick is redone on the current tree, its endpoint
+        priced and normalized once (_priced). Witnesses never move and
+        appended ones come after the snapshot's, so an endpoint's nearest
+        witness is the snapshot's (argmin takes the first minimum) unless one
+        the batch appended is strictly nearer: then, if that one lies within
+        d_prune, _nearest_witness finds it in the table; beyond d_prune
+        neither is a witness of the endpoint.
 
         Every endpoint is priced up front (_price). A witness's cost only falls
         (a replacement is strictly cheaper), so an endpoint that its snapshot
@@ -741,11 +741,10 @@ class PlannerTree:
 
         table = self._table[:, : len(reps)]
         pick, reach = self._nearest(table[_REP], samples)
-        # the nearest, unless one lies within d_near: then the cheapest of
-        # those is the pick (rare on most trees)
+        # the nearest, unless one lies within d_near: then select's pick, the
+        # cheapest of those (rare on most trees)
         for r in (reach <= cfg.d_near).nonzero()[0].tolist():
-            d = state_distance(table[_REP], samples[:, r])
-            pick[r] = np.where(d <= cfg.d_near, table[_COST], math.inf).argmin()
+            pick[r] = self.select(samples[:, r])
         reach = np.maximum(reach, cfg.d_near)
         # the picks' representatives, as the table holds them
         cols = table[:, pick]
@@ -777,14 +776,15 @@ class PlannerTree:
         for j in range(k):
             self.iterations_used = base + j + 1
             node = nodes[j]
-            r = priced = None
+            r = None
             if stale[j] or reps[pick[j]] is not node:
-                node = self.select(VehicleState(*states[j].tolist()))
+                node = reps[self.select(samples[:, j])]
                 u = ControlInput(*inputs[j].tolist())
                 end = self.propagate_checked(node, u)
                 if end is None:
                     continue
-                norm = norm_state(end, cfg, params)
+                priced = self._priced(node, end)
+                norm = priced[2]
             else:
                 e = row_of.get(j)
                 if e is None:

@@ -50,6 +50,12 @@ MUTANTS = [
         "return state_distance(norm, samples) < reach",
     ),
     (
+        "select's BestNear rule leaves out a representative at exactly d_near",
+        "sst.py",
+        "np.where(d <= self.config.d_near, table[_COST], math.inf)",
+        "np.where(d < self.config.d_near, table[_COST], math.inf)",
+    ),
+    (
         "object checks read the heading one substep early",
         "sst.py",
         "float(TH[k + 1, i])",

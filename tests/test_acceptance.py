@@ -13,7 +13,7 @@ import pytest
 from urbansst.cli import main as cli_main
 from urbansst.dki import plan_dki
 from urbansst.objects import ObjectPrediction, WorldModel, clearance_cost_xy
-from urbansst.road import build_penalty_grid, compute_goal_region
+from urbansst.road import P_INVALID, P_MAX, build_penalty_grid, compute_goal_region
 from urbansst.sim import (
     SAMPLING_MARGIN,
     build_scenario_grid,
@@ -92,7 +92,7 @@ class TestAcceptance:
         for seed in SEEDS:
             log = run_closed_loop(sc, "dki", seed)
             states = [ts.state for ts in _exec_states(log)]
-            invalid = sum(1 for s in states if grid.lookup(s.x, s.y) >= sc.grid.p_invalid)
+            invalid = sum(1 for s in states if grid.lookup(s.x, s.y) >= P_INVALID)
             reached_exit = bool(states) and states[-1].x < -5.0 and states[-1].y < -5.0
             if (
                 log.termination == "route_exhausted"
@@ -181,7 +181,7 @@ class TestAcceptance:
             cy = grid.origin.y + (row + 0.5) * grid.resolution
             if -10.0 <= cx <= 130.0:
                 d = min(abs(cy), abs(cy - 3.5))
-                want = 2.0 * sc.grid.p_max * d / 3.75 if d < 3.75 / 2 else sc.grid.p_max
+                want = 2.0 * P_MAX * d / 3.75 if d < 3.75 / 2 else P_MAX
                 assert grid.cells[row, col] == pytest.approx(want, abs=1e-6)
         done("grid_oracle")
 
@@ -226,7 +226,7 @@ class TestAcceptance:
         for _ in range(1000):
             x_rand = sample_state(cfg, rng, params)
             n = norm_state(x_rand, cfg, params)
-            picked = tree.select(x_rand)
+            picked = active[tree.select(n)]
             dists = np.array([wrap_dist(norm_state(node.state, cfg, params), n) for node in active])
             in_range = dists <= cfg.d_near
             if in_range.any():

@@ -248,7 +248,7 @@ class TestPlan:
             ("planner.x_bounds=[0,50]", "planner.x_bounds"),
             ("goal.lateral_band=-1", "goal: lateral_band"),
             ("goal.distance=-5", "goal: distance"),
-            ("goal.threshold=0", "goal: threshold"),
+            ("goal.threshold=0", "goal.threshold: unknown key"),
             ("goal.distanse=3", "goal.distanse"),
             ("grid.resolution=0", "grid: resolution"),
             ("grid.p_maxx=1", "grid.p_maxx"),
@@ -256,10 +256,12 @@ class TestPlan:
             ("grid.resolution=1e-6", "grid.resolution"),
             # a replan period of 1e-12 s executes no state
             ("sim.replan_rate=1e12", "sim.replan_rate"),
-            ("grid.p_invalid=200", "grid: p_invalid"),
-            # a zero p_max makes the grid 0 * inf where no lane reaches
-            ('grid={"p_max":0,"p_invalid":0}', "grid: p_max must be positive"),
-            ('grid={"p_max":-100,"p_invalid":-101}', "grid: p_max must be positive"),
+            # the grid penalties, the goal threshold and the input spreads are constants, not keys
+            ("grid.p_invalid=200", "grid.p_invalid: unknown key"),
+            ('grid={"p_max":0,"p_invalid":0}', "grid.p_max: unknown key"),
+            ('grid={"p_max":-100,"p_invalid":-101}', "grid.p_max: unknown key"),
+            ("planner.sigma_a=0.8", "planner.sigma_a: unknown key"),
+            ("planner.sigma_delta=0", "planner.sigma_delta: unknown key"),
             ("road.route=5", "road.route"),
             ("road.route=[5]", "road.route[0]"),
             ('objects.0.type="bike"', "objects[0].type"),
@@ -292,7 +294,7 @@ class TestPlan:
             ("ego.state.x=1e300", "ego.state.x"),
             ("ego.state.y=-1000001", "ego.state.y"),
             ("planner.metric_xy_scale=1e-300", "planner: metric_xy_scale"),
-            ("goal.threshold=1e-300", "goal: threshold"),
+            ("goal.threshold=1e-300", "goal.threshold: unknown key"),
             ("objects.0.poses.0.1=1e300", "objects[0].poses[0]"),
             ("road.lanes.0.centerline.1.1=-1e300", "road.lanes[0].centerline[1]"),
             # the clearance field divides by its spreads

@@ -83,7 +83,7 @@ def _lane_branch_oracle(tree, net, s_root):
         v_cmd = tip.state.v + 0.25 * (tree.weights.v_desired - tip.state.v)
         target = route.point_at(s_tip + min(D_LOOKAHEAD, v_cmd * tree.config.t_prop))
         tree.iterations_used += N_CANDIDATES
-        a, delta = sample_inputs(tree.config, rng, tree.params, N_CANDIDATES)
+        a, delta = sample_inputs(rng, tree.params, N_CANDIDATES)
         idx, ends, _ = propagate_nodes(tree, [tip] * N_CANDIDATES, a, delta)
         if not len(idx):
             break

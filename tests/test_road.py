@@ -307,10 +307,6 @@ class TestPenaltyGrid:
         grid = build_scenario_grid(load_scenario(SCENARIO_DIR / f"{stem}.json"))
         assert hashlib.sha1(grid.cells.tobytes()).hexdigest() == sha1
 
-    def test_invalid_threshold_ordering(self):
-        with pytest.raises(ValueError, match="p_invalid must not exceed p_max"):
-            GridConfig(p_max=100.0, p_invalid=150.0)
-
 
 class TestGoalRegion:
     def test_window_extent(self, straight_goal):
@@ -349,13 +345,6 @@ class TestGoalRegion:
     def test_route_exhausted(self, straight_net):
         with pytest.raises(RouteExhaustedError):
             compute_goal_region(straight_net, 135.0, GoalConfig())
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="threshold must be positive"):
-            GoalConfig(threshold=0.0)
-        with pytest.raises(ValueError, match="threshold must be at least 0.001 m"):
-            GoalConfig(threshold=9e-4)
-        assert GoalConfig(threshold=1e-3).threshold == 1e-3
 
     def test_s_window_disambiguation(self):
         # (20, 0.3) is 0.3 m from the route's first leg (s = 30) and on its

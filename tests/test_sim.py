@@ -232,10 +232,10 @@ class TestGrid:
         sc = scenario_from_dict(copy.deepcopy(MINIMAL))
         grid = build_scenario_grid(sc)
         # on-lane lookups are far below the invalid threshold for both lanes
-        assert grid.lookup(50.0, 0.0) < sc.grid.p_invalid / 2
-        assert grid.lookup(50.0, 3.5) < sc.grid.p_invalid / 2
+        assert grid.lookup(50.0, 0.0) < grid.p_invalid / 2
+        assert grid.lookup(50.0, 3.5) < grid.p_invalid / 2
         # well off-road saturates
-        assert grid.lookup(50.0, -30.0) == sc.grid.p_max
+        assert grid.lookup(50.0, -30.0) == grid.p_max
 
 
 class TestRollout:

@@ -21,6 +21,8 @@ from urbansst.sst import (
     _REP,
     _SCW,
     _STATE,
+    SIGMA_A,
+    SIGMA_DELTA,
     InvalidStartError,
     PlannerConfig,
     PlannerTree,
@@ -69,10 +71,6 @@ class TestConfig:
     def test_prune_not_exceeding_near(self):
         with pytest.raises(ValueError):
             PlannerConfig(iteration_budget=10, d_prune=0.3, d_near=0.2)
-
-    def test_positive_sigmas(self):
-        with pytest.raises(ValueError):
-            PlannerConfig(iteration_budget=10, sigma_a=0.0)
 
     def test_positive_metric_scale(self):
         with pytest.raises(ValueError):
@@ -213,16 +211,15 @@ class TestSampling:
             assert abs(col.mean() - (lo + hi) / 2) < 3 * se
 
     def test_input_bounds_and_mean(self, params):
-        cfg = make_planner_config()
         rng = np.random.default_rng(13)
         n = 10_000
-        draws = np.array([[u.a, u.delta] for u in (sample_input(cfg, rng, params) for _ in range(n))])
+        draws = np.array([[u.a, u.delta] for u in (sample_input(rng, params) for _ in range(n))])
         assert draws[:, 0].min() >= params.a_bounds[0] and draws[:, 0].max() <= params.a_bounds[1]
         assert draws[:, 1].min() >= params.delta_bounds[0] and draws[:, 1].max() <= params.delta_bounds[1]
         # symmetric truncation keeps the mean at zero; the untruncated sigma
         # over-estimates the standard error, so 3 SE is conservative
-        assert abs(draws[:, 0].mean()) < 3 * cfg.sigma_a / math.sqrt(n)
-        assert abs(draws[:, 1].mean()) < 3 * cfg.sigma_delta / math.sqrt(n)
+        assert abs(draws[:, 0].mean()) < 3 * SIGMA_A / math.sqrt(n)
+        assert abs(draws[:, 1].mean()) < 3 * SIGMA_DELTA / math.sqrt(n)
 
     def test_state_matches_scalar_uniform_oracle(self, params):
         cfg = make_planner_config()
@@ -234,7 +231,7 @@ class TestSampling:
             assert s == VehicleState(*(ref.uniform(lo, hi) for lo, hi in bounds))
             assert all(type(f) is float for f in (s.x, s.y, s.theta, s.v))
             # interleaved input draws keep both streams in step
-            assert sample_input(cfg, rng, params) == sample_input(cfg, ref, params)
+            assert sample_input(rng, params) == sample_input(ref, params)
 
     def test_state_determinism(self, params):
         cfg = make_planner_config()
@@ -345,7 +342,7 @@ class TestPropagationKernel:
         outcomes = Counter()
         for node in nodes:
             for _ in range(8):
-                u = sample_input(cfg, rng, params)
+                u = sample_input(rng, params)
                 expected, why = _propagation_oracle(tree, node, u)
                 assert tree.propagate_checked(node, u) == expected
                 outcomes[why] += 1
@@ -367,7 +364,7 @@ class TestPropagationKernel:
         rng = np.random.default_rng(37)
         # one kernel call for candidates from every node, in mixed order
         starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 8)).tolist()]
-        a, delta = sample_inputs(tree.config, rng, tree.params, len(starts))
+        a, delta = sample_inputs(rng, tree.params, len(starts))
         idx, ends, _ = propagate_nodes(tree, starts, a, delta)
         got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
         outcomes = Counter()
@@ -387,7 +384,7 @@ class TestPropagationKernel:
         for node in nodes[:: max(1, len(nodes) // 20)]:
             starts = np.broadcast_to(node.state, (100, 4))
             assert not starts.flags.writeable
-            a, delta = sample_inputs(cfg, rng, params, 100)
+            a, delta = sample_inputs(rng, params, 100)
             ends = np.column_stack([M[-1] for M in tree.integrate(starts, a, delta)])
             for row, u in zip(ends, map(ControlInput, a.tolist(), delta.tolist())):
                 want = tree.propagate_checked(node, u)
@@ -439,7 +436,7 @@ class TestPropagationKernel:
         assert not fresh._pose_rows and depth >= rows
         rng = np.random.default_rng(61)
         starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 4)).tolist()]
-        a, delta = sample_inputs(fresh.config, rng, fresh.params, len(starts))
+        a, delta = sample_inputs(rng, fresh.params, len(starts))
         idx, ends, _ = propagate_nodes(fresh, starts, a, delta)
         assert len(fresh._pose_rows) == depth + 1 and len(fresh._xyr) > rows
         got = dict(zip(idx.tolist(), map(tuple, ends.tolist())))
@@ -535,7 +532,7 @@ class TestPropagationKernel:
         tree, nodes = _scenario_tree(node_refs, monkeypatch, name, ego, t)
         rng = np.random.default_rng(53)
         starts = [nodes[i] for i in rng.permutation(np.repeat(np.arange(len(nodes)), 4)).tolist()]
-        a, delta = sample_inputs(tree.config, rng, tree.params, len(starts))
+        a, delta = sample_inputs(rng, tree.params, len(starts))
         calls = Counter()
         side = "batch"
 
@@ -626,15 +623,14 @@ class TestKernelExactness:
     # that the look-ahead of 2n draws has to double about nine times
     @pytest.mark.parametrize("a_bounds", [(-0.8, 0.8), (0.1, 0.15), (2.45, 8.0)])
     def test_sample_inputs_equal_scalar_draws(self, a_bounds):
-        cfg = make_planner_config()
         params = VehicleParams(a_bounds=a_bounds)
-        chance = _chance_within(a_bounds, cfg.sigma_a) * _chance_within(params.delta_bounds, cfg.sigma_delta)
+        chance = _chance_within(a_bounds, SIGMA_A) * _chance_within(params.delta_bounds, SIGMA_DELTA)
         assert chance > 1e-3
         rng = np.random.default_rng(47)
         ref = np.random.default_rng(47)
         for n in (0, 1, 7, 100):
-            a, delta = sample_inputs(cfg, rng, params, n)
-            want = [sample_input(cfg, ref, params) for _ in range(n)]
+            a, delta = sample_inputs(rng, params, n)
+            want = [sample_input(ref, params) for _ in range(n)]
             assert a.shape == delta.shape == (n,)
             assert list(map(ControlInput, a.tolist(), delta.tolist())) == want
             assert rng.bit_generator.state == ref.bit_generator.state
@@ -650,7 +646,7 @@ class TestKernelExactness:
             want_states, want_inputs = [], []
             for _ in range(k):
                 want_states.append(sample_state(cfg, ref, params))
-                want_inputs.append(sample_input(cfg, ref, params))
+                want_inputs.append(sample_input(ref, params))
             # bytes, so that the sign of a zero counts too
             assert states.tobytes() == np.array(want_states, float).reshape(k, 4).tobytes()
             assert inputs.tobytes() == np.array(want_inputs, float).reshape(k, 2).tobytes()
@@ -854,13 +850,12 @@ class TestSelect:
 
         cheap = add(VehicleState(21.5, 0.0, 0.0, 3.0), 5.0)   # dist 0.15
         add(VehicleState(20.5, 0.0, 0.0, 3.0), 10.0)          # dist 0.05
-        assert tree.select(sample) is cheap
+        assert tree._reps[tree.select(norm_state(sample, tree.config, params))] is cheap
 
     def test_nearest_when_none_in_radius(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=0)
         # only the root exists, far from the sample
-        picked = tree.select(VehicleState(45.0, 10.0, 1.0, 0.0))
-        assert picked is tree.root
+        assert tree.select(norm_state(VehicleState(45.0, 10.0, 1.0, 0.0), tree.config, params)) == 0
 
     def test_brute_force_oracle(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=2000)
@@ -872,7 +867,7 @@ class TestSelect:
             sample = sample_state(cfg, rng, params)
             n = norm_state(sample, cfg, params)
             dists = np.array([wrap_dist(norm_state(node.state, cfg, params), n) for node in active])
-            picked = tree.select(sample)
+            picked = active[tree.select(n)]
             picked_dist = wrap_dist(norm_state(picked.state, cfg, params), n)
             in_range = dists <= cfg.d_near
             if in_range.any():
@@ -1142,8 +1137,8 @@ def _run_sequentially(tree):
     while tree.iterations_used < cfg.iteration_budget:
         tree.iterations_used += 1
         x_rand = sample_state(cfg, rng, params)
-        node = tree.select(x_rand)
-        u = sample_input(cfg, rng, params)
+        node = tree._reps[tree.select(norm_state(x_rand, cfg, params))]
+        u = sample_input(rng, params)
         end = tree.propagate_checked(node, u)
         if end is not None:
             tree.try_insert(node, end, u)
@@ -1175,18 +1170,29 @@ class TestBatchedLoop:
         try_insert = PlannerTree.try_insert
         nearest_witness = PlannerTree._nearest_witness
         selects = Counter()
+        refined = Counter()
         filtered = Counter()
         revived = Counter()
         looked_up = Counter()
-        # the iteration of the last select call
+        # the iteration of the last select call that redid a pick
         selected = [None]
+        # the iterations done when the batch in progress began
+        batch_start = [None]
         # the calls in progress, innermost last: "batch" or "insert"
         calls = []
 
-        def counted_select(tree, x_rand):
-            selects[len(trees)] += 1
-            selected[0] = tree.iterations_used
-            return select(tree, x_rand)
+        def counted_select(tree, sample):
+            if calls[-1:] == ["batch"] and tree.iterations_used == batch_start[0]:
+                # before the commit loop: the snapshot selection's d_near refinement
+                refined[len(trees)] += 1
+            else:
+                selects[len(trees)] += 1
+                selected[0] = tree.iterations_used
+            return select(tree, sample)
+
+        def started_batch(tree, k):
+            batch_start[0] = tree.iterations_used
+            return run_batch(tree, k)
 
         def counted_nearest(cols, pts, r=None):
             filtered[len(trees)] += cols.shape[1] * pts.shape[1] > _FULL_PASS
@@ -1230,7 +1236,7 @@ class TestBatchedLoop:
         monkeypatch.setattr(PlannerTree, "select", counted_select)
         monkeypatch.setattr(PlannerTree, "_nearest", staticmethod(counted_nearest))
         monkeypatch.setattr(PlannerTree, "_stale_by", staticmethod(counted_stale_by))
-        monkeypatch.setattr(PlannerTree, "_run_batch", within("batch", run_batch))
+        monkeypatch.setattr(PlannerTree, "_run_batch", within("batch", started_batch))
         monkeypatch.setattr(PlannerTree, "try_insert", within("insert", checked_insert))
         monkeypatch.setattr(PlannerTree, "_nearest_witness", counted_nearest_witness)
         # a budget that is not a multiple of the batch size; dki seeding
@@ -1252,6 +1258,8 @@ class TestBatchedLoop:
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
         # the batched loop redid some of its picks through the scalar path
         assert selects[1] > 0
+        # and, at d_near 1.0, took the cheapest pick within d_near for some samples
+        assert refined[1] > 0 or d_near != 1.0
         # and ranked past the one-pass limit through the xy filter, except on
         # III/dki, I/dki and V, whose witness tables stay small
         assert filtered[1] > 0 or (name, mode) in {
@@ -1346,7 +1354,7 @@ class TestBatchedLoop:
         norm = norm_state(new.state, cfg, params)
         assert state_distance(norm, samples[:, 0]) == reach[0]
         tree._add_witness(new, norm)
-        assert tree.select(sample) is new
+        assert tree._reps[tree.select(samples[:, 0])] is new
         assert PlannerTree._stale_by(norm, samples, reach).tolist() == [True]
 
 
