@@ -258,6 +258,7 @@ class TestPlan:
             ("sim.replan_rate=1e12", "sim.replan_rate"),
             # the grid penalties, the goal threshold and the input spreads are constants, not keys
             ("grid.p_invalid=200", "grid.p_invalid: unknown key"),
+            ("grid.p_max=100", "grid.p_max: unknown key"),
             ('grid={"p_max":0,"p_invalid":0}', "grid.p_max: unknown key"),
             ('grid={"p_max":-100,"p_invalid":-101}', "grid.p_max: unknown key"),
             ("planner.sigma_a=0.8", "planner.sigma_a: unknown key"),

@@ -852,6 +852,19 @@ class TestSelect:
         add(VehicleState(20.5, 0.0, 0.0, 3.0), 10.0)          # dist 0.05
         assert tree._reps[tree.select(norm_state(sample, tree.config, params))] is cheap
 
+    def test_radius_includes_its_edge(self, straight_goal, straight_grid, empty_world, weights, params):
+        tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=0)
+        sample = norm_state(VehicleState(20.0, 0.0, 0.0, 3.0), tree.config, params)
+        cheap_norm = norm_state(VehicleState(21.5, 0.0, 0.0, 3.0), tree.config, params)
+        cheap = TreeNode(VehicleState(21.5, 0.0, 0.0, 3.0), None, tree.root, 5.0, 0.0)
+        tree._add_witness(cheap, cheap_norm)
+        near = VehicleState(20.5, 0.0, 0.0, 3.0)
+        tree._add_witness(TreeNode(near, None, tree.root, 10.0, 0.0), norm_state(near, tree.config, params))
+        # d_near exactly the cheap representative's distance: it is within d_near, so it wins
+        tree.config = replace(tree.config, d_near=float(state_distance(cheap_norm, sample)))
+        assert tree.config.d_prune <= tree.config.d_near
+        assert tree._reps[tree.select(sample)] is cheap
+
     def test_nearest_when_none_in_radius(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=0)
         # only the root exists, far from the sample
