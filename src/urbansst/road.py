@@ -30,14 +30,16 @@ class Lane:
     successors: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.width <= 0.0:
-            raise ValueError(f"lane {self.id}: width must be positive")
+        # the grid divides distances by the width, and nearest_lane_points by a
+        # segment's squared length: below a millimetre a quotient can overflow
+        if not self.width >= 1e-3:
+            raise ValueError(f"lane {self.id}: width must be at least 0.001 m, got {self.width!r}")
         if len(self.centerline) < 2:
             raise ValueError(f"lane {self.id}: needs at least 2 centerline points")
         self.centerline = [Point2(float(x), float(y)) for x, y in self.centerline]
         for a, b in zip(self.centerline, self.centerline[1:]):
-            if a == b:
-                raise ValueError(f"lane {self.id}: consecutive centerline points must differ")
+            if not math.hypot(b.x - a.x, b.y - a.y) >= 1e-3:
+                raise ValueError(f"lane {self.id}: consecutive centerline points must lie at least 0.001 m apart")
 
 
 def _arc_lengths(points: np.ndarray) -> np.ndarray:
@@ -107,6 +109,10 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.resolution <= 0.0:
             raise ValueError("resolution must be positive")
+        # a cell centre lies half a cell from the grid's corner: past the bound on
+        # coordinates, its squared distance to a lane point can overflow
+        if self.resolution > 1e6:
+            raise ValueError(f"resolution must be at most 1e6 m, got {self.resolution!r}")
 
 
 # cells per row block of a grid pass, so no temporary is grid-sized

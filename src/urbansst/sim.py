@@ -1,12 +1,13 @@
 """Scenario files, deterministic closed-loop simulation, and metrics.
 
 A scenario is a JSON document with sections road / ego / objects /
-weights / planner / goal / grid / sim; omitted parameters fall back
-to the tuned defaults baked into the config dataclasses; _config reads every
-section but sim into one, and sim's keys are Scenario fields. The closed loop
-replans at a fixed rate and executes the planned inputs open-loop on the
-same kinematic model the planner uses, which isolates planner quality
-from tracking-controller effects.
+planner / goal / grid / sim; omitted parameters fall back to the tuned
+defaults baked into the config dataclasses; _config reads every section but
+sim into one, and sim's keys are Scenario fields. The vehicle model and the
+cost weights are not sections: every scenario runs VehicleParams() and
+CostWeights(). The closed loop replans at a fixed rate and executes the
+planned inputs open-loop on the same kinematic model the planner uses, which
+isolates planner quality from tracking-controller effects.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .road import (
     compute_goal_region,
     nearest_lane_points,
 )
-from .sst import SIGMA_A, SIGMA_DELTA, InvalidStartError, PlannerConfig, PlanResult, plan
+from .sst import InvalidStartError, PlannerConfig, PlanResult, plan
 from .vehicle import ControlInput, TimedState, Trajectory, VehicleParams, VehicleState, step, substep_count
 
 FOOTPRINT_DEFAULTS = {
@@ -47,22 +48,15 @@ class ScenarioError(ValueError):
     """Scenario file failed parsing or semantic validation."""
 
 
-def _chance_within(bounds: tuple, sigma: float) -> float:
-    """P(lo <= X <= hi) for X ~ N(0, sigma^2) and bounds (lo, hi)."""
-    lo, hi = bounds
-    s = sigma * math.sqrt(2.0)
-    return 0.5 * (math.erf(hi / s) - math.erf(lo / s))
-
-
 @dataclass
 class Scenario:
     name: str
     road: RoadNetwork
     ego_state: VehicleState
-    ego_params: VehicleParams
     world: WorldModel
-    weights: CostWeights
     planner: PlannerConfig
+    ego_params: VehicleParams = VehicleParams()
+    weights: CostWeights = CostWeights()
     goal: GoalConfig = GoalConfig()
     grid: GridConfig = GridConfig()
     duration: float = 10.0
@@ -79,19 +73,6 @@ class Scenario:
                 f"sim.replan_rate: its period of {1.0 / self.replan_rate:.3g} s is shorter than "
                 f"planner.t_step ({self.planner.t_step!r} s)"
             )
-        # sst.sample_input, sst.sample_batch and sst.sample_inputs redraw
-        # (a, delta) until both lie in their bounds: below a chance of 1e-3
-        # per draw (over a thousand redraws per input) the planner in effect
-        # hangs. An inverse-CDF sampler of the truncated Gaussian would never
-        # redraw and make this check unneeded.
-        chances = {
-            "a_bounds": _chance_within(self.ego_params.a_bounds, SIGMA_A),
-            "delta_bounds": _chance_within(self.ego_params.delta_bounds, SIGMA_DELTA),
-        }
-        accept = chances["a_bounds"] * chances["delta_bounds"]
-        if accept < 1e-3:
-            name = min(chances, key=chances.get)
-            raise ScenarioError(f"ego.params.{name}: input draws fall in bounds with chance {accept:.3g} < 0.001")
 
 
 # The sim section's keys: each is the Scenario field of its name.
@@ -186,7 +167,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     declared kind through _read, so any malformed value raises a
     ScenarioError that names its field."""
     _read(data, dict, "scenario")
-    _known(data, ("name", "road", "ego", "objects", "weights", "planner", "goal", "grid", "sim"))
+    _known(data, ("name", "road", "ego", "objects", "planner", "goal", "grid", "sim"))
     try:
         if "road" not in data:
             raise ScenarioError("road: section is required")
@@ -201,12 +182,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         route = _read(road_sec.get("route", []), list[str], "road.route")
         road = _build("road", RoadNetwork, lanes=lanes, route=route)
 
-        ego = _section(data, "ego", keys=("state", "params"))
+        ego = _section(data, "ego", keys=("state",))
         st = _section(ego, "state", "ego.", VehicleState._fields)
         ego_state = VehicleState(*(_read(st.get(k, 0.0), float, f"ego.state.{k}") for k in VehicleState._fields))
         for k in ("x", "y"):
             _coordinates([getattr(ego_state, k)], f"ego.state.{k}")
-        ego_params = _config("ego.params", VehicleParams, _section(ego, "params", "ego."))
 
         objects = []
         for i, od in enumerate(_read(data.get("objects", []), list[dict], "objects")):
@@ -229,7 +209,6 @@ def scenario_from_dict(data: dict) -> Scenario:
             ))
         world = WorldModel(objects)
 
-        weights = _config("weights", CostWeights, _section(data, "weights"))
         planner = _config("planner", PlannerConfig, _section(data, "planner"))
         if planner.iteration_budget is None and planner.query_time is None:
             planner = replace(planner, iteration_budget=2000)
@@ -241,9 +220,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             name=_read(data.get("name", "scenario"), str, "name"),
             road=road,
             ego_state=ego_state,
-            ego_params=ego_params,
             world=world,
-            weights=weights,
             planner=planner,
             goal=_config("goal", GoalConfig, _section(data, "goal")),
             grid=_config("grid", GridConfig, _section(data, "grid")),

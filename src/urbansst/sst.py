@@ -487,6 +487,8 @@ class PlannerTree:
     def select(self, sample) -> int:
         """SST's BestNear rule for a normalized sample (a column of norm_states): the witness
         column of the lowest-cost representative within d_near of it, else of the nearest."""
+        if isinstance(sample, VehicleState):  # metres and radians would rank as normalized units
+            raise TypeError("select takes a normalized sample (norm_state of a state), not a VehicleState")
         table = self._table[:, : len(self._reps)]
         d = state_distance(table[_REP], sample)
         i = int(d.argmin())

@@ -235,14 +235,18 @@ class TestPlan:
             ("sim.sampling_margin=-1", "sim.sampling_margin: unknown key"),
             ("objects.0.poses.0.1=NaN", "objects[0].poses[0]"),
             ("road.lanes.0.centerline.0.0=NaN", "road.lanes[0].centerline[0]"),
-            ("ego.params.v_bounds=5", "ego.params.v_bounds"),
-            ('ego.params.a_bounds=["a",1]', "ego.params.a_bounds"),
-            ("ego.params.v_bounds=[0,NaN]", "ego.params.v_bounds"),
-            ("ego.params.v_bounds=[5,5]", "ego.params"),
-            ("ego.params.length=-1", "ego.params"),
-            ("ego.params.width=0", "ego.params"),
+            # the vehicle model and the cost weights are not sections of the format
+            ("ego.params.v_bounds=5", "ego.params: unknown key"),
+            ('ego.params.a_bounds=["a",1]', "ego.params: unknown key"),
+            ("ego.params.v_bounds=[0,NaN]", "ego.params: unknown key"),
+            ("ego.params.v_bounds=[5,5]", "ego.params: unknown key"),
+            ("ego.params.length=-1", "ego.params: unknown key"),
+            ("ego.params.width=0", "ego.params: unknown key"),
+            ("ego.params.wheelbase=5e-324", "ego.params: unknown key"),
+            ("ego.params.length=1e300", "ego.params: unknown key"),
+            ("ego.params.width=1e200", "ego.params: unknown key"),
             ("planner.d_prunee=0.1", "planner.d_prunee"),
-            ("weights.v_desird=3", "weights.v_desird"),
+            ("weights.v_desird=3", "weights: unknown key"),
             ("bogus.x=1", "bogus"),
             ("planner.rng_seed=3", "planner.rng_seed"),
             ("planner.x_bounds=[0,50]", "planner.x_bounds"),
@@ -271,8 +275,8 @@ class TestPlan:
             ("road.lanes.0.successors=[1]", "road.lanes[0].successors[0]"),
             ("objects.0.id=7", "objects[0].id"),
             ("name=[]", "error: name:"),
-            ("ego.params.a_bounds=[0,0]", "ego.params.a_bounds"),
-            ("ego.params.delta_bounds=[2,3]", "ego.params.delta_bounds"),
+            ("ego.params.a_bounds=[0,0]", "ego.params: unknown key"),
+            ("ego.params.delta_bounds=[2,3]", "ego.params: unknown key"),
             ("objects.0.type=[1]", "objects[0].type"),
             ("planner.iteration_budget=-5", "planner: iteration_budget"),
             ("planner.iteration_budget=0", "planner: a zero budget"),
@@ -301,6 +305,15 @@ class TestPlan:
             # the clearance field divides by its spreads
             ("objects.0.field.sigma_y=5e-324", "objects[0].field: sigma_y"),
             ("objects.0.field.sigma_x=1e-300", "objects[0].field: sigma_x"),
+            # the grid divides by a lane's width, and by a segment's squared length
+            ("road.lanes.0.width=5e-324", "road.lanes[0]: lane right: width"),
+            ("road.lanes.1.width=5e-324", "road.lanes[1]: lane left: width"),
+            ("road.lanes.0.width=0.0009", "road.lanes[0]: lane right: width"),
+            ("road.lanes.0.centerline.1=[-10,1e-300]", "road.lanes[0]: lane right: consecutive centerline points"),
+            ("road.lanes.1.centerline.0.0=129.9995", "road.lanes[1]: lane left: consecutive centerline points"),
+            # a cell centre half of 1e300 m out squares to an overflow
+            ("grid.resolution=1e300", "grid: resolution must be at most 1e6 m"),
+            ("grid.resolution=1000001", "grid: resolution must be at most 1e6 m"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):
@@ -332,9 +345,7 @@ class TestPlan:
             ]
             assert [[float(v) if v else None for v in row.split(",")] for row in rows] == want
 
-    @pytest.mark.parametrize(
-        "override", ["ego.params.length=1e300", "ego.params.width=1e200", "objects.0.footprint.length=1e300"]
-    )
+    @pytest.mark.parametrize("override", ["objects.0.footprint.length=1e300"])
     @pytest.mark.filterwarnings("error")
     def test_huge_footprint_exits_with_a_code(self, tmp_path, override):
         # the squared reach of the two footprints' circles overflows to inf

@@ -61,10 +61,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
             ],
             "route": list(sc.road.route),
         },
-        "ego": {
-            "state": sc.ego_state._asdict(),
-            "params": asdict(sc.ego_params),
-        },
+        "ego": {"state": sc.ego_state._asdict()},
         "objects": [
             {
                 "id": obj.id,
@@ -74,7 +71,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
             }
             for obj in sc.world.objects
         ],
-        "weights": asdict(sc.weights),
         "planner": {k: v for k, v in asdict(sc.planner).items() if k not in _PER_QUERY},
         "goal": asdict(sc.goal),
         "grid": asdict(sc.grid),

@@ -37,7 +37,7 @@ from urbansst.sst import (
     sample_state,
     state_distance,
 )
-from urbansst.sim import _chance_within, build_scenario_grid, load_scenario, plan_query, run_closed_loop, simlog_to_csv
+from urbansst.sim import build_scenario_grid, load_scenario, plan_query, run_closed_loop, simlog_to_csv
 from urbansst.vehicle import ControlInput, VehicleParams, VehicleState, normalize_angle, propagate
 
 from conftest import SCENARIO_DIR, is_state_valid, live_nodes, make_planner_config, propagate_nodes, wrap_dist
@@ -619,12 +619,18 @@ class TestKernelExactness:
                 )
                 assert rng.bit_generator.state == ref.bit_generator.state
 
-    # (2.45, 8.0): a joint chance of 1.05e-3, just above the loader's floor, so
-    # that the look-ahead of 2n draws has to double about nine times
+    # (2.45, 8.0): a joint chance of 1.05e-3, so that the look-ahead of 2n
+    # draws has to double about nine times; above 1e-3 the rejection loops
+    # here end after a few thousand redraws
     @pytest.mark.parametrize("a_bounds", [(-0.8, 0.8), (0.1, 0.15), (2.45, 8.0)])
     def test_sample_inputs_equal_scalar_draws(self, a_bounds):
+        def chance_within(bounds, sigma):
+            """P(lo <= X <= hi) for X ~ N(0, sigma^2) and bounds (lo, hi)."""
+            s = sigma * math.sqrt(2.0)
+            return 0.5 * (math.erf(bounds[1] / s) - math.erf(bounds[0] / s))
+
         params = VehicleParams(a_bounds=a_bounds)
-        chance = _chance_within(a_bounds, SIGMA_A) * _chance_within(params.delta_bounds, SIGMA_DELTA)
+        chance = chance_within(a_bounds, SIGMA_A) * chance_within(params.delta_bounds, SIGMA_DELTA)
         assert chance > 1e-3
         rng = np.random.default_rng(47)
         ref = np.random.default_rng(47)
@@ -869,6 +875,15 @@ class TestSelect:
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=0)
         # only the root exists, far from the sample
         assert tree.select(norm_state(VehicleState(45.0, 10.0, 1.0, 0.0), tree.config, params)) == 0
+
+    def test_rejects_a_raw_state(self, straight_goal, straight_grid, empty_world, weights, params):
+        # a state in metres and radians is not a sample of the normalized space;
+        # its normalized plain tuple is
+        tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=0)
+        state = VehicleState(20.0, 0.0, 0.0, 3.0)
+        with pytest.raises(TypeError, match="VehicleState"):
+            tree.select(state)
+        assert tree.select(norm_state(state, tree.config, params)) == 0
 
     def test_brute_force_oracle(self, straight_goal, straight_grid, empty_world, weights, params):
         tree, _ = _grow_tree(straight_goal, straight_grid, empty_world, weights, params, budget=2000)
