@@ -5,7 +5,7 @@ linearly with distance to the closest lane-center point and saturates at
 P_MAX half that point's lane width out; lookups outside the grid also
 return P_MAX. Lane-center points are each lane's centerline densified at
 half the grid resolution, so that sparse waypoints do not scallop the field.
-A scenario's grid and goal sections are GridConfig and GoalConfig.
+A scenario's grid has GRID_RESOLUTION cells; its goal section is GoalConfig.
 """
 
 from __future__ import annotations
@@ -76,6 +76,11 @@ class RoadNetwork:
         for cur, nxt in zip(self.route, self.route[1:]):
             if nxt not in self._by_id[cur].successors:
                 raise ValueError(f"route is not connected: {nxt!r} is not a successor of {cur!r}")
+            # RoutePath merges only equal join points, and project divides by
+            # each segment's squared length
+            a, b = self._by_id[cur].centerline[-1], self._by_id[nxt].centerline[0]
+            if a != b and not math.hypot(b.x - a.x, b.y - a.y) >= 1e-3:
+                raise ValueError(f"route join {cur!r} -> {nxt!r}: join points must be equal or at least 0.001 m apart")
         self._lane_points: dict = {}
         self.route_path = RoutePath(self)
 
@@ -93,26 +98,12 @@ class RoadNetwork:
         return cached
 
 
-DEFAULT_GRID_RESOLUTION = 0.25
+# The scenario grid's cell size (m).
+GRID_RESOLUTION = 0.25
 
 # The penalty off the lanes, and the least penalty of an undrivable cell.
 P_MAX = 100.0
 P_INVALID = 99.0
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """The grid section: the cell size (m)."""
-
-    resolution: float = DEFAULT_GRID_RESOLUTION
-
-    def __post_init__(self) -> None:
-        if self.resolution <= 0.0:
-            raise ValueError("resolution must be positive")
-        # a cell centre lies half a cell from the grid's corner: past the bound on
-        # coordinates, its squared distance to a lane point can overflow
-        if self.resolution > 1e6:
-            raise ValueError(f"resolution must be at most 1e6 m, got {self.resolution!r}")
 
 
 # cells per row block of a grid pass, so no temporary is grid-sized
@@ -181,9 +172,9 @@ def nearest_lane_points(net: RoadNetwork, spacing: float, x, y, reach=None):
 class PenaltyGrid:
     """Rasterized lane-deviation penalty field, row-major cells."""
 
-    def __init__(self, origin, cells, config: GridConfig) -> None:
+    def __init__(self, origin, cells, resolution: float) -> None:
         self.origin = Point2(float(origin[0]), float(origin[1]))
-        self.resolution = float(config.resolution)
+        self.resolution = float(resolution)
         self.cells = np.asarray(cells, dtype=float)
         self.n_rows, self.n_cols = self.cells.shape
         self.p_max, self.p_invalid = P_MAX, P_INVALID
@@ -203,14 +194,13 @@ class PenaltyGrid:
         return np.where(inside, self.cells.ravel()[np.where(inside, row * self.n_cols + col, 0)], self.p_max)
 
 
-def build_penalty_grid(net: RoadNetwork, bounds, config: GridConfig) -> PenaltyGrid:
-    """Rasterize the lane-deviation penalty over a rectangle.
+def build_penalty_grid(net: RoadNetwork, bounds, resolution: float) -> PenaltyGrid:
+    """Rasterize the lane-deviation penalty over a rectangle in cells of resolution (m).
 
     bounds is (x_min, y_min, x_max, y_max); each cell's penalty is computed
     from the cell center distance to the closest densified lane-center
     point, using the width of the lane owning that point.
     """
-    resolution = config.resolution
     x_min, y_min, x_max, y_max = (float(b) for b in bounds)
     n_cols = max(1, int(math.ceil((x_max - x_min) / resolution)))
     n_rows = max(1, int(math.ceil((y_max - y_min) / resolution)))
@@ -226,7 +216,7 @@ def build_penalty_grid(net: RoadNetwork, bounds, config: GridConfig) -> PenaltyG
         d = dist[r : r + step]
         widths = lane_widths[lane[r : r + step]]
         d[...] = np.where(d < widths / 2, 2.0 * P_MAX * d / widths, P_MAX)
-    return PenaltyGrid((x_min, y_min), dist, config)
+    return PenaltyGrid((x_min, y_min), dist, resolution)
 
 
 class RoutePath:

@@ -1,13 +1,13 @@
 """Scenario files, deterministic closed-loop simulation, and metrics.
 
 A scenario is a JSON document with sections road / ego / objects /
-planner / goal / grid / sim; omitted parameters fall back to the tuned
+planner / goal / sim; omitted parameters fall back to the tuned
 defaults baked into the config dataclasses; _config reads every section but
-sim into one, and sim's keys are Scenario fields. The vehicle model and the
-cost weights are not sections: every scenario runs VehicleParams() and
-CostWeights(). The closed loop replans at a fixed rate and executes the
-planned inputs open-loop on the same kinematic model the planner uses, which
-isolates planner quality from tracking-controller effects.
+sim into one, and sim's keys are Scenario fields. The vehicle model
+(VehicleParams()), the cost weights (CostWeights()) and the grid's cell size
+(GRID_RESOLUTION) are not sections. The closed loop replans at a fixed rate
+and executes the planned inputs open-loop on the same kinematic model the
+planner uses, which isolates planner quality from tracking-controller effects.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from .cost import CostWeights
 from .dki import plan_dki
 from .objects import FieldParams, ObjectPrediction, WorldModel, WorldPoser, object_hit
 from .road import (
-    DEFAULT_GRID_RESOLUTION,
+    GRID_RESOLUTION,
     GoalConfig,
-    GridConfig,
     Lane,
     PenaltyGrid,
     RoadNetwork,
@@ -58,11 +57,14 @@ class Scenario:
     ego_params: VehicleParams = VehicleParams()
     weights: CostWeights = CostWeights()
     goal: GoalConfig = GoalConfig()
-    grid: GridConfig = GridConfig()
     duration: float = 10.0
     replan_rate: float = 2.0
 
     def __post_init__(self) -> None:
+        # the fallback brakes from the start; past v_bounds its first step can leave the route
+        lo, hi = self.ego_params.v_bounds
+        if not lo <= self.ego_state.v <= hi:
+            raise ScenarioError(f"ego.state.v: must lie within [{lo:g}, {hi:g}] m/s, got {self.ego_state.v!r}")
         for name in ("duration", "replan_rate"):
             if getattr(self, name) <= 0.0:
                 raise ScenarioError(f"sim.{name}: must be positive")
@@ -77,9 +79,9 @@ class Scenario:
 
 # The sim section's keys: each is the Scenario field of its name.
 _SIM_FIELDS = ("duration", "replan_rate")
-# The largest penalty grid a scenario may ask for. The shipped ones need at
-# most 61 901 cells (scenario III at 0.25 m); this many cells are 32 MB of
-# floats, and building them takes several times that.
+# The largest penalty grid a scenario's lanes may span. The shipped ones need
+# at most 61 901 cells (scenario III); this many cells are 32 MB of floats,
+# and building them takes several times that.
 _MAX_GRID_CELLS = 4_000_000
 # PlannerConfig fields that each query sets, never a scenario file.
 _PER_QUERY = ("x_bounds", "y_bounds")
@@ -167,7 +169,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     declared kind through _read, so any malformed value raises a
     ScenarioError that names its field."""
     _read(data, dict, "scenario")
-    _known(data, ("name", "road", "ego", "objects", "planner", "goal", "grid", "sim"))
+    _known(data, ("name", "road", "ego", "objects", "planner", "goal", "sim"))
     try:
         if "road" not in data:
             raise ScenarioError("road: section is required")
@@ -223,7 +225,6 @@ def scenario_from_dict(data: dict) -> Scenario:
             world=world,
             planner=planner,
             goal=_config("goal", GoalConfig, _section(data, "goal")),
-            grid=_config("grid", GridConfig, _section(data, "grid")),
             **{key: _read(sim[key], float, f"sim.{key}") for key in _SIM_FIELDS if key in sim},
         )
     except ScenarioError:
@@ -273,19 +274,20 @@ def load_scenario(path, overrides=()) -> Scenario:
 def build_scenario_grid(sc: Scenario) -> PenaltyGrid:
     """Penalty grid covering every lane band; out-of-grid lookups are P_MAX anyway.
 
-    A resolution that needs more than _MAX_GRID_CELLS cells is an error
-    before anything is allocated.
+    Lanes that span more than _MAX_GRID_CELLS cells are an error before
+    anything is allocated.
     """
-    res = sc.grid.resolution
+    res = GRID_RESOLUTION
     xs = [p.x for lane in sc.road.lanes for p in lane.centerline]
     ys = [p.y for lane in sc.road.lanes for p in lane.centerline]
     margin = max(lane.width for lane in sc.road.lanes) / 2 + 2 * res
     bounds = (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
-    # a float product: a tiny resolution overflows it to inf, never to an error
-    cells = (bounds[2] - bounds[0]) / res * ((bounds[3] - bounds[1]) / res)
+    width, height = bounds[2] - bounds[0], bounds[3] - bounds[1]
+    cells = width / res * (height / res)
     if cells > _MAX_GRID_CELLS:
-        raise ScenarioError(f"grid.resolution: {res!r} m needs {cells:.3g} grid cells, more than {_MAX_GRID_CELLS}")
-    return build_penalty_grid(sc.road, bounds, sc.grid)
+        raise ScenarioError(f"road.lanes: a grid of {res:g} m cells over the lanes' extent of {width:.6g} m "
+                            f"by {height:.6g} m needs {cells:.3g} cells, more than {_MAX_GRID_CELLS}")
+    return build_penalty_grid(sc.road, bounds, res)
 
 
 @dataclass
@@ -501,7 +503,7 @@ def compute_metrics(log: SimLog, sc: Scenario) -> MetricsReport:
         speed_groups.append([abs(s.state.v - sc.weights.v_desired) for s in samples])
         planned_xy.extend((s.state.x, s.state.y) for s in samples)
     xy = np.array(planned_xy, dtype=float).reshape(-1, 2)
-    lane_dist, _ = nearest_lane_points(sc.road, DEFAULT_GRID_RESOLUTION / 2, xy[:, 0], xy[:, 1])
+    lane_dist, _ = nearest_lane_points(sc.road, GRID_RESOLUTION / 2, xy[:, 0], xy[:, 1])
     min_dist: Optional[float] = None
     if sc.world.objects:
         best = math.inf

@@ -10,7 +10,7 @@ import pytest
 from urbansst import sst
 from urbansst.cost import CostWeights
 from urbansst.objects import WorldModel, WorldPoser
-from urbansst.road import GoalConfig, GridConfig, Lane, RoadNetwork, build_penalty_grid, compute_goal_region
+from urbansst.road import GRID_RESOLUTION, GoalConfig, Lane, RoadNetwork, build_penalty_grid, compute_goal_region
 from urbansst.sst import PlannerConfig
 from urbansst.vehicle import VehicleParams, VehicleState
 
@@ -51,7 +51,7 @@ def straight_net():
 
 @pytest.fixture(scope="session")
 def straight_grid(straight_net):
-    return build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0), GridConfig())
+    return build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0), GRID_RESOLUTION)
 
 
 @pytest.fixture(scope="session")

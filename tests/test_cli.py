@@ -16,6 +16,7 @@ from conftest import SCENARIO_DIR
 
 STRAIGHT = str(SCENARIO_DIR / "scenario_i_straight_road.json")
 OVERTAKE = str(SCENARIO_DIR / "scenario_ii_static_overtake.json")
+ROUNDABOUT = str(SCENARIO_DIR / "scenario_iii_roundabout.json")
 
 
 @pytest.fixture()
@@ -254,17 +255,19 @@ class TestPlan:
             ("goal.distance=-5", "goal: distance"),
             ("goal.threshold=0", "goal.threshold: unknown key"),
             ("goal.distanse=3", "goal.distanse"),
-            ("grid.resolution=0", "grid: resolution"),
-            ("grid.p_maxx=1", "grid.p_maxx"),
-            # 1e15 cells: the grid would not fit in memory
-            ("grid.resolution=1e-6", "grid.resolution"),
+            # the grid's cell size is a constant: a grid section is not read
+            ("grid.resolution=0", "grid: unknown key"),
+            ("grid.p_maxx=1", "grid: unknown key"),
+            ("grid.resolution=1e-6", "grid: unknown key"),
+            # lanes 1e6 m long span 2.3e9 cells: the grid would not fit in memory
+            ("road.lanes.1.centerline.1.1=1e6", "road.lanes: a grid of 0.25 m cells"),
             # a replan period of 1e-12 s executes no state
             ("sim.replan_rate=1e12", "sim.replan_rate"),
             # the grid penalties, the goal threshold and the input spreads are constants, not keys
-            ("grid.p_invalid=200", "grid.p_invalid: unknown key"),
-            ("grid.p_max=100", "grid.p_max: unknown key"),
-            ('grid={"p_max":0,"p_invalid":0}', "grid.p_max: unknown key"),
-            ('grid={"p_max":-100,"p_invalid":-101}', "grid.p_max: unknown key"),
+            ("grid.p_invalid=200", "grid: unknown key"),
+            ("grid.p_max=100", "grid: unknown key"),
+            ('grid={"p_max":0,"p_invalid":0}', "grid: unknown key"),
+            ('grid={"p_max":-100,"p_invalid":-101}', "grid: unknown key"),
             ("planner.sigma_a=0.8", "planner.sigma_a: unknown key"),
             ("planner.sigma_delta=0", "planner.sigma_delta: unknown key"),
             ("road.route=5", "road.route"),
@@ -298,6 +301,8 @@ class TestPlan:
             # values whose products overflow, or divide to NaN, inside the planner
             ("ego.state.x=1e300", "ego.state.x"),
             ("ego.state.y=-1000001", "ego.state.y"),
+            # a start speed past the vehicle's bounds
+            ("ego.state.v=1e300", "ego.state.v: must lie within [0, 6] m/s"),
             ("planner.metric_xy_scale=1e-300", "planner: metric_xy_scale"),
             ("goal.threshold=1e-300", "goal.threshold: unknown key"),
             ("objects.0.poses.0.1=1e300", "objects[0].poses[0]"),
@@ -311,9 +316,8 @@ class TestPlan:
             ("road.lanes.0.width=0.0009", "road.lanes[0]: lane right: width"),
             ("road.lanes.0.centerline.1=[-10,1e-300]", "road.lanes[0]: lane right: consecutive centerline points"),
             ("road.lanes.1.centerline.0.0=129.9995", "road.lanes[1]: lane left: consecutive centerline points"),
-            # a cell centre half of 1e300 m out squares to an overflow
-            ("grid.resolution=1e300", "grid: resolution must be at most 1e6 m"),
-            ("grid.resolution=1000001", "grid: resolution must be at most 1e6 m"),
+            ("grid.resolution=1e300", "grid: unknown key"),
+            ("grid.resolution=1000001", "grid: unknown key"),
         ],
     )
     def test_malformed_override_exit_one(self, tmp_path, capsys, override, field):
@@ -321,6 +325,20 @@ class TestPlan:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("value", ["1e-300", "5e-324"])
+    @pytest.mark.parametrize(
+        "point",
+        # the approach's end x, the ring's start x, the ring's end y and exit3's start y
+        ["road.lanes.0.centerline.1.0", "road.lanes.1.centerline.0.0", "road.lanes.1.centerline.54.1",
+         "road.lanes.4.centerline.0.1"],
+    )
+    def test_route_join_within_a_millimetre_exits_one(self, tmp_path, capsys, point, value):
+        # each moves one join point of III off 0 by less than a millimetre
+        rc = main(["plan", "--scenario", ROUNDABOUT, "--budget", "iters:300", "--set", f"{point}={value}",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: road: route join ")
 
     @pytest.mark.parametrize("mode", ["base", "dki"])
     @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("scenario_*.json")), ids=lambda p: p.stem)
@@ -414,9 +432,16 @@ class TestSimulate:
         argv = ["simulate", "--scenario", STRAIGHT, "--budget", "iters:300", "--set", "sim.duration=1.0", "--out", str(out)]
         assert main(argv) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted(cli._OUTPUTS["simulate"])
-        # a grid of 1 mm cells is over the size limit
-        assert main(argv + ["--set", "grid.resolution=0.001"]) == 1
+        # lanes that span 2.3e9 grid cells are over the size limit
+        assert main(argv + ["--set", "road.lanes.1.centerline.1.1=1e6"]) == 1
         assert list(out.iterdir()) == []
+
+    def test_start_speed_past_the_bounds_exits_one(self, tmp_path, capsys):
+        # braking from -1e300 m/s, the fallback's first step would leave the route by 4e298 m
+        rc = main(["simulate", "--scenario", OVERTAKE, "--budget", "iters:50", "--set", "ego.state.v=-1e300",
+                   "--set", "sim.duration=0.5", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ego.state.v: must lie within")
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

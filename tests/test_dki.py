@@ -10,7 +10,7 @@ from urbansst.dki import (
     D_BRANCH_MAX, D_LOOKAHEAD, D_REUSE, N_CANDIDATES, _reuse_anchor, plan_dki, seed_lane_branch, seed_previous_branch,
 )
 from urbansst.objects import ObjectPrediction, WorldModel
-from urbansst.road import GoalConfig, GridConfig, PenaltyGrid, build_penalty_grid, compute_goal_region
+from urbansst.road import GRID_RESOLUTION, GoalConfig, PenaltyGrid, build_penalty_grid, compute_goal_region
 from urbansst.sst import PlannerTree, norm_state, plan, sample_inputs, state_distance
 from urbansst.vehicle import ControlInput, TimedState, Trajectory, VehicleState, normalize_angle, propagate
 
@@ -55,7 +55,7 @@ class TestLaneBranch:
         net = make_crossing_net(width=3.5)
         root = VehicleState(20.0, 0.3, 0.0, 5.0)
         assert net.route_path.project(root.x, root.y)[0] == pytest.approx(169.7)
-        grid = build_penalty_grid(net, (-15.0, -45.0, 65.0, 35.0), GridConfig())
+        grid = build_penalty_grid(net, (-15.0, -45.0, 65.0, 35.0), GRID_RESOLUTION)
         goal = compute_goal_region(net, 30.0, GoalConfig())
         cfg = make_planner_config(budget=2000).with_bounds((-15.0, 65.0), (-45.0, 35.0))
         tree = PlannerTree(root, 0.0, goal, grid, empty_world, cfg, weights, params, np.random.default_rng(0))
@@ -166,7 +166,7 @@ class TestLaneBranchPick:
         res = 0.05
         cells = np.zeros((int(12.0 / res), int(140.0 / res)))
         cells[int((y + 4.0) / res), int((x + 10.0) / res)] = 100.0
-        grid = PenaltyGrid((-10.0, -4.0), cells, GridConfig(res))
+        grid = PenaltyGrid((-10.0, -4.0), cells, res)
         tree = make_tree(straight_goal, grid, empty_world, weights, params)
         fallbacks = _assert_branch_equals_oracle(tree, straight_net, 10.0)
         assert len(fallbacks) >= 1 and all(0 < k < N_CANDIDATES for k in fallbacks)

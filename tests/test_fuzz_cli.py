@@ -3,7 +3,9 @@
 Each scenario example takes one shipped scenario, applies one mutation at a
 random JSON path (drop a key or element, retype a value, set NaN, negate a
 number or empty a list), writes the result to a temporary directory and
-plans a short query on it, or simulates one replan period. Each flag example
+plans a short query on it, or simulates one replan period. The extreme-value
+test sets each numeric path of each shipped scenario to each of five extreme
+values in turn, and plans and simulates every one. Each flag example
 edits the valid `--seeds` and `--budget` strings of `urbansst benchmark` a
 character or two at a time. Bad input must end in one of the CLI's exit
 codes, never in an exception or a hang.
@@ -111,6 +113,46 @@ def test_mutated_scenario_simulates_with_a_code(path, data):
         argv = ["simulate", "--scenario", str(scenario), "--mode", mode, "--budget", "iters:50",
                 "--set", "sim.duration=0.5", "--out", str(Path(tmp) / "out")]
         assert main(argv) in (0, 1, 2, 3), note
+
+
+# The numeric keys that a shipped file may leave at their defaults, by section,
+# and those of each object.
+_DEFAULTED = {"planner": ("d_near", "d_prune", "t_prop", "t_step", "metric_xy_scale"),
+              "goal": ("distance", "lateral_band"), "sim": ("duration", "replan_rate")}
+_OBJECT_DEFAULTED = {"footprint": ("length", "width"), "field": ("amplitude", "sigma_x", "sigma_y")}
+# Values past every scale of the format: huge, huge negative, tiny, large, and the least subnormal.
+_EXTREMES = ("1e300", "-1e300", "1e-300", "1e15", "5e-324")
+
+
+def _numeric_paths(doc) -> list:
+    """The dotted path of every numeric leaf of doc, and of each key in
+    _DEFAULTED and _OBJECT_DEFAULTED that doc leaves out."""
+    paths = [".".join(map(str, path)) for path, value in _paths(doc) if _kind(value) == "number"]
+    extra = [f"{sec}.{key}" for sec, keys in _DEFAULTED.items() for key in keys]
+    extra += [f"objects.{i}.{sec}.{key}" for i in range(len(doc.get("objects", [])))
+              for sec, keys in _OBJECT_DEFAULTED.items() for key in keys]
+    return paths + [p for p in extra if p not in paths]
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_extreme_values_exit_with_a_code(path, tmp_path):
+    # each numeric path at each extreme, through a short query and one replan
+    # period: a traceback, or a numeric warning (an error under pyproject's
+    # filter), fails the run
+    out = str(tmp_path / "out")
+    failures = []
+    for key in _numeric_paths(json.loads(path.read_text())):
+        for value in _EXTREMES:
+            override = ["--set", f"{key}={value}"]
+            for argv in (["plan", "--budget", "iters:300", *override],
+                         ["simulate", "--budget", "iters:50", *override, "--set", "sim.duration=0.5"]):
+                try:
+                    rc = main([*argv, "--scenario", str(path), "--out", out])
+                except Exception as exc:  # every failure is collected
+                    rc = f"{type(exc).__name__}: {exc}"
+                if rc not in (0, 1, 2, 3):
+                    failures.append(f"{argv[0]} {key}={value}: {rc}")
+    assert not failures, "\n".join(failures)
 
 
 # Characters that valid --seeds and --budget strings are made of, and some that they are not.

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 import urbansst
 from urbansst.road import (
-    DEFAULT_GRID_RESOLUTION,
+    GRID_RESOLUTION,
     GoalConfig,
     GoalRegion,
-    GridConfig,
     Lane,
     RoadNetwork,
     RouteExhaustedError,
@@ -29,7 +28,7 @@ from urbansst.vehicle import VehicleState
 from conftest import LANE_SPACING, LANE_WIDTH, SCENARIO_DIR, make_crossing_net, make_straight_net
 
 
-def nearest_lane_center(net, p, spacing=DEFAULT_GRID_RESOLUTION / 2):
+def nearest_lane_center(net, p, spacing=GRID_RESOLUTION / 2):
     """Brute-force oracle of nearest_lane_points: the smallest sqrt(dx*dx + dy*dy)
     from p to a densified lane point, and the lane of the first point at that
     distance, all lanes' points taken in lane order."""
@@ -120,8 +119,24 @@ class TestRoadNetwork:
         with pytest.raises(ValueError, match="successor"):
             RoadNetwork([a, b], ["a", "b"])
 
+    @pytest.mark.parametrize("start, ok", [
+        ((1.0, 0.0), True), ((1.0, -0.0), True), ((1.002, 0.0), True),
+        ((1.0, 1e-300), False), ((1.0 + 2**-52, 0.0), False), ((1.0009, 0.0), False),
+    ])
+    def test_route_join_points_equal_or_a_millimetre_apart(self, start, ok):
+        # RoutePath merges equal join points; nearer ones make a segment of
+        # almost no length, whose squared length project divides by
+        a = Lane(id="a", width=3.0, centerline=[[0, 0], [1, 0]], successors=["b"])
+        b = Lane(id="b", width=3.0, centerline=[start, [2, 0]], successors=[])
+        if ok:
+            route = RoadNetwork([a, b], ["a", "b"]).route_path
+            assert route.project(1.5, 0.0)[0] == pytest.approx(1.5)
+        else:
+            with pytest.raises(ValueError, match="route join 'a' -> 'b'"):
+                RoadNetwork([a, b], ["a", "b"])
+
     def test_nearest_lane_center(self, straight_net):
-        dist, lane = nearest_lane_points(straight_net, DEFAULT_GRID_RESOLUTION / 2, np.array([20.0, 20.0]), np.array([1.0, 3.0]))
+        dist, lane = nearest_lane_points(straight_net, GRID_RESOLUTION / 2, np.array([20.0, 20.0]), np.array([1.0, 3.0]))
         assert dist[0] == pytest.approx(1.0, abs=1e-6)
         assert lane[0] == 0
         # closer to the second lane center
@@ -133,11 +148,11 @@ class TestRoadNetwork:
     )
     def test_nearest_lane_points_equal_brute_force(self, net):
         # random queries over and around the network, plus every seventh densified point
-        points = np.vstack(net.lane_points(DEFAULT_GRID_RESOLUTION / 2))
+        points = np.vstack(net.lane_points(GRID_RESOLUTION / 2))
         lo, hi = points.min(axis=0) - 3.0, points.max(axis=0) + 3.0
         rng = np.random.default_rng(16)
         q = np.vstack([rng.uniform(lo, hi, (1_500, 2)), points[::7]])
-        dist, lane = nearest_lane_points(net, DEFAULT_GRID_RESOLUTION / 2, q[:, 0], q[:, 1])
+        dist, lane = nearest_lane_points(net, GRID_RESOLUTION / 2, q[:, 0], q[:, 1])
         want = [nearest_lane_center(net, p) for p in q.tolist()]
         assert list(zip(dist.tolist(), lane.tolist())) == want
         assert lane.dtype == (np.int16 if len(net.lanes) > 128 else np.int8)
@@ -176,12 +191,12 @@ class TestPenaltyGrid:
 
     def test_linear_ramp_quarter_width(self, straight_net):
         # fine grid so cell-center quantization is negligible
-        grid = build_penalty_grid(straight_net, (0.0, -4.0, 40.0, 8.0), GridConfig(resolution=0.01))
+        grid = build_penalty_grid(straight_net, (0.0, -4.0, 40.0, 8.0), 0.01)
         d = LANE_WIDTH / 4
         assert grid.lookup(20.0, -d) == pytest.approx(50.0, abs=1.0)
 
     def test_saturates_at_half_width(self, straight_net):
-        grid = build_penalty_grid(straight_net, (0.0, -8.0, 40.0, 8.0), GridConfig(resolution=0.05))
+        grid = build_penalty_grid(straight_net, (0.0, -8.0, 40.0, 8.0), 0.05)
         assert grid.lookup(20.0, -LANE_WIDTH / 2 - 0.5) == pytest.approx(100.0)
 
     def test_out_of_bounds_returns_p_max(self, straight_grid):
@@ -205,7 +220,7 @@ class TestPenaltyGrid:
     def test_analytic_oracle_random_cells(self, straight_net):
         # straight two-lane road: distance to nearest center is
         # min(|y|, |y - 3.5|) exactly, and the owning lane has width 3.75
-        grid = build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0), GridConfig())
+        grid = build_penalty_grid(straight_net, (-10.0, -4.0, 130.0, 8.0), GRID_RESOLUTION)
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             col = rng.integers(0, grid.n_cols)
@@ -228,7 +243,7 @@ class TestPenaltyGrid:
         ids=["two_width", "arc", "130_lanes"],
     )
     def test_grid_equals_brute_force(self, net, bounds, resolution):
-        grid = build_penalty_grid(net, bounds, GridConfig(resolution))
+        grid = build_penalty_grid(net, bounds, resolution)
         assert grid.cells.tobytes() == oracle_grid(net, bounds, resolution, 100.0).tobytes()
 
     @settings(max_examples=25, deadline=None)
@@ -248,11 +263,11 @@ class TestPenaltyGrid:
         ]
         net = RoadNetwork(lanes, ["l0"])
         bounds = (-6.0, -6.5, 6.5, 6.0)
-        grid = build_penalty_grid(net, bounds, GridConfig(resolution))
+        grid = build_penalty_grid(net, bounds, resolution)
         assert grid.cells.tobytes() == oracle_grid(net, bounds, resolution, 100.0).tobytes()
 
     def test_equidistant_tie_takes_the_first_lane(self):
-        grid = build_penalty_grid(two_width_net(), (-1.0, -3.125, 7.0, 5.0), GridConfig())
+        grid = build_penalty_grid(two_width_net(), (-1.0, -3.125, 7.0, 5.0), GRID_RESOLUTION)
         # 1 m from both centerlines: the 3 m lane's ramp, not the 4 m lane's
         assert grid.lookup(3.0, 1.0) == 2.0 * 100.0 * 1.0 / 3.0
 
@@ -260,7 +275,7 @@ class TestPenaltyGrid:
         # 0.05 m cells against 11 202 points: the oracle ranks every row of two
         # columns and a random sample of cells
         bounds = (0.0, -8.0, 40.0, 8.0)
-        grid = build_penalty_grid(straight_net, bounds, GridConfig(0.05))
+        grid = build_penalty_grid(straight_net, bounds, 0.05)
         rng = np.random.default_rng(5)
         rows = np.concatenate([np.arange(grid.n_rows), np.arange(grid.n_rows), rng.integers(0, grid.n_rows, 600)])
         cols = np.concatenate([np.full(grid.n_rows, 0), np.full(grid.n_rows, 401), rng.integers(0, grid.n_cols, 600)])
@@ -271,16 +286,17 @@ class TestPenaltyGrid:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_grid_memory_at_the_cell_cap(self):
-        # scenario III at 0.031 m is 3.9 M cells, just under the cap: the 30 MB
-        # grid, the block temporaries and a one-byte lane index per cell. The
-        # peak is VmHWM, the high-water mark of ru_maxrss for this process image
-        # alone: a child's ru_maxrss starts at its parent's peak, here pytest's.
+        # scenario III with exit1 ending at y = 4 100 m is 4.0 M cells, just
+        # under the cap: the 32 MB grid, the block temporaries and a one-byte
+        # lane index per cell. The peak is VmHWM, the high-water mark of
+        # ru_maxrss for this process image alone: a child's ru_maxrss starts at
+        # its parent's peak, here pytest's.
         code = (
             "import sys\n"
             "from urbansst.sim import build_scenario_grid, load_scenario\n"
             "def peak_kib():\n"
             "    return int(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
-            "sc = load_scenario(sys.argv[1], ['grid.resolution=0.031'])\n"
+            "sc = load_scenario(sys.argv[1], ['road.lanes.2.centerline.1.1=4100'])\n"
             "before = peak_kib()\n"
             "cells = build_scenario_grid(sc).cells.size\n"
             "print(cells, peak_kib() - before)\n"
@@ -290,7 +306,7 @@ class TestPenaltyGrid:
         path = str(SCENARIO_DIR / "scenario_iii_roundabout.json")
         out = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True, text=True, timeout=120, check=True)
         cells, rise_kib = map(int, out.stdout.split())
-        assert cells == 3_915_900
+        assert cells == 3_962_381
         assert rise_kib < 50 * 1024
 
     @pytest.mark.parametrize(

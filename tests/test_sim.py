@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from urbansst import sim
-from urbansst.road import GoalConfig, GridConfig
+from urbansst.road import GoalConfig
 from urbansst.sim import (
     _PER_QUERY,
     _SIM_FIELDS,
@@ -73,7 +73,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
         ],
         "planner": {k: v for k, v in asdict(sc.planner).items() if k not in _PER_QUERY},
         "goal": asdict(sc.goal),
-        "grid": asdict(sc.grid),
         "sim": {key: getattr(sc, key) for key in _SIM_FIELDS},
     }
 
@@ -98,7 +97,6 @@ class TestLoader:
         assert sc.planner.query_time is None
         assert sc.weights.v_desired == 5.0
         assert sc.goal == GoalConfig()
-        assert sc.grid == GridConfig()
         assert sc.duration == 10.0
         assert sc.replan_rate == 2.0
         assert not sc.world.objects

@@ -13,7 +13,7 @@ from urbansst import objects
 from urbansst.cost import CostWeights
 from urbansst.geometry import obb_overlap
 from urbansst.objects import ObjectPrediction, WorldModel
-from urbansst.road import GoalConfig, GridConfig, PenaltyGrid, compute_goal_region
+from urbansst.road import GoalConfig, PenaltyGrid, compute_goal_region
 from urbansst.sst import (
     _COST,
     _DEPTH,
@@ -666,7 +666,7 @@ class TestGridCells:
         res = 0.2
         n_cols = 484
         cells = np.tile(np.arange(n_cols) % 2 * 100.0, (50, 1))
-        grid = PenaltyGrid((0.0, -5.0), cells, GridConfig(res))
+        grid = PenaltyGrid((0.0, -5.0), cells, res)
         cfg = PlannerConfig(iteration_budget=1).with_bounds((0.0, n_cols * res), (-5.0, 5.0))
         tree = PlannerTree(
             VehicleState(0.1, 0.0, 0.0, 0.0), 0.0, straight_goal, grid, empty_world, cfg, weights, params,
@@ -685,7 +685,7 @@ class TestGridCells:
 
 # a 0.2 m grid of 100 x 50 cells from (0, -5), for the batch price test
 _RES = 0.2
-_PRICE_GRID = PenaltyGrid((0.0, -5.0), np.random.default_rng(0).uniform(0.0, 50.0, (50, 100)), GridConfig(_RES))
+_PRICE_GRID = PenaltyGrid((0.0, -5.0), np.random.default_rng(0).uniform(0.0, 50.0, (50, 100)), _RES)
 
 
 def _coordinate(origin, n_cells):
